@@ -233,16 +233,18 @@ def run_subgraph(fm: FeatureMap, weights: WeightMatrix, table: ThresholdTable,
     output = FeatureMap.from_array(assembled)
     if shuffle_with is not None:
         output, stats.memcpy_bytes = shuffle_writeback(output, shuffle_with)
-    stats.dram_write_bytes = (
-        blocked_channel_count(output.channels, schedule.ic)
-        * output.height * output.width // 2
-    )
+    stats.dram_write_bytes = _blocked_bytes(output, schedule)
     if pool_lane is not None:
         stats.pool_occupancy = pool_lane.max_occupancy
     if shift_lane is not None:
         stats.shift_occupancy = shift_lane.max_occupancy
     stats.fifo_depths = {f.name: f.max_depth for f in fifos}
     return SubgraphResult(output=output, stats=stats)
+
+
+def _blocked_bytes(fm: FeatureMap, schedule: TileSchedule) -> int:
+    """DRAM bytes of a stored map: channels padded to whole input tiles."""
+    return blocked_channel_count(fm.channels, schedule.ic) * fm.height * fm.width // 2
 
 
 def pool_pass(fm: FeatureMap, schedule: TileSchedule = TileSchedule()):
@@ -256,8 +258,8 @@ def pool_pass(fm: FeatureMap, schedule: TileSchedule = TileSchedule()):
         rows.extend(lane.feed_row(arr[y]))
     out = FeatureMap.from_array(np.stack(rows))
     stats = SubgraphStats(
-        dram_read_bytes=blocked_channel_count(fm.channels) * fm.height * fm.width // 2,
-        dram_write_bytes=blocked_channel_count(out.channels) * out.height * out.width // 2,
+        dram_read_bytes=_blocked_bytes(fm, schedule),
+        dram_write_bytes=_blocked_bytes(out, schedule),
         pool_occupancy=lane.max_occupancy,
     )
     return SubgraphResult(output=out, stats=stats)
@@ -275,8 +277,8 @@ def shift_pass(fm: FeatureMap, directions=None,
     rows.extend(lane.finish())
     out = FeatureMap.from_array(np.stack(rows))
     stats = SubgraphStats(
-        dram_read_bytes=blocked_channel_count(fm.channels) * fm.height * fm.width // 2,
-        dram_write_bytes=blocked_channel_count(out.channels) * out.height * out.width // 2,
+        dram_read_bytes=_blocked_bytes(fm, schedule),
+        dram_write_bytes=_blocked_bytes(out, schedule),
         shift_occupancy=lane.max_occupancy,
     )
     return SubgraphResult(output=out, stats=stats)

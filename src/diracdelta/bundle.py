@@ -11,7 +11,9 @@ A bundle is a directory:
 same bundle saves byte-identically every time. On load the layer rows are
 cross-checked against the graph regenerated from the network parameters, so
 a manifest edited out of step with its own shape description is rejected
-rather than silently trusted.
+rather than silently trusted. Blob names must be plain file names inside the
+bundle directory, and every blob payload must have exactly the size its
+shape requires.
 """
 from __future__ import annotations
 
@@ -178,8 +180,8 @@ def load_bundle(path) -> ModelBundle:
             alpha=row["alpha"], weight_scale=row["weight_scale"]
         )
         wbuf = _read_blob(root, row["weight_file"], f"layer {step.name} weights")
-        weights[step.name] = WeightMatrix.from_packed(
-            wbuf, step.out_channels, step.in_channels
+        weights[step.name] = _weights_from_blob(
+            wbuf, step.out_channels, step.in_channels, f"layer {step.name} weights"
         )
         tbuf = _read_blob(root, row["table_file"], f"layer {step.name} table")
         want_bytes = net.act_levels * 4
@@ -196,7 +198,8 @@ def load_bundle(path) -> ModelBundle:
     ):
         raise GraphError("manifest fc row disagrees with the network shape")
     fc_buf = _read_blob(root, fc_row["weight_file"], "fc weights")
-    fc_weights = WeightMatrix.from_packed(fc_buf, spec.num_classes, spec.conv5_channels)
+    fc_weights = _weights_from_blob(fc_buf, spec.num_classes, spec.conv5_channels,
+                                    "fc weights")
     bundle = ModelBundle(
         spec=spec,
         net=net,
@@ -211,10 +214,22 @@ def load_bundle(path) -> ModelBundle:
 
 
 def _read_blob(root: Path, rel: str, what: str) -> bytes:
+    if not isinstance(rel, str) or rel in ("", "..") or Path(rel).name != rel:
+        raise BundleError(
+            f"{what}: blob file {rel!r} is not a plain file name inside the bundle"
+        )
     p = root / rel
     if not p.is_file():
         raise BundleError(f"{what}: missing blob file {rel}")
     return _unframe(p.read_bytes(), what)
+
+
+def _weights_from_blob(buf: bytes, out_channels: int, in_channels: int,
+                       what: str) -> WeightMatrix:
+    want = (out_channels * in_channels + 1) // 2
+    if len(buf) != want:
+        raise BundleError(f"{what}: payload is {len(buf)} bytes, expected {want}")
+    return WeightMatrix.from_packed(buf, out_channels, in_channels)
 
 
 def random_bundle(spec: NetworkSpec, net: NetworkQuantParams, seed: int) -> ModelBundle:

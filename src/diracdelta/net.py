@@ -30,12 +30,11 @@ from .errors import GraphError, ShapeError
 from .ops import (
     channel_split,
     channel_split_array,
-    concat_shuffle,
     concat_shuffle_array,
     conv1x1_ref,
     default_shift_directions,
     fc_bit_serial,
-    global_avgpool,
+    global_avgpool_codes,
     maxpool2x2,
     maxpool2x2_array,
     shift,
@@ -46,7 +45,6 @@ from .quant import (
     NetworkQuantParams,
     ThresholdTable,
     pact_clip,
-    quantize_uniform,
 )
 from .tensor import FeatureMap, WeightMatrix
 
@@ -356,19 +354,24 @@ class ModelBundle:
 
 
 class ReferenceExecutor:
-    """Runs conv subgraphs with the plain reference operators."""
+    """Runs conv subgraphs with the plain reference operators.
+
+    A conv subgraph unpacks its input once (inside `conv1x1_ref`), carries
+    uint8 codes through re-quantization, pool, shift and shuffle, and packs
+    its output once.
+    """
 
     def conv_subgraph(self, fm: FeatureMap, step: ConvStep, bundle: ModelBundle,
                       skip: Optional[FeatureMap]) -> FeatureMap:
         acc = conv1x1_ref(fm, bundle.weights[step.name])
-        out = FeatureMap.from_array(bundle.tables[step.name].apply(acc))
+        out = bundle.tables[step.name].apply(acc)
         if step.pool:
-            out = maxpool2x2(out)
+            out = maxpool2x2_array(out)
         if step.shift:
-            out = shift(out, default_shift_directions(out.channels))
+            out = shift_array(out, default_shift_directions(out.shape[2]))
         if skip is not None:
-            out = concat_shuffle(skip, out)
-        return out
+            out = concat_shuffle_array(skip.to_array(), out)
+        return FeatureMap.from_array(out)
 
     def pool_pass(self, fm: FeatureMap) -> FeatureMap:
         return maxpool2x2(fm)
@@ -387,7 +390,7 @@ class ForwardResult:
 def forward(bundle: ModelBundle, fm: FeatureMap, executor=None) -> ForwardResult:
     """Run the quantized network; a pure function of (bundle, input).
 
-    The head (global average pool, re-quantization onto the shared scale,
+    The head (global average pool rounded onto the code grid in integers,
     bit-serial FC) is host-side arithmetic and is common to every executor.
     Ties in the class argmax resolve to the lowest index.
     """
@@ -416,9 +419,8 @@ def forward(bundle: ModelBundle, fm: FeatureMap, executor=None) -> ForwardResult
         elif isinstance(step, SplitStep):
             bufs[step.dst_skip], bufs[step.dst_residual] = channel_split(bufs[step.src])
         else:  # HeadStep
-            pooled = global_avgpool(bufs[step.src], bundle.net, size=step.spatial)
-            codes = quantize_uniform(pooled / bundle.net.s, bundle.net.k_a)
-            int_logits = fc_bit_serial(codes.astype(np.uint8), bundle.fc_weights)
+            codes = global_avgpool_codes(bufs[step.src], step.spatial)
+            int_logits = fc_bit_serial(codes, bundle.fc_weights)
             logits = int_logits * bundle.fc_scale
     if logits is None:
         raise GraphError("network has no head step")

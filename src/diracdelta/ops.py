@@ -3,19 +3,19 @@
 These are deliberately schedule-free: plain array math, one function per
 operator, exact integer accumulators. The pipeline model is required to match
 each of them bit for bit, so they double as oracles for the accelerator
-tests. Array-level helpers (suffix ``_array``) back both the 4-bit ops and
-the float graph.
+tests. Array-level helpers (suffix ``_array``) back the 4-bit ops, the
+float graph, and the reference engine, which runs a whole conv subgraph on
+uint8 code arrays and packs nibbles only once at its end.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .quant import NetworkQuantParams
-from .tensor import ACC_DTYPE, FeatureMap, WeightMatrix, check_accumulators
+from .tensor import ACC_DTYPE, CODE_MAX, FeatureMap, WeightMatrix, check_accumulators
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,29 @@ RIGHT = ShiftDirection(0, -1)
 DIRECTION_CYCLE = (IDENTITY, UP, DOWN, LEFT, RIGHT)
 
 
+@lru_cache(maxsize=256)
 def default_shift_directions(channels: int) -> tuple:
     """Direction for channel c is DIRECTION_CYCLE[c % 5]."""
     return tuple(DIRECTION_CYCLE[c % 5] for c in range(channels))
+
+
+@lru_cache(maxsize=256)
+def _channel_groups(directions: tuple) -> tuple:
+    """(direction, channel selector) per distinct direction.
+
+    A selector is a slice when its channels are evenly spaced, as they are
+    under the default cycle, and a read-only index array otherwise.
+    """
+    groups = []
+    for d in dict.fromkeys(directions):
+        chans = np.array([i for i, e in enumerate(directions) if e == d])
+        step = int(chans[1] - chans[0]) if chans.size > 1 else 1
+        if np.all(np.diff(chans) == step):
+            groups.append((d, slice(int(chans[0]), int(chans[-1]) + 1, step)))
+        else:
+            chans.flags.writeable = False
+            groups.append((d, chans))
+    return tuple(groups)
 
 
 def conv1x1_ref(fm: FeatureMap, weights: WeightMatrix) -> np.ndarray:
@@ -54,10 +74,19 @@ def conv1x1_ref(fm: FeatureMap, weights: WeightMatrix) -> np.ndarray:
         raise ShapeError(
             f"feature map has {fm.channels} channels, weights expect {weights.in_channels}"
         )
-    acts = fm.to_array().reshape(-1, fm.channels).astype(np.float64)
-    eff = weights.effective().astype(np.float64)
-    # float64 matmul on integers is exact below 2**53; |acc| <= 15*15*512 here
-    acc = acts @ eff.T
+    # The float32 GEMM is exact. Every product a * (2w - 15) is an integer of
+    # magnitude at most 15 * 15 = 225, so every partial sum of any subset of
+    # a dot product's terms is an integer of magnitude at most
+    # 225 * in_channels. Below 2**24 each such integer is a float32, so every
+    # addition (or fused multiply-add) is exact, in whatever order the BLAS
+    # sums. Wider inputs could round, so they are refused, not computed.
+    if CODE_MAX * CODE_MAX * weights.in_channels >= 2**24:
+        raise ValidationError(
+            f"{weights.in_channels} input channels: partial sums could reach 2**24, "
+            "beyond what a float32 GEMM sums exactly"
+        )
+    acts = fm.to_array().reshape(-1, fm.channels).astype(np.float32)
+    acc = acts @ weights.effective_f32.T
     out = acc.reshape(fm.height, fm.width, weights.out_channels).astype(ACC_DTYPE)
     check_accumulators(out)
     return out
@@ -65,8 +94,8 @@ def conv1x1_ref(fm: FeatureMap, weights: WeightMatrix) -> np.ndarray:
 
 def maxpool2x2_array(arr: np.ndarray) -> np.ndarray:
     h, w = arr.shape[0] // 2, arr.shape[1] // 2
-    trimmed = arr[: 2 * h, : 2 * w]
-    return trimmed.reshape(h, 2, w, 2, arr.shape[2]).max(axis=(1, 3))
+    rows = np.maximum(arr[0 : 2 * h : 2], arr[1 : 2 * h : 2])
+    return np.maximum(rows[:, 0 : 2 * w : 2], rows[:, 1 : 2 * w : 2])
 
 
 def maxpool2x2(fm: FeatureMap) -> FeatureMap:
@@ -79,8 +108,7 @@ def shift_array(arr: np.ndarray, directions) -> np.ndarray:
     if len(directions) != c:
         raise ShapeError(f"{len(directions)} directions for {c} channels")
     out = np.zeros_like(arr)
-    for d in set(directions):
-        chans = [i for i in range(c) if directions[i] == d]
+    for d, chans in _channel_groups(tuple(directions)):
         y0, y1 = max(0, -d.dy), min(h, h - d.dy)
         x0, x1 = max(0, -d.dx), min(w, w - d.dx)
         if y0 >= y1 or x0 >= x1:
@@ -103,12 +131,13 @@ def concat_shuffle_array(skip: np.ndarray, residual: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"branch channel counts differ: {skip.shape[2]} vs {residual.shape[2]}"
         )
-    merged = np.concatenate([skip, residual], axis=2)
-    c = merged.shape[2]
+    c = 2 * skip.shape[2]
     if c % 4:
         raise ShapeError(f"concatenated channel count {c} must be divisible by 4")
-    # out[..., j] = merged[..., (j + c/4) % c]: circular left rotation by a quarter
-    return np.roll(merged, -(c // 4), axis=2)
+    # out[..., j] = merged[..., (j + c/4) % c] for merged = skip ++ residual:
+    # a circular left rotation by a quarter, written in one copy
+    q = c // 4
+    return np.concatenate([skip[:, :, q:], residual, skip[:, :, :q]], axis=2)
 
 
 def concat_shuffle(skip: FeatureMap, residual: FeatureMap) -> FeatureMap:
@@ -134,20 +163,22 @@ def channel_split(fm: FeatureMap):
     return FeatureMap.from_array(a), FeatureMap.from_array(b)
 
 
-def global_avgpool(fm: FeatureMap, net: NetworkQuantParams, size: int = 7) -> np.ndarray:
-    """Correctly rounded mean of the dequantized activations, per channel.
+def global_avgpool_codes(fm: FeatureMap, size: int) -> np.ndarray:
+    """Per-channel mean code of a size x size map, rounded with ties up.
 
-    The code sum is exact, so the mean is computed as the rational
-    ``sum * s / (size * size * levels)`` and rounded once to float64.
+    With n = size * size and the exact integer code sum, the nearest code is
+    ``floor(sum / n + 1/2) = (2*sum + n) // (2*n)``. No float is rounded, so
+    ties (possible for even n) go up as everywhere else. This equals
+    quantizing the dequantized mean ``sum * s / (n * levels)`` onto the code
+    grid of the shared scale s, whatever s is.
     """
     if fm.height != size or fm.width != size:
         raise ShapeError(
             f"global pool expects a {size}x{size} map, got {fm.height}x{fm.width}"
         )
-    sums = fm.to_array().astype(np.int64).sum(axis=(0, 1))
-    den = size * size * net.act_levels
-    s = Fraction(net.s)
-    return np.array([float(Fraction(int(v)) * s / den) for v in sums], dtype=np.float64)
+    sums = fm.to_array().sum(axis=(0, 1), dtype=np.int64)
+    n = size * size
+    return ((2 * sums + n) // (2 * n)).astype(np.uint8)
 
 
 def fc_bit_serial(codes, weights: WeightMatrix) -> np.ndarray:
@@ -164,10 +195,17 @@ def fc_bit_serial(codes, weights: WeightMatrix) -> np.ndarray:
         )
     if a.size and (a.min() < 0 or a.max() > 15):
         raise ValidationError("activation codes outside [0, 15]")
-    a64 = a.astype(np.float64)
+    # d_b sums at most in_channels codes of at most 15, exact in float32
+    # below 2**24 (see conv1x1_ref)
+    if CODE_MAX * weights.in_channels >= 2**24:
+        raise ValidationError(
+            f"{weights.in_channels} inputs: bit-plane sums could reach 2**24, "
+            "beyond what a float32 GEMM sums exactly"
+        )
+    a32 = a.astype(np.float32)
     wc = weights.codes
     total = np.zeros(weights.out_channels, dtype=np.int64)
     for b in range(4):
-        plane = ((wc >> b) & 1).astype(np.float64)
-        total += (1 << b) * (plane @ a64).astype(np.int64)
+        plane = ((wc >> b) & 1).astype(np.float32)
+        total += (1 << b) * (plane @ a32).astype(np.int64)
     return 2 * total - 15 * int(a.astype(np.int64).sum())

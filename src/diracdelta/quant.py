@@ -14,6 +14,15 @@ the float quantizer exactly; the table is built by bisecting the quantizer
 itself, so the equivalence is bit-for-bit under float rounding and the
 exhaustive sweep test can demand strict equality.
 
+At run time a table is not searched. Construction also lays out a uint8
+lookup array over the accumulator window [t_first - 1, t_last], one code per
+integer: code 0 at t_first - 1, code i over the gap [t_i, t_(i+1)), and the
+top code at t_last. `ThresholdTable.apply` saturates an accumulator into that
+window (all below it has code 0, all above it the top code), subtracts
+t_first - 1 and indexes the array. Thresholds are confined to
+[-ACC_LIMIT, ACC_LIMIT + 1], which bounds the array at 2 * ACC_LIMIT + 3
+bytes (about 225 KB); the tables of a real layer span a few hundred bytes.
+
 Ties in every rounding here go up (away from zero); inputs are non-negative
 wherever rounding happens, so "up" and "away from zero" agree.
 """
@@ -25,7 +34,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, DegenerateScaleError, DomainError
+from .errors import ConstructionError, DegenerateScaleError, DomainError, ValidationError
 from .tensor import ACC_LIMIT
 
 
@@ -167,6 +176,8 @@ class ThresholdTable:
 
     The output code for an accumulator is the number of thresholds it
     reaches, so 15 thresholds carve the domain into the 16 code intervals.
+    Every threshold lies in [-ACC_LIMIT, ACC_LIMIT + 1]: the accumulator
+    bound, plus one for a code that no accumulator reaches.
     """
 
     thresholds: tuple
@@ -181,7 +192,17 @@ class ThresholdTable:
                     f"thresholds not strictly increasing at position {i}: "
                     f"{t[i - 1]} then {t[i]}"
                 )
+        if t[0] < -ACC_LIMIT or t[-1] > ACC_LIMIT + 1:
+            raise ConstructionError(
+                f"thresholds span [{t[0]}, {t[-1]}], outside the accumulator "
+                f"range [{-ACC_LIMIT}, {ACC_LIMIT + 1}]"
+            )
         object.__setattr__(self, "thresholds", t)
+        # _lut[acc - (t[0] - 1)] is the code of every acc in [t[0] - 1, t[-1]]
+        gaps = np.diff(np.array((t[0] - 1,) + t + (t[-1] + 1,), dtype=np.int64))
+        lut = np.repeat(np.arange(len(t) + 1).astype(np.uint8), gaps)
+        lut.flags.writeable = False
+        object.__setattr__(self, "_lut", lut)
 
     @property
     def levels(self) -> int:
@@ -194,8 +215,16 @@ class ThresholdTable:
     def apply(self, acc) -> np.ndarray:
         """Vectorized lookup; returns uint8 codes with the input's shape."""
         arr = np.asarray(acc)
-        t = np.asarray(self.thresholds, dtype=np.int64)
-        return np.searchsorted(t, arr, side="right").astype(np.uint8)
+        if arr.dtype.kind not in "iu":
+            raise ValidationError(f"accumulators must be integers, got dtype {arr.dtype}")
+        if arr.dtype not in (np.int32, np.int64):
+            arr = arr.astype(np.int64)
+        base = self.thresholds[0] - 1
+        # Saturate before offsetting: the window lies inside int32, so no
+        # input can wrap around.
+        idx = np.clip(arr, base, self.thresholds[-1])
+        idx -= base
+        return np.take(self._lut, idx)
 
 
 def build_threshold_table(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,13 +35,12 @@ def _as_code_array(codes, what: str = "code") -> np.ndarray:
         else:
             raise ValidationError(f"{what}s must be integers, got dtype {arr.dtype}")
     flat = arr.reshape(-1)
-    bad = np.flatnonzero((flat < 0) | (flat > CODE_MAX))
-    if bad.size:
-        i = int(bad[0])
+    if flat.size and (flat.min() < 0 or flat.max() > CODE_MAX):
+        i = int(np.flatnonzero((flat < 0) | (flat > CODE_MAX))[0])
         raise ValidationError(
             f"{what} {int(flat[i])} at index {i} outside [0, {CODE_MAX}]"
         )
-    return flat.astype(np.uint8)
+    return flat.astype(np.uint8, copy=False)
 
 
 def pack(codes) -> bytes:
@@ -134,6 +134,13 @@ class WeightMatrix:
         """Signed integer weight values, ``2*code - 15``: the odd integers in [-15, 15]."""
         return (2 * self.codes.astype(ACC_DTYPE)) - CODE_MAX
 
+    @cached_property
+    def effective_f32(self) -> np.ndarray:
+        """`effective` as a read-only float32 array, built on first use."""
+        eff = self.effective().astype(np.float32)
+        eff.flags.writeable = False
+        return eff
+
     def packed(self) -> bytes:
         return pack(self.codes.reshape(-1))
 
@@ -211,6 +218,6 @@ def check_accumulators(acc, limit: int = ACC_LIMIT) -> None:
     arr = np.asarray(acc)
     if arr.size == 0:
         return
-    peak = int(np.abs(arr).max())
+    peak = max(int(arr.max()), -int(arr.min()))
     if peak > limit:
         raise ValidationError(f"accumulator magnitude {peak} exceeds bound {limit}")

@@ -227,6 +227,22 @@ def test_shift_pass_matches_reference_with_traffic():
     assert res.stats.shift_occupancy <= 2 * (7 + 2) + 2
 
 
+def test_pool_and_shift_passes_count_bytes_in_the_schedule_input_tile():
+    rng = np.random.default_rng(79)
+    fm = FeatureMap.from_array(rng.integers(0, 16, size=(6, 4, 12), dtype=np.uint8))
+    passes = {
+        "pool": (lambda sched: pool_pass(fm, sched), (3, 2)),
+        "shift": (lambda sched: shift_pass(fm, schedule=sched), (6, 4)),
+    }
+    for run, (out_h, out_w) in passes.values():
+        default, narrow = run(TileSchedule()), run(TileSchedule(ic=16))
+        assert narrow.output == default.output
+        # 12 channels pad to one 32-channel block, or to one 16-channel tile
+        for res, c in ((default, 32), (narrow, 16)):
+            assert res.stats.dram_read_bytes == 6 * 4 * c // 2
+            assert res.stats.dram_write_bytes == out_h * out_w * c // 2
+
+
 # =========================================================================
 # executor parity on whole networks
 # =========================================================================

@@ -1,5 +1,7 @@
 """Bundle serialization: manifests, checksummed blobs, and float weight import."""
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from diracdelta.bundle import (
     read_float_weights,
     save_bundle,
 )
-from diracdelta.errors import BundleError, ChecksumError, GraphError
+from diracdelta.errors import BundleError, ChecksumError, ConstructionError, GraphError
 from diracdelta.net import conv_steps, forward
 from diracdelta.quant import NetworkQuantParams
 
@@ -108,14 +110,48 @@ def test_truncated_table_is_caught(tmp_path, tiny_bundle):
         load_bundle(root)
 
 
-def test_table_payload_with_valid_crc_but_wrong_size(tmp_path, tiny_bundle):
-    import struct
-    import zlib
+def _write_framed(path, payload: bytes) -> None:
+    path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
 
+
+def test_table_payload_with_valid_crc_but_wrong_size(tmp_path, tiny_bundle):
     root = save_bundle(tiny_bundle, tmp_path / "b")
     payload = np.arange(1, 8, dtype="<i4").tobytes()  # 7 thresholds, not 15
-    (root / "conv1.t").write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+    _write_framed(root / "conv1.t", payload)
     with pytest.raises(BundleError, match="payload is 28 bytes, expected 60"):
+        load_bundle(root)
+
+
+def test_over_long_weight_blobs_with_valid_crc_are_rejected(tmp_path, tiny_bundle):
+    # conv2 is (8, 4): 16 payload bytes; fc is (10, 32): 160
+    for name, what, size in (("conv2.w", "layer conv2 weights", 16), ("fc.w", "fc weights", 160)):
+        root = save_bundle(tiny_bundle, tmp_path / name)
+        payload = (root / name).read_bytes()[:-4]
+        assert len(payload) == size
+        _write_framed(root / name, payload + b"\x00")
+        with pytest.raises(BundleError, match=f"{what}: payload is {size + 1} bytes, "
+                                              f"expected {size}"):
+            load_bundle(root)
+
+
+def test_blob_names_must_stay_inside_the_bundle(tmp_path, tiny_bundle):
+    other = save_bundle(tiny_bundle, tmp_path / "other")
+    root = save_bundle(tiny_bundle, tmp_path / "b")
+    assert (root / "../other/conv2.w").is_file()
+    for key, value in (("weight_file", "../other/conv2.w"), ("table_file", str(other / "conv2.t")),
+                       ("weight_file", ".."), ("table_file", "")):
+        mf = json.loads((root / "manifest.json").read_text())
+        mf["layers"][1][key] = value
+        (root / "manifest.json").write_text(json.dumps(mf))
+        with pytest.raises(BundleError, match="not a plain file name inside the bundle"):
+            load_bundle(root)
+
+
+def test_table_with_thresholds_beyond_the_accumulator_range(tmp_path, tiny_bundle):
+    root = save_bundle(tiny_bundle, tmp_path / "b")
+    far = np.arange(1, 16, dtype="<i4") * 100_000_000
+    _write_framed(root / "conv1.t", far.tobytes())
+    with pytest.raises(ConstructionError, match="outside the accumulator range"):
         load_bundle(root)
 
 

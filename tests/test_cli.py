@@ -6,6 +6,7 @@ asserted exactly; one subprocess test checks the module entry point.
 import json
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -80,6 +81,17 @@ def test_corrupt_blob_fails_validation_with_exit_1(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["validate", "--bundle", str(out)]) == 1
     assert "checksum mismatch" in capsys.readouterr().err
+
+
+def test_out_of_range_threshold_blob_fails_validation_with_exit_1(tmp_path, capsys):
+    out = tmp_path / "b"
+    assert cli.main(["build", "--out", str(out), "--seed", "2"]) == 0
+    # a valid checksum over thresholds up to 2**31 - 1, far beyond the accumulator range
+    payload = np.linspace(1, 2**31 - 1, 15).astype("<i4").tobytes()
+    (out / "conv2.t").write_bytes(payload + zlib.crc32(payload).to_bytes(4, "little"))
+    capsys.readouterr()
+    assert cli.main(["validate", "--bundle", str(out)]) == 1
+    assert "outside the accumulator range" in capsys.readouterr().err
 
 
 # =========================================================================

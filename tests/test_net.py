@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_tiny_spec, make_two_stage_spec, random_input
+from oracles import composed_forward, documented_head_codes
 
 from diracdelta.bundle import random_bundle
 from diracdelta.errors import GraphError, ShapeError
@@ -34,13 +35,12 @@ from diracdelta.ops import (
     conv1x1_ref,
     default_shift_directions,
     fc_bit_serial,
-    global_avgpool,
     maxpool2x2,
     maxpool2x2_array,
     shift,
     shift_array,
 )
-from diracdelta.quant import NetworkQuantParams, quantize_uniform
+from diracdelta.quant import NetworkQuantParams
 from diracdelta.tensor import FeatureMap
 
 # =========================================================================
@@ -262,9 +262,8 @@ def _hand_wired_tiny_forward(bundle, fm):
     r = conv("s2b0_res_conv1", second, shifted=True)
     x = conv("s2b0_res_conv2", r, skip=first)
     x = conv("conv5", x)
-    pooled = global_avgpool(x, net, size=bundle.spec.head_spatial)
-    codes = quantize_uniform(pooled / net.s, net.k_a)
-    ints = fc_bit_serial(codes.astype(np.uint8), bundle.fc_weights)
+    codes = documented_head_codes(x, net, bundle.spec.head_spatial)
+    ints = fc_bit_serial(codes, bundle.fc_weights)
     return ints * bundle.fc_scale, ints
 
 
@@ -307,6 +306,32 @@ def test_argmax_ties_resolve_to_lowest_index(tiny_spec, quant_params):
     out = forward(b, random_input(tiny_spec, seed=3))
     assert np.all(out.logits == out.logits[0])
     assert out.class_index == 0
+
+
+@pytest.fixture(scope="module")
+def default_bundle():
+    return random_bundle(build_diracdeltanet(), NetworkQuantParams(s=1.0), seed=7)
+
+
+def _assert_forward_equals_composition(bundle, fm):
+    got = forward(bundle, fm)
+    want = composed_forward(bundle, fm)
+    assert got.int_logits.tobytes() == want.tobytes()
+    assert got.logits.tobytes() == (want * bundle.fc_scale).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_forward_equals_operator_composition_at_224(default_bundle, seed):
+    _assert_forward_equals_composition(default_bundle, random_input(default_bundle.spec, seed))
+
+
+@pytest.mark.parametrize("make_spec", [make_tiny_spec, make_two_stage_spec])
+def test_forward_equals_operator_composition_on_small_specs(make_spec):
+    spec = make_spec()
+    for s in (1.0, 0.1, 0.37):
+        bundle = random_bundle(spec, NetworkQuantParams(s=s), seed=31)
+        for seed in range(4):
+            _assert_forward_equals_composition(bundle, random_input(spec, seed))
 
 
 def test_forward_on_two_stage_network_runs(quant_params):

@@ -18,12 +18,14 @@ from diracdelta.ops import (
     conv1x1_ref,
     default_shift_directions,
     fc_bit_serial,
-    global_avgpool,
+    global_avgpool_codes,
     maxpool2x2,
     shift,
 )
-from diracdelta.quant import NetworkQuantParams
+from diracdelta.quant import NetworkQuantParams, quantize_uniform
 from diracdelta.tensor import ACC_LIMIT, FeatureMap, WeightMatrix
+
+from oracles import conv1x1_int64, documented_head_codes, global_avgpool
 
 
 def _random_fm(rng, h, w, c):
@@ -65,6 +67,37 @@ def test_conv_matches_int64_einsum():
         eff = wm.effective().astype(np.int64)
         want = np.einsum("yxi,oi->yxo", acts, eff)
         np.testing.assert_array_equal(conv1x1_ref(fm, wm), want)
+
+
+def test_conv_equals_int64_matmul_at_and_beyond_the_bound():
+    rng = np.random.default_rng(29)
+    full = np.full((1, 1, 512), 15, dtype=np.uint8)
+    acts = np.concatenate([full, rng.integers(0, 16, size=(3, 1, 512), dtype=np.uint8)])
+    fm = FeatureMap.from_array(acts.reshape(2, 2, 512))
+    codes = np.concatenate([np.full((1, 512), 15), np.zeros((1, 512)),
+                            rng.integers(0, 16, size=(30, 512))]).astype(np.uint8)
+    wm = WeightMatrix(32, 512, codes)
+    got = conv1x1_ref(fm, wm)
+    np.testing.assert_array_equal(got, conv1x1_int64(fm, wm))
+    assert got[0, 0, 0] == ACC_LIMIT and got[0, 0, 1] == -ACC_LIMIT
+    # one unit beyond the bound: 512 * 15 * 15 + 1 * 1, then its negative
+    over = FeatureMap.from_array(np.append(full, 1).reshape(1, 1, 513))
+    for bulk, last in ((15, 8), (0, 7)):
+        w = WeightMatrix(1, 513, np.array([[bulk] * 512 + [last]], dtype=np.uint8))
+        with pytest.raises(ValidationError, match="magnitude 115201 exceeds bound"):
+            conv1x1_ref(over, w)
+
+
+def test_conv_refuses_inputs_a_float32_gemm_cannot_sum_exactly():
+    widest = 2**24 // 225  # 225 * widest < 2**24 <= 225 * (widest + 1)
+    for c, ok in ((widest, True), (widest + 1, False)):
+        fm = FeatureMap.from_array(np.zeros((1, 1, c), dtype=np.uint8))
+        wm = WeightMatrix(1, c, np.zeros((1, c), dtype=np.uint8))
+        if ok:
+            assert conv1x1_ref(fm, wm).tolist() == [[[0]]]
+        else:
+            with pytest.raises(ValidationError, match="could reach 2"):
+                conv1x1_ref(fm, wm)
 
 
 def test_conv_channel_mismatch():
@@ -151,6 +184,19 @@ def test_shift_matches_nested_loop_oracle():
         dirs = default_shift_directions(c)
         np.testing.assert_array_equal(
             shift(fm, dirs).to_array(), _shift_oracle(fm.to_array(), dirs)
+        )
+
+
+def test_shift_with_arbitrary_direction_lists_matches_the_oracle():
+    rng = np.random.default_rng(35)
+    for h, w, c in [(4, 5, 9), (3, 3, 16), (6, 2, 1)]:
+        fm = _random_fm(rng, h, w, c)
+        dirs = tuple(DIRECTION_CYCLE[i] for i in rng.integers(0, 5, size=c))
+        np.testing.assert_array_equal(
+            shift(fm, dirs).to_array(), _shift_oracle(fm.to_array(), dirs)
+        )
+        np.testing.assert_array_equal(
+            shift(fm, list(dirs)).to_array(), _shift_oracle(fm.to_array(), dirs)
         )
 
 
@@ -279,6 +325,43 @@ def test_global_avgpool_custom_size():
     arr = np.arange(8, dtype=np.uint8).reshape(2, 2, 2)
     out = global_avgpool(FeatureMap.from_array(arr), net, size=2)
     assert out.tolist() == [float(Fraction(0 + 2 + 4 + 6) / 60), float(Fraction(1 + 3 + 5 + 7) / 60)]
+
+
+def _maps_with_every_code_sum(size: int) -> FeatureMap:
+    """A size x size map whose channel v has code sum v, for every reachable v."""
+    n = size * size
+    sums = np.arange(15 * n + 1)
+    pixel = np.arange(n)[:, None]
+    codes = np.clip(sums[None, :] - 15 * pixel, 0, 15).astype(np.uint8)
+    return FeatureMap.from_array(codes.reshape(size, size, sums.size))
+
+
+def test_global_avgpool_codes_round_every_sum_ties_up():
+    s_values = [0.1, 0.3, 0.7, 1.0, 1.1, 2.5, 3.0, 1 / 3, 0.123456789, 17.0, 1e-3, 6.02e3]
+    for size in range(1, 8):
+        fm = _maps_with_every_code_sum(size)
+        sums = fm.to_array().astype(np.int64).sum(axis=(0, 1))
+        assert sums.tolist() == list(range(15 * size * size + 1))
+        got = global_avgpool_codes(fm, size)
+        assert got.dtype == np.uint8
+        for s in s_values:
+            net = NetworkQuantParams(s=s)
+            np.testing.assert_array_equal(got, documented_head_codes(fm, net, size))
+
+
+def test_global_avgpool_codes_fixes_the_even_head_double_rounding():
+    # 2x2 head, s = 0.1, code sum 6: the mean code is exactly 1.5, a tie
+    fm = FeatureMap.from_array(np.array([[[3], [3]], [[0], [0]]], dtype=np.uint8))
+    net = NetworkQuantParams(s=0.1)
+    assert global_avgpool_codes(fm, 2).tolist() == [2]
+    # dequantize, divide by s, quantize: the float path lands below the tie
+    assert quantize_uniform(global_avgpool(fm, net, size=2) / net.s, net.k_a).tolist() == [1]
+
+
+def test_global_avgpool_codes_size_check():
+    fm = FeatureMap.from_array(np.zeros((6, 7, 3), dtype=np.uint8))
+    with pytest.raises(ShapeError, match="expects a 7x7 map, got 6x7"):
+        global_avgpool_codes(fm, 7)
 
 
 # =========================================================================

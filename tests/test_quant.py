@@ -11,7 +11,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diracdelta.errors import ConstructionError, DegenerateScaleError, DomainError
+from diracdelta.errors import (
+    ConstructionError,
+    DegenerateScaleError,
+    DomainError,
+    ValidationError,
+)
 from diracdelta.quant import (
     FULL_PRECISION,
     LayerQuantParams,
@@ -29,6 +34,8 @@ from diracdelta.quant import (
     validate_quant_path,
 )
 from diracdelta.tensor import ACC_LIMIT
+
+from oracles import searchsorted_apply
 
 # =========================================================================
 # uniform quantizer
@@ -287,6 +294,68 @@ def test_apply_matches_scalar_lookup():
     out = table.apply(accs)
     assert out.dtype == np.uint8
     assert out.tolist() == [table.lookup(int(a)) for a in accs]
+
+
+def _lookup_oracle_tables():
+    built = [
+        build_threshold_table(LayerQuantParams(alpha=a, weight_scale=ws), NetworkQuantParams(s=s))
+        for a, ws, s in ((1.0, 1 / 15, 1.0), (0.9, 1 / 15, 1.0), (3.0, 1 / 15, 1.0),
+                         (2.3, 0.05, 1.7), (1.0, 0.001, 1.0))
+    ]
+    hand = [
+        ThresholdTable(tuple(range(1, 16))),
+        ThresholdTable(tuple(range(-7, 8))),  # thresholds <= 0
+        ThresholdTable(tuple(range(-ACC_LIMIT, -ACC_LIMIT + 15))),
+        ThresholdTable(tuple(range(ACC_LIMIT - 13, ACC_LIMIT + 2))),
+        ThresholdTable((-ACC_LIMIT, -3, 0, 1, 50, ACC_LIMIT + 1)),
+        ThresholdTable((0,)),
+    ]
+    return built + hand
+
+
+def test_apply_equals_binary_search_on_the_whole_accumulator_range():
+    accs64 = np.arange(-ACC_LIMIT - 1, ACC_LIMIT + 2, dtype=np.int64)
+    accs32 = accs64.astype(np.int32)
+    for table in _lookup_oracle_tables():
+        want = searchsorted_apply(table, accs64)
+        for accs in (accs64, accs32):
+            got = table.apply(accs)
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, want)
+
+
+def test_apply_saturates_integer_extremes_without_wrapping():
+    for dtype in (np.int32, np.int64):
+        info = np.iinfo(dtype)
+        accs = np.array([info.min, info.min + 1, -ACC_LIMIT - 2, ACC_LIMIT + 2,
+                         info.max - 1, info.max], dtype=dtype)
+        for table in _lookup_oracle_tables():
+            got = table.apply(accs)
+            np.testing.assert_array_equal(got, searchsorted_apply(table, accs))
+            assert got.tolist()[:3] == [0, 0, 0]
+            assert got.tolist()[3:] == [table.levels] * 3
+
+
+def test_apply_keeps_the_input_shape_and_casts_narrow_integers():
+    table = ThresholdTable(tuple(range(-7, 8)))
+    accs = np.arange(-10, 14).reshape(2, 3, 4)
+    assert table.apply(accs).shape == (2, 3, 4)
+    for dtype in (np.int8, np.int16, np.uint8, np.uint16, np.uint32):
+        small = np.arange(0, 12, dtype=dtype)
+        np.testing.assert_array_equal(table.apply(small), searchsorted_apply(table, small))
+    assert int(table.apply(np.int32(3))) == table.lookup(3)
+    with pytest.raises(ValidationError, match="accumulators must be integers"):
+        table.apply(np.array([0.5, 1.5]))
+
+
+def test_table_rejects_thresholds_outside_the_accumulator_range():
+    ThresholdTable((-ACC_LIMIT, ACC_LIMIT + 1))
+    with pytest.raises(ConstructionError, match="outside the accumulator range"):
+        ThresholdTable((-ACC_LIMIT - 1, 0))
+    with pytest.raises(ConstructionError, match="outside the accumulator range"):
+        ThresholdTable((0, ACC_LIMIT + 2))
+    with pytest.raises(ConstructionError, match="outside the accumulator range"):
+        ThresholdTable((0, 2**31 - 1))
 
 
 # =========================================================================

@@ -251,3 +251,10 @@ def test_check_accumulators_bound_is_inclusive():
         check_accumulators(np.array([ACC_LIMIT + 1], dtype=np.int64))
     with pytest.raises(ValidationError, match="exceeds bound"):
         check_accumulators(np.array([-(ACC_LIMIT + 7)], dtype=np.int64))
+
+
+def test_check_accumulators_catches_the_most_negative_int32():
+    # abs() of the most negative int32 wraps to itself; the bound must not
+    lowest = np.iinfo(ACC_DTYPE).min
+    with pytest.raises(ValidationError, match=f"magnitude {-lowest} exceeds bound"):
+        check_accumulators(np.array([0, lowest], dtype=ACC_DTYPE))
