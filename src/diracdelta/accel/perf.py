@@ -143,16 +143,9 @@ def conv_cycles(step: ConvStep, params: CostModelParams) -> int:
     return s * s * n_ic * n_oc * params.cycles_per_ic_iter
 
 
-def _act_bytes_in(step) -> int:
-    c = blocked_channel_count(step.in_channels)
-    return step.spatial * step.spatial * c // 2
-
-
-def _conv_out_bytes(step: ConvStep) -> int:
-    out_c = step.out_channels * (2 if step.shuffle_with else 1)
-    c = blocked_channel_count(out_c)
-    s = step.out_spatial
-    return s * s * c // 2
+def _act_bytes(channels: int, spatial: int, params: CostModelParams) -> int:
+    """DRAM bytes of a stored map: channels padded to whole input tiles."""
+    return spatial * spatial * blocked_channel_count(channels, params.ic_parallel) // 2
 
 
 def step_cost(step, params: CostModelParams) -> SubgraphCost:
@@ -163,7 +156,9 @@ def step_cost(step, params: CostModelParams) -> SubgraphCost:
             blocked_channel_count(step.in_channels, params.ic_parallel)
             * blocked_channel_count(step.out_channels, params.oc_parallel) // 2
         )
-        act = _act_bytes_in(step) + _conv_out_bytes(step)
+        out_c = step.out_channels * (2 if step.shuffle_with else 1)
+        act = (_act_bytes(step.in_channels, step.spatial, params)
+               + _act_bytes(out_c, step.out_spatial, params))
         dram_s = act / params.dram_bandwidth
         memcpy = 0
         if step.shuffle_with:
@@ -173,13 +168,9 @@ def step_cost(step, params: CostModelParams) -> SubgraphCost:
                             dram_s, memcpy, max(compute_s, dram_s))
     if isinstance(step, (PoolStep, ShiftStep)):
         kind = "pool" if isinstance(step, PoolStep) else "shift"
-        c = blocked_channel_count(step.channels)
-        in_b = step.spatial * step.spatial * c // 2
-        if kind == "pool":
-            out_b = (step.spatial // 2) ** 2 * c // 2
-        else:
-            out_b = in_b
-        act = in_b + out_b
+        out_spatial = step.spatial // 2 if kind == "pool" else step.spatial
+        act = (_act_bytes(step.channels, step.spatial, params)
+               + _act_bytes(step.channels, out_spatial, params))
         dram_s = act / params.dram_bandwidth
         return SubgraphCost(step.name, kind, 0, 0.0, act, 0, dram_s, 0, dram_s)
     raise ConfigurationError(f"no cost model for step {step!r}")

@@ -1,6 +1,9 @@
 """Cycle-faithful functional model of the tiled conv pipeline.
 
-One engine invocation runs a fused subgraph: load a blocked activation
+Like the reference engine, the simulator passes activations as uint8
+``(height, width, channels)`` code arrays; nibble packing is only their
+storage format, so it appears here solely as byte counts (two codes per
+byte). One engine invocation runs a fused subgraph: load a blocked activation
 tensor from DRAM, multiply-accumulate it against 32x32 weight tiles into an
 output-stationary register file, re-quantize through the threshold
 comparators, optionally pool and shift on the way out, and store the result
@@ -24,12 +27,10 @@ from ..quant import ThresholdTable
 from ..tensor import (
     ACC_DTYPE,
     DEFAULT_BLOCK,
-    FeatureMap,
     WeightMatrix,
     blocked_channel_count,
+    blocked_layout,
     check_accumulators,
-    to_blocked_layout,
-    unpack,
 )
 from .fifo import FifoChannel, run_network
 from .units import PoolLane, ShiftLane, shuffle_writeback
@@ -66,16 +67,8 @@ class SubgraphStats:
 
 @dataclass
 class SubgraphResult:
-    output: FeatureMap
+    output: np.ndarray
     stats: SubgraphStats
-
-
-def _blocked_codes(fm: FeatureMap, block: int) -> np.ndarray:
-    """Input tensor as the engine sees it: (blocks, H, W, block) code array."""
-    nb = blocked_channel_count(fm.channels, block) // block
-    buf = to_blocked_layout(fm, block)
-    codes = unpack(buf, nb * fm.height * fm.width * block)
-    return codes.reshape(nb, fm.height, fm.width, block)
 
 
 def _weight_tiles(weights: WeightMatrix, schedule: TileSchedule):
@@ -166,34 +159,31 @@ def _padded_directions(real_channels: int, padded_channels: int, directions):
     return tuple(dirs)
 
 
-def run_subgraph(fm: FeatureMap, weights: WeightMatrix, table: ThresholdTable,
+def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
                  schedule: TileSchedule = TileSchedule(), *,
-                 pool: bool = False, shift_dirs=None, shuffle_with: FeatureMap = None,
+                 pool: bool = False, shift_dirs=None, shuffle_with: np.ndarray = None,
                  scheduler: str = "single-thread") -> SubgraphResult:
-    """Run one conv subgraph through the pipeline model.
+    """Run one conv subgraph of a (height, width, channels) code array.
 
     ``shift_dirs`` enables the shift stage; ``shuffle_with`` supplies the
     skip half the output is concat-shuffled with at writeback. The output
-    bytes equal what the reference operator composition produces; the stats
+    codes equal what the reference operator composition produces; the stats
     describe the run.
     """
-    if fm.channels != weights.in_channels:
+    h, w, c = x.shape
+    if c != weights.in_channels:
         raise ShapeError(
-            f"input has {fm.channels} channels, weights expect {weights.in_channels}"
+            f"input has {c} channels, weights expect {weights.in_channels}"
         )
-    if pool and (fm.height % 2 or fm.width % 2):
-        raise ShapeError(
-            f"pooling needs even spatial dims, got {fm.height}x{fm.width}"
-        )
+    if pool and (h % 2 or w % 2):
+        raise ShapeError(f"pooling needs even spatial dims, got {h}x{w}")
     stats = SubgraphStats()
-    blocked = _blocked_codes(fm, schedule.ic)
+    blocked = blocked_layout(x, schedule.ic)
     tiles, n_oc, n_ic, weight_bytes = _weight_tiles(weights, schedule)
     stats.weight_bytes = weight_bytes
     stats.dram_read_bytes = blocked.size // 2 + weight_bytes
     oc_pad = n_oc * schedule.oc
     real_oc = weights.out_channels
-
-    h, w = fm.height, fm.width
     out_h, out_w = (h // 2, w // 2) if pool else (h, w)
 
     cap = schedule.fifo_capacity
@@ -229,8 +219,7 @@ def run_subgraph(fm: FeatureMap, weights: WeightMatrix, table: ThresholdTable,
 
     run_network(stages, scheduler)
 
-    assembled = np.stack(sink).reshape(out_h, out_w, oc_pad)[:, :, :real_oc]
-    output = FeatureMap.from_array(assembled)
+    output = np.stack(sink).reshape(out_h, out_w, oc_pad)[:, :, :real_oc]
     if shuffle_with is not None:
         output, stats.memcpy_bytes = shuffle_writeback(output, shuffle_with)
     stats.dram_write_bytes = _blocked_bytes(output, schedule)
@@ -242,42 +231,43 @@ def run_subgraph(fm: FeatureMap, weights: WeightMatrix, table: ThresholdTable,
     return SubgraphResult(output=output, stats=stats)
 
 
-def _blocked_bytes(fm: FeatureMap, schedule: TileSchedule) -> int:
+def _blocked_bytes(x: np.ndarray, schedule: TileSchedule) -> int:
     """DRAM bytes of a stored map: channels padded to whole input tiles."""
-    return blocked_channel_count(fm.channels, schedule.ic) * fm.height * fm.width // 2
+    h, w, c = x.shape
+    return blocked_channel_count(c, schedule.ic) * h * w // 2
 
 
-def pool_pass(fm: FeatureMap, schedule: TileSchedule = TileSchedule()):
+def pool_pass(x: np.ndarray, schedule: TileSchedule = TileSchedule()):
     """Standalone pooling of a stored tensor (the downsample skip path)."""
-    if fm.height % 2 or fm.width % 2:
-        raise ShapeError(f"pooling needs even spatial dims, got {fm.height}x{fm.width}")
-    arr = fm.to_array()
-    lane = PoolLane(fm.width, fm.channels)
+    h, w, c = x.shape
+    if h % 2 or w % 2:
+        raise ShapeError(f"pooling needs even spatial dims, got {h}x{w}")
+    lane = PoolLane(w, c)
     rows = []
-    for y in range(fm.height):
-        rows.extend(lane.feed_row(arr[y]))
-    out = FeatureMap.from_array(np.stack(rows))
+    for row in x:
+        rows.extend(lane.feed_row(row))
+    out = np.stack(rows)
     stats = SubgraphStats(
-        dram_read_bytes=_blocked_bytes(fm, schedule),
+        dram_read_bytes=_blocked_bytes(x, schedule),
         dram_write_bytes=_blocked_bytes(out, schedule),
         pool_occupancy=lane.max_occupancy,
     )
     return SubgraphResult(output=out, stats=stats)
 
 
-def shift_pass(fm: FeatureMap, directions=None,
+def shift_pass(x: np.ndarray, directions=None,
                schedule: TileSchedule = TileSchedule()):
     """Standalone shift of a stored tensor (the downsample skip path)."""
-    dirs = directions if directions is not None else default_shift_directions(fm.channels)
-    arr = fm.to_array()
-    lane = ShiftLane(fm.width, fm.channels, tuple(dirs))
+    h, w, c = x.shape
+    dirs = directions if directions is not None else default_shift_directions(c)
+    lane = ShiftLane(w, c, tuple(dirs))
     rows = []
-    for y in range(fm.height):
-        rows.extend(lane.feed_row(arr[y]))
+    for row in x:
+        rows.extend(lane.feed_row(row))
     rows.extend(lane.finish())
-    out = FeatureMap.from_array(np.stack(rows))
+    out = np.stack(rows)
     stats = SubgraphStats(
-        dram_read_bytes=_blocked_bytes(fm, schedule),
+        dram_read_bytes=_blocked_bytes(x, schedule),
         dram_write_bytes=_blocked_bytes(out, schedule),
         shift_occupancy=lane.max_occupancy,
     )
@@ -296,11 +286,11 @@ class SimulatorExecutor:
         self.scheduler = scheduler
         self.log = []
 
-    def conv_subgraph(self, fm: FeatureMap, step: ConvStep, bundle: ModelBundle,
-                      skip) -> FeatureMap:
+    def conv_subgraph(self, x: np.ndarray, step: ConvStep, bundle: ModelBundle,
+                      skip) -> np.ndarray:
         dirs = default_shift_directions(step.out_channels) if step.shift else None
         result = run_subgraph(
-            fm,
+            x,
             bundle.weights[step.name],
             bundle.tables[step.name],
             self.schedule,
@@ -312,12 +302,12 @@ class SimulatorExecutor:
         self.log.append((step.name, result.stats))
         return result.output
 
-    def pool_pass(self, fm: FeatureMap) -> FeatureMap:
-        result = pool_pass(fm, self.schedule)
+    def pool_pass(self, x: np.ndarray) -> np.ndarray:
+        result = pool_pass(x, self.schedule)
         self.log.append(("pool", result.stats))
         return result.output
 
-    def shift_pass(self, fm: FeatureMap) -> FeatureMap:
-        result = shift_pass(fm, schedule=self.schedule)
+    def shift_pass(self, x: np.ndarray) -> np.ndarray:
+        result = shift_pass(x, schedule=self.schedule)
         self.log.append(("shift", result.stats))
         return result.output

@@ -1,6 +1,9 @@
 """Hardware unit models: re-quantization comparators, pooling and shift line
 buffers, and the shuffle writeback.
 
+Every unit takes and returns uint8 code arrays, as the engines carry them;
+nothing here packs nibbles.
+
 The lanes here are pixel-serial: they consume a raster stream one pixel at a
 time and buffer only what the hardware would, so tests can pin their peak
 occupancy against the sizes the RTL would need (width + 1 rows of pixels for
@@ -15,7 +18,6 @@ import numpy as np
 from ..errors import ConstructionError, ShapeError
 from ..ops import ShiftDirection
 from ..quant import ThresholdTable
-from ..tensor import FeatureMap, pack
 
 
 # =========================================================================
@@ -238,7 +240,7 @@ class ShiftLane:
 # shuffle writeback
 # =========================================================================
 
-def shuffle_writeback(residual: FeatureMap, skip: FeatureMap):
+def shuffle_writeback(residual: np.ndarray, skip: np.ndarray):
     """Realize concat-shuffle as addressed writes plus a host copy.
 
     The rotated concatenation leaves the residual half contiguous at channel
@@ -247,25 +249,22 @@ def shuffle_writeback(residual: FeatureMap, skip: FeatureMap):
     its second at offset 0), which the host copies; the returned byte count
     is that copy traffic, half a byte per 4-bit code.
     """
-    if (skip.height, skip.width) != (residual.height, residual.width):
+    if skip.shape[:2] != residual.shape[:2]:
         raise ShapeError(
-            f"branch spatial sizes differ: {(skip.height, skip.width)} vs "
-            f"{(residual.height, residual.width)}"
+            f"branch spatial sizes differ: {skip.shape[:2]} vs {residual.shape[:2]}"
         )
-    if skip.channels != residual.channels:
+    h, w, half = skip.shape
+    if half != residual.shape[2]:
         raise ShapeError(
-            f"branch channel counts differ: {skip.channels} vs {residual.channels}"
+            f"branch channel counts differ: {half} vs {residual.shape[2]}"
         )
-    half = skip.channels
     c = 2 * half
     if c % 4:
         raise ShapeError(f"concatenated channel count {c} must be divisible by 4")
     q = c // 4
-    out = np.zeros((skip.height, skip.width, c), dtype=np.uint8)
-    res = residual.to_array()
-    skp = skip.to_array()
-    out[:, :, q : q + half] = res           # engine writeback, one base offset
-    out[:, :, 3 * q :] = skp[:, :, :q]      # host copy, wrapped chunk 1
-    out[:, :, :q] = skp[:, :, q:]           # host copy, wrapped chunk 2
-    memcpy_bytes = skip.height * skip.width * half // 2
-    return FeatureMap(skip.height, skip.width, c, pack(out.reshape(-1))), memcpy_bytes
+    out = np.zeros((h, w, c), dtype=np.uint8)
+    out[:, :, q : q + half] = residual      # engine writeback, one base offset
+    out[:, :, 3 * q :] = skip[:, :, :q]     # host copy, wrapped chunk 1
+    out[:, :, :q] = skip[:, :, q:]          # host copy, wrapped chunk 2
+    memcpy_bytes = h * w * half // 2
+    return out, memcpy_bytes

@@ -11,9 +11,10 @@ A bundle is a directory:
 same bundle saves byte-identically every time. On load the layer rows are
 cross-checked against the graph regenerated from the network parameters, so
 a manifest edited out of step with its own shape description is rejected
-rather than silently trusted. Blob names must be plain file names inside the
-bundle directory, and every blob payload must have exactly the size its
-shape requires.
+rather than silently trusted. A manifest field that is missing or of the
+wrong JSON type is reported by its path (say ``layers[0].alpha``). Blob names
+must be plain file names inside the bundle directory, and every blob payload
+must have exactly the size its shape requires.
 """
 from __future__ import annotations
 
@@ -122,6 +123,40 @@ def save_bundle(bundle: ModelBundle, path) -> Path:
     return root
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# what a manifest field must be -> test of a parsed JSON value
+_KINDS = {
+    "an integer": _is_int,
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a string or null": lambda v: v is None or isinstance(v, str),
+    "an object": lambda v: isinstance(v, dict),
+    "a list": lambda v: isinstance(v, list),
+    "a list of integers": lambda v: isinstance(v, list) and all(_is_int(e) for e in v),
+}
+
+
+def _checked(value, where: str, kind: str):
+    """``value`` if it is of the named kind; else a `BundleError` naming the field."""
+    if not _KINDS[kind](value):
+        raise BundleError(
+            f"manifest.json field {where} must be {kind}, got {type(value).__name__}"
+        )
+    return value
+
+
+def _field(obj: dict, path: str, key: str, kind: str):
+    """``obj[key]``, checked by `_checked`; a missing key is a `BundleError` naming path.key."""
+    where = f"{path}.{key}" if path else key
+    if key not in obj:
+        raise BundleError(f"manifest.json is missing required field {where}")
+    return _checked(obj[key], where, kind)
+
+
 def load_bundle(path) -> ModelBundle:
     """Read a bundle directory back, verifying checksums and graph consistency."""
     root = Path(path)
@@ -132,26 +167,29 @@ def load_bundle(path) -> ModelBundle:
         manifest = json.loads(mf.read_text())
     except json.JSONDecodeError as e:
         raise BundleError(f"manifest.json is not valid JSON: {e}") from e
+    if not isinstance(manifest, dict):
+        raise BundleError(
+            f"manifest.json must hold an object, got {type(manifest).__name__}"
+        )
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise BundleError(f"unsupported bundle format_version {version!r}")
-    try:
-        n = manifest["network"]
-        spec = NetworkSpec(
-            input_size=n["input_size"],
-            input_channels=n["input_channels"],
-            stem_channels=tuple(n["stem_channels"]),
-            stage_channels=tuple(n["stage_channels"]),
-            stage_repeats=tuple(n["stage_repeats"]),
-            conv5_channels=n["conv5_channels"],
-            num_classes=n["num_classes"],
-        )
-        q = manifest["quant"]
-        net = NetworkQuantParams(s=q["s"], k_w=q["k_w"], k_a=q["k_a"])
-        rows = manifest["layers"]
-        fc_row = manifest["fc"]
-    except (KeyError, TypeError) as e:
-        raise BundleError(f"manifest.json is missing required field: {e}") from e
+    n = _field(manifest, "", "network", "an object")
+    spec = NetworkSpec(
+        input_size=_field(n, "network", "input_size", "an integer"),
+        input_channels=_field(n, "network", "input_channels", "an integer"),
+        stem_channels=tuple(_field(n, "network", "stem_channels", "a list of integers")),
+        stage_channels=tuple(_field(n, "network", "stage_channels", "a list of integers")),
+        stage_repeats=tuple(_field(n, "network", "stage_repeats", "a list of integers")),
+        conv5_channels=_field(n, "network", "conv5_channels", "an integer"),
+        num_classes=_field(n, "network", "num_classes", "an integer"),
+    )
+    q = _field(manifest, "", "quant", "an object")
+    net = NetworkQuantParams(s=_field(q, "quant", "s", "a number"),
+                             k_w=_field(q, "quant", "k_w", "an integer"),
+                             k_a=_field(q, "quant", "k_a", "an integer"))
+    rows = _field(manifest, "", "layers", "a list")
+    fc_row = _field(manifest, "", "fc", "an object")
 
     steps = conv_steps(spec)
     if len(rows) != len(steps):
@@ -161,29 +199,35 @@ def load_bundle(path) -> ModelBundle:
     weights = {}
     tables = {}
     layer_params = {}
-    for step, row in zip(steps, rows):
-        for key, want in (
-            ("name", step.name),
-            ("in_channels", step.in_channels),
-            ("out_channels", step.out_channels),
-            ("spatial", step.spatial),
-            ("pool", step.pool),
-            ("shift", step.shift),
-            ("shuffle_with", step.shuffle_with),
+    for i, (step, row) in enumerate(zip(steps, rows)):
+        where = f"layers[{i}]"
+        _checked(row, where, "an object")
+        for key, kind, want in (
+            ("name", "a string", step.name),
+            ("in_channels", "an integer", step.in_channels),
+            ("out_channels", "an integer", step.out_channels),
+            ("spatial", "an integer", step.spatial),
+            ("pool", "a boolean", step.pool),
+            ("shift", "a boolean", step.shift),
+            ("shuffle_with", "a string or null", step.shuffle_with),
         ):
-            if row.get(key) != want:
+            got = _field(row, where, key, kind)
+            if got != want:
                 raise GraphError(
                     f"manifest row for {step.name} disagrees with the graph: "
-                    f"{key} is {row.get(key)!r}, expected {want!r}"
+                    f"{key} is {got!r}, expected {want!r}"
                 )
         layer_params[step.name] = LayerQuantParams(
-            alpha=row["alpha"], weight_scale=row["weight_scale"]
+            alpha=_field(row, where, "alpha", "a number"),
+            weight_scale=_field(row, where, "weight_scale", "a number"),
         )
-        wbuf = _read_blob(root, row["weight_file"], f"layer {step.name} weights")
+        wbuf = _read_blob(root, _field(row, where, "weight_file", "a string"),
+                          f"layer {step.name} weights")
         weights[step.name] = _weights_from_blob(
             wbuf, step.out_channels, step.in_channels, f"layer {step.name} weights"
         )
-        tbuf = _read_blob(root, row["table_file"], f"layer {step.name} table")
+        tbuf = _read_blob(root, _field(row, where, "table_file", "a string"),
+                          f"layer {step.name} table")
         want_bytes = net.act_levels * 4
         if len(tbuf) != want_bytes:
             raise BundleError(
@@ -192,12 +236,13 @@ def load_bundle(path) -> ModelBundle:
             )
         values = np.frombuffer(tbuf, dtype="<i4")
         tables[step.name] = ThresholdTable(tuple(int(v) for v in values))
-    if (fc_row.get("in_features"), fc_row.get("out_features")) != (
+    if (_field(fc_row, "fc", "in_features", "an integer"),
+            _field(fc_row, "fc", "out_features", "an integer")) != (
         spec.conv5_channels,
         spec.num_classes,
     ):
         raise GraphError("manifest fc row disagrees with the network shape")
-    fc_buf = _read_blob(root, fc_row["weight_file"], "fc weights")
+    fc_buf = _read_blob(root, _field(fc_row, "fc", "weight_file", "a string"), "fc weights")
     fc_weights = _weights_from_blob(fc_buf, spec.num_classes, spec.conv5_channels,
                                     "fc weights")
     bundle = ModelBundle(
@@ -207,14 +252,14 @@ def load_bundle(path) -> ModelBundle:
         tables=tables,
         layer_params=layer_params,
         fc_weights=fc_weights,
-        fc_scale=fc_row["scale"],
+        fc_scale=_field(fc_row, "fc", "scale", "a number"),
     )
     bundle.validate()
     return bundle
 
 
 def _read_blob(root: Path, rel: str, what: str) -> bytes:
-    if not isinstance(rel, str) or rel in ("", "..") or Path(rel).name != rel:
+    if rel in ("", "..") or Path(rel).name != rel:
         raise BundleError(
             f"{what}: blob file {rel!r} is not a plain file name inside the bundle"
         )

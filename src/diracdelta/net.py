@@ -15,13 +15,19 @@ is maxpool -> shift -> conv (same width), the residual side is conv
 halves concat-shuffle into twice the input channels at half the resolution.
 
 `compile_steps` flattens that structure into a straight-line program over
-named buffers. The forward interpreters, the accelerator engine, and the cost
-model all walk the same step list, so there is a single source of truth for
-the graph.
+named buffers. It is the only description of the graph: the forward
+interpreter, the accelerator engine, and the cost model all walk the same
+step list.
+
+`forward` and `float_forward` share one interpreter loop, `_run_steps`.
+Inside it every buffer is a ``(height, width, channels)`` array: uint8 codes
+in `forward`, which unpacks its `FeatureMap` argument once and never packs,
+and floats in `float_forward`. The two differ only in their conv and head;
+pool, shift, split and shuffle are the same `ops` functions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -29,42 +35,16 @@ import numpy as np
 from .errors import GraphError, ShapeError
 from .ops import (
     channel_split,
-    channel_split_array,
-    concat_shuffle_array,
-    conv1x1_ref,
+    concat_shuffle,
+    conv1x1,
     default_shift_directions,
     fc_bit_serial,
     global_avgpool_codes,
     maxpool2x2,
-    maxpool2x2_array,
     shift,
-    shift_array,
 )
-from .quant import (
-    LayerQuantParams,
-    NetworkQuantParams,
-    ThresholdTable,
-    pact_clip,
-)
+from .quant import NetworkQuantParams, pact_clip
 from .tensor import FeatureMap, WeightMatrix
-
-
-@dataclass(frozen=True)
-class BlockSpec:
-    """Shape summary of one block: kind, channel widths, input spatial size."""
-
-    kind: str  # "downsample" or "basic"
-    in_channels: int
-    out_channels: int
-    spatial: int
-
-    def __post_init__(self):
-        if self.kind not in ("downsample", "basic"):
-            raise GraphError(f"unknown block kind {self.kind!r}")
-        if self.kind == "basic" and self.out_channels != self.in_channels:
-            raise GraphError("basic blocks preserve channel count")
-        if self.kind == "downsample" and self.out_channels != 2 * self.in_channels:
-            raise GraphError("downsample blocks double channel count")
 
 
 @dataclass(frozen=True)
@@ -84,6 +64,8 @@ class NetworkSpec:
             raise GraphError("stage_channels and stage_repeats lengths differ")
         if not self.stage_channels:
             raise GraphError("at least one stage is required")
+        if len(self.stem_channels) != 2:
+            raise GraphError("stem_channels must hold the widths of the two stem convs")
         if self.input_channels < 1 or self.num_classes < 1:
             raise GraphError("input channels and classes must be positive")
         divisor = 4 * (2 ** len(self.stage_channels))
@@ -113,18 +95,6 @@ class NetworkSpec:
     @property
     def head_spatial(self) -> int:
         return self.input_size // (4 * (2 ** len(self.stage_channels)))
-
-    def blocks(self) -> tuple:
-        out = []
-        spatial = self.stem_spatial
-        channels = self.stem_channels[1]
-        for c_out, reps in zip(self.stage_channels, self.stage_repeats):
-            out.append(BlockSpec("downsample", channels, c_out, spatial))
-            spatial //= 2
-            channels = c_out
-            for _ in range(reps):
-                out.append(BlockSpec("basic", channels, channels, spatial))
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -353,31 +323,57 @@ class ModelBundle:
             raise GraphError("fc_scale must be positive")
 
 
+def _default_shift(x: np.ndarray) -> np.ndarray:
+    return shift(x, default_shift_directions(x.shape[2]))
+
+
+def _post_ops(out: np.ndarray, step: ConvStep, skip) -> np.ndarray:
+    """Pool, shift and shuffle a conv's output, as the step fuses them."""
+    if step.pool:
+        out = maxpool2x2(out)
+    if step.shift:
+        out = _default_shift(out)
+    if skip is not None:
+        out = concat_shuffle(skip, out)
+    return out
+
+
 class ReferenceExecutor:
-    """Runs conv subgraphs with the plain reference operators.
+    """Runs the engine steps with the plain reference operators on uint8 code arrays."""
 
-    A conv subgraph unpacks its input once (inside `conv1x1_ref`), carries
-    uint8 codes through re-quantization, pool, shift and shuffle, and packs
-    its output once.
+    def conv_subgraph(self, x: np.ndarray, step: ConvStep, bundle: ModelBundle,
+                      skip: Optional[np.ndarray]) -> np.ndarray:
+        acc = conv1x1(x, bundle.weights[step.name])
+        return _post_ops(bundle.tables[step.name].apply(acc), step, skip)
+
+    def pool_pass(self, x: np.ndarray) -> np.ndarray:
+        return maxpool2x2(x)
+
+    def shift_pass(self, x: np.ndarray) -> np.ndarray:
+        return _default_shift(x)
+
+
+def _run_steps(spec: NetworkSpec, x, conv, pool, shift_pass, head):
+    """Interpret the compiled steps over named buffers; returns what `head` returns.
+
+    ``conv(x, step, skip)`` runs a conv step with its fused post-ops,
+    ``pool(x)`` and ``shift_pass(x)`` the standalone passes, and
+    ``head(x, step)`` the head. Splits are channel slices.
     """
-
-    def conv_subgraph(self, fm: FeatureMap, step: ConvStep, bundle: ModelBundle,
-                      skip: Optional[FeatureMap]) -> FeatureMap:
-        acc = conv1x1_ref(fm, bundle.weights[step.name])
-        out = bundle.tables[step.name].apply(acc)
-        if step.pool:
-            out = maxpool2x2_array(out)
-        if step.shift:
-            out = shift_array(out, default_shift_directions(out.shape[2]))
-        if skip is not None:
-            out = concat_shuffle_array(skip.to_array(), out)
-        return FeatureMap.from_array(out)
-
-    def pool_pass(self, fm: FeatureMap) -> FeatureMap:
-        return maxpool2x2(fm)
-
-    def shift_pass(self, fm: FeatureMap) -> FeatureMap:
-        return shift(fm, default_shift_directions(fm.channels))
+    bufs = {"input": x}
+    for step in compile_steps(spec):
+        if isinstance(step, ConvStep):
+            skip = bufs[step.shuffle_with] if step.shuffle_with else None
+            bufs[step.dst] = conv(bufs[step.src], step, skip)
+        elif isinstance(step, PoolStep):
+            bufs[step.dst] = pool(bufs[step.src])
+        elif isinstance(step, ShiftStep):
+            bufs[step.dst] = shift_pass(bufs[step.src])
+        elif isinstance(step, SplitStep):
+            bufs[step.dst_skip], bufs[step.dst_residual] = channel_split(bufs[step.src])
+        else:  # HeadStep
+            return head(bufs[step.src], step)
+    raise GraphError("network has no head step")
 
 
 @dataclass(frozen=True)
@@ -390,9 +386,11 @@ class ForwardResult:
 def forward(bundle: ModelBundle, fm: FeatureMap, executor=None) -> ForwardResult:
     """Run the quantized network; a pure function of (bundle, input).
 
-    The head (global average pool rounded onto the code grid in integers,
-    bit-serial FC) is host-side arithmetic and is common to every executor.
-    Ties in the class argmax resolve to the lowest index.
+    The input is unpacked once; every step then passes uint8 code arrays.
+    The executor runs the conv subgraphs and the standalone pool and shift
+    passes. The head (global average pool rounded onto the code grid in
+    integers, bit-serial FC) is host-side arithmetic and is common to every
+    executor. Ties in the class argmax resolve to the lowest index.
     """
     spec = bundle.spec
     if (fm.height, fm.width) != (spec.input_size, spec.input_size):
@@ -405,27 +403,17 @@ def forward(bundle: ModelBundle, fm: FeatureMap, executor=None) -> ForwardResult
             f"input has {fm.channels} channels, network expects {spec.input_channels}"
         )
     ex = executor if executor is not None else ReferenceExecutor()
-    bufs = {"input": fm}
-    logits = None
-    int_logits = None
-    for step in compile_steps(spec):
-        if isinstance(step, ConvStep):
-            skip = bufs[step.shuffle_with] if step.shuffle_with else None
-            bufs[step.dst] = ex.conv_subgraph(bufs[step.src], step, bundle, skip)
-        elif isinstance(step, PoolStep):
-            bufs[step.dst] = ex.pool_pass(bufs[step.src])
-        elif isinstance(step, ShiftStep):
-            bufs[step.dst] = ex.shift_pass(bufs[step.src])
-        elif isinstance(step, SplitStep):
-            bufs[step.dst_skip], bufs[step.dst_residual] = channel_split(bufs[step.src])
-        else:  # HeadStep
-            codes = global_avgpool_codes(bufs[step.src], step.spatial)
-            int_logits = fc_bit_serial(codes, bundle.fc_weights)
-            logits = int_logits * bundle.fc_scale
-    if logits is None:
-        raise GraphError("network has no head step")
-    return ForwardResult(logits=logits, int_logits=int_logits,
-                         class_index=int(np.argmax(logits)))
+
+    def conv(x, step, skip):
+        return ex.conv_subgraph(x, step, bundle, skip)
+
+    def head(x, step):
+        int_logits = fc_bit_serial(global_avgpool_codes(x, step.spatial), bundle.fc_weights)
+        logits = int_logits * bundle.fc_scale
+        return ForwardResult(logits=logits, int_logits=int_logits,
+                             class_index=int(np.argmax(logits)))
+
+    return _run_steps(spec, fm.to_array(), conv, ex.pool_pass, ex.shift_pass, head)
 
 
 def float_forward(spec: NetworkSpec, weights: dict, net: NetworkQuantParams,
@@ -448,34 +436,18 @@ def float_forward(spec: NetworkSpec, weights: dict, net: NetworkQuantParams,
             f"input shape {arr.shape} does not match "
             f"({spec.input_size}, {spec.input_size}, {spec.input_channels})"
         )
-    bufs = {"input": arr}
-    for step in compile_steps(spec):
-        if isinstance(step, ConvStep):
-            v = bufs[step.src]
-            w = np.asarray(weights[step.name], dtype=np.float64)
-            if w.shape != (step.out_channels, step.in_channels):
-                raise ShapeError(
-                    f"layer {step.name}: float weights {w.shape} do not match "
-                    f"({step.out_channels}, {step.in_channels})"
-                )
-            a = alpha_of(step.name)
-            pre = v @ w.T
-            out = pact_clip(pre, a) * (net.s / a)
-            if step.pool:
-                out = maxpool2x2_array(out)
-            if step.shift:
-                out = shift_array(out, default_shift_directions(out.shape[2]))
-            if step.shuffle_with:
-                out = concat_shuffle_array(bufs[step.shuffle_with], out)
-            bufs[step.dst] = out
-        elif isinstance(step, PoolStep):
-            bufs[step.dst] = maxpool2x2_array(bufs[step.src])
-        elif isinstance(step, ShiftStep):
-            v = bufs[step.src]
-            bufs[step.dst] = shift_array(v, default_shift_directions(v.shape[2]))
-        elif isinstance(step, SplitStep):
-            bufs[step.dst_skip], bufs[step.dst_residual] = channel_split_array(bufs[step.src])
-        else:
-            pooled = bufs[step.src].mean(axis=(0, 1))
-            return pooled @ np.asarray(weights["fc"], dtype=np.float64).T
-    raise GraphError("network has no head step")
+
+    def conv(v, step, skip):
+        w = np.asarray(weights[step.name], dtype=np.float64)
+        if w.shape != (step.out_channels, step.in_channels):
+            raise ShapeError(
+                f"layer {step.name}: float weights {w.shape} do not match "
+                f"({step.out_channels}, {step.in_channels})"
+            )
+        a = alpha_of(step.name)
+        return _post_ops(pact_clip(v @ w.T, a) * (net.s / a), step, skip)
+
+    def head(v, step):
+        return v.mean(axis=(0, 1)) @ np.asarray(weights["fc"], dtype=np.float64).T
+
+    return _run_steps(spec, arr, conv, maxpool2x2, _default_shift, head)

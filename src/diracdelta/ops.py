@@ -3,9 +3,11 @@
 These are deliberately schedule-free: plain array math, one function per
 operator, exact integer accumulators. The pipeline model is required to match
 each of them bit for bit, so they double as oracles for the accelerator
-tests. Array-level helpers (suffix ``_array``) back the 4-bit ops, the
-float graph, and the reference engine, which runs a whole conv subgraph on
-uint8 code arrays and packs nibbles only once at its end.
+tests. Every operator takes and returns ``(height, width, channels)`` arrays:
+uint8 codes in the reference engine, floats in the float graph, which shares
+the pool, shift, shuffle and split operators. There is no ``_array`` twin of
+any operator; nibble packing happens only at the file and API edges
+(`FeatureMap`).
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .tensor import ACC_DTYPE, CODE_MAX, FeatureMap, WeightMatrix, check_accumulators
+from .tensor import ACC_DTYPE, CODE_MAX, WeightMatrix, check_accumulators
 
 
 @dataclass(frozen=True)
@@ -65,14 +67,16 @@ def _channel_groups(directions: tuple) -> tuple:
     return tuple(groups)
 
 
-def conv1x1_ref(fm: FeatureMap, weights: WeightMatrix) -> np.ndarray:
+def conv1x1(x: np.ndarray, weights: WeightMatrix) -> np.ndarray:
     """Integer 1x1 convolution: acc[y, x, o] = sum_i (2*w[o, i] - 15) * a[y, x, i].
 
-    Returns int32 accumulators of shape (height, width, out_channels).
+    Takes a (height, width, in_channels) code array and returns int32
+    accumulators of shape (height, width, out_channels).
     """
-    if fm.channels != weights.in_channels:
+    h, w, c = x.shape
+    if c != weights.in_channels:
         raise ShapeError(
-            f"feature map has {fm.channels} channels, weights expect {weights.in_channels}"
+            f"feature map has {c} channels, weights expect {weights.in_channels}"
         )
     # The float32 GEMM is exact. Every product a * (2w - 15) is an integer of
     # magnitude at most 15 * 15 = 225, so every partial sum of any subset of
@@ -85,25 +89,22 @@ def conv1x1_ref(fm: FeatureMap, weights: WeightMatrix) -> np.ndarray:
             f"{weights.in_channels} input channels: partial sums could reach 2**24, "
             "beyond what a float32 GEMM sums exactly"
         )
-    acts = fm.to_array().reshape(-1, fm.channels).astype(np.float32)
+    acts = x.astype(np.float32).reshape(-1, c)
     acc = acts @ weights.effective_f32.T
-    out = acc.reshape(fm.height, fm.width, weights.out_channels).astype(ACC_DTYPE)
+    out = acc.reshape(h, w, weights.out_channels).astype(ACC_DTYPE)
     check_accumulators(out)
     return out
 
 
-def maxpool2x2_array(arr: np.ndarray) -> np.ndarray:
+def maxpool2x2(arr: np.ndarray) -> np.ndarray:
+    """2x2 stride-2 max pooling; a trailing odd row or column is dropped."""
     h, w = arr.shape[0] // 2, arr.shape[1] // 2
     rows = np.maximum(arr[0 : 2 * h : 2], arr[1 : 2 * h : 2])
     return np.maximum(rows[:, 0 : 2 * w : 2], rows[:, 1 : 2 * w : 2])
 
 
-def maxpool2x2(fm: FeatureMap) -> FeatureMap:
-    """2x2 stride-2 max pooling; a trailing odd row or column is dropped."""
-    return FeatureMap.from_array(maxpool2x2_array(fm.to_array()))
-
-
-def shift_array(arr: np.ndarray, directions) -> np.ndarray:
+def shift(arr: np.ndarray, directions) -> np.ndarray:
+    """Per-channel spatial copy with zero fill at the vacated border."""
     h, w, c = arr.shape
     if len(directions) != c:
         raise ShapeError(f"{len(directions)} directions for {c} channels")
@@ -117,12 +118,13 @@ def shift_array(arr: np.ndarray, directions) -> np.ndarray:
     return out
 
 
-def shift(fm: FeatureMap, directions) -> FeatureMap:
-    """Per-channel spatial copy with zero fill at the vacated border."""
-    return FeatureMap.from_array(shift_array(fm.to_array(), directions))
+def concat_shuffle(skip: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """Concatenate two equal halves and rotate channels left by a quarter.
 
-
-def concat_shuffle_array(skip: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    The rotation exchanges exactly C/4 channels between the halves while
+    keeping the layout contiguous, which is what lets the hardware realize it
+    as a writeback address offset.
+    """
     if skip.shape[:2] != residual.shape[:2]:
         raise ShapeError(
             f"branch spatial sizes differ: {skip.shape[:2]} vs {residual.shape[:2]}"
@@ -140,30 +142,15 @@ def concat_shuffle_array(skip: np.ndarray, residual: np.ndarray) -> np.ndarray:
     return np.concatenate([skip[:, :, q:], residual, skip[:, :, :q]], axis=2)
 
 
-def concat_shuffle(skip: FeatureMap, residual: FeatureMap) -> FeatureMap:
-    """Concatenate two equal halves and rotate channels left by a quarter.
-
-    The rotation exchanges exactly C/4 channels between the halves while
-    keeping the layout contiguous, which is what lets the hardware realize it
-    as a writeback address offset.
-    """
-    return FeatureMap.from_array(concat_shuffle_array(skip.to_array(), residual.to_array()))
-
-
-def channel_split_array(arr: np.ndarray):
+def channel_split(arr: np.ndarray):
+    """Split into (first half, second half) along channels."""
     c = arr.shape[2]
     if c % 2:
         raise ShapeError(f"cannot split {c} channels in half")
     return arr[:, :, : c // 2], arr[:, :, c // 2 :]
 
 
-def channel_split(fm: FeatureMap):
-    """Split into (first half, second half) along channels."""
-    a, b = channel_split_array(fm.to_array())
-    return FeatureMap.from_array(a), FeatureMap.from_array(b)
-
-
-def global_avgpool_codes(fm: FeatureMap, size: int) -> np.ndarray:
+def global_avgpool_codes(x: np.ndarray, size: int) -> np.ndarray:
     """Per-channel mean code of a size x size map, rounded with ties up.
 
     With n = size * size and the exact integer code sum, the nearest code is
@@ -172,11 +159,11 @@ def global_avgpool_codes(fm: FeatureMap, size: int) -> np.ndarray:
     quantizing the dequantized mean ``sum * s / (n * levels)`` onto the code
     grid of the shared scale s, whatever s is.
     """
-    if fm.height != size or fm.width != size:
+    if x.shape[:2] != (size, size):
         raise ShapeError(
-            f"global pool expects a {size}x{size} map, got {fm.height}x{fm.width}"
+            f"global pool expects a {size}x{size} map, got {x.shape[0]}x{x.shape[1]}"
         )
-    sums = fm.to_array().sum(axis=(0, 1), dtype=np.int64)
+    sums = x.sum(axis=(0, 1), dtype=np.int64)
     n = size * size
     return ((2 * sums + n) // (2 * n)).astype(np.uint8)
 
@@ -196,7 +183,7 @@ def fc_bit_serial(codes, weights: WeightMatrix) -> np.ndarray:
     if a.size and (a.min() < 0 or a.max() > 15):
         raise ValidationError("activation codes outside [0, 15]")
     # d_b sums at most in_channels codes of at most 15, exact in float32
-    # below 2**24 (see conv1x1_ref)
+    # below 2**24 (see conv1x1)
     if CODE_MAX * weights.in_channels >= 2**24:
         raise ValidationError(
             f"{weights.in_channels} inputs: bit-plane sums could reach 2**24, "

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -277,11 +277,10 @@ def build_threshold_table(
 
 @dataclass(frozen=True)
 class QuantConfig:
-    """One point on the progressive quantization grid, optionally chained."""
+    """A weight and activation bit-width pair, named by its tag."""
 
     w_bits: int
     a_bits: int
-    parent: Optional["QuantConfig"] = None
 
     def __post_init__(self):
         for name in ("w_bits", "a_bits"):
@@ -289,57 +288,6 @@ class QuantConfig:
             if not 1 <= v <= 32:
                 raise DomainError(f"{name}={v} outside [1, 32]")
 
-    def lineage(self) -> tuple:
-        """This config's chain from the root down to itself."""
-        chain = []
-        node: Optional[QuantConfig] = self
-        while node is not None:
-            chain.append(node)
-            node = node.parent
-        return tuple(reversed(chain))
-
     @property
     def tag(self) -> str:
         return f"C_{{{self.w_bits},{self.a_bits}}}"
-
-
-@dataclass(frozen=True)
-class QuantPathViolation:
-    step: int
-    message: str
-
-
-FULL_PRECISION = (32, 32)
-
-
-def _bits_of(entry):
-    if isinstance(entry, QuantConfig):
-        return entry.w_bits, entry.a_bits
-    w, a = entry
-    return int(w), int(a)
-
-
-def validate_quant_path(path: Sequence) -> Optional[QuantPathViolation]:
-    """Check that a fine-tuning path never increases either bit width.
-
-    The path must be non-empty and start at full precision (32, 32); those
-    are preconditions and violate loudly. A width increase along the path is
-    the condition this reports, as the first offending step.
-    """
-    entries = [_bits_of(e) for e in path]
-    if not entries:
-        raise DomainError("quantization path is empty")
-    if entries[0] != FULL_PRECISION:
-        raise DomainError(f"quantization path must start at {FULL_PRECISION}, got {entries[0]}")
-    for i in range(1, len(entries)):
-        pw, pa = entries[i - 1]
-        w, a = entries[i]
-        if w > pw or a > pa:
-            return QuantPathViolation(
-                step=i,
-                message=(
-                    f"step {i} raises precision: ({pw}, {pa}) -> ({w}, {a}); "
-                    "widths must be non-increasing"
-                ),
-            )
-    return None

@@ -1,8 +1,12 @@
 """4-bit tensors: nibble packing, serialized blobs, and the channel-blocked DRAM layout.
 
-Activations and weights are unsigned 4-bit codes. In memory and on disk two
-codes share one byte, low nibble first, with a zero pad nibble when the count
-is odd. A weight code ``c`` stands for the odd integer ``2*c - 15``, so a dot
+Activations and weights are unsigned 4-bit codes. Inside the engines an
+activation is a uint8 ``(height, width, channels)`` array of codes, one code
+per byte. Packing is a storage format used only at the edges: on disk and at
+the API, two codes share one byte, low nibble first, with a zero pad nibble
+when the count is odd (`FeatureMap`, tensor blobs, weight blobs).
+
+A weight code ``c`` stands for the odd integer ``2*c - 15``, so a dot
 product over the largest channel count in the network is bounded by
 ``15 * 15 * 512 = 115200``. That magnitude needs 18 signed bits; accumulators
 here use int32, which leaves headroom, and `check_accumulators` asserts the
@@ -73,9 +77,11 @@ def unpack(buf: bytes, count: int) -> np.ndarray:
 class FeatureMap:
     """Immutable activation tensor of 4-bit codes, channel innermost.
 
-    ``packed`` holds the codes of the (y, x, c) traversal in packed nibble
-    form, which is also the serialized representation, so bit-exact equality
-    between two maps is plain dataclass equality.
+    This is the API and file form of an activation: `forward` takes one and
+    unpacks it once, tensor blobs read and write one. ``packed`` holds the
+    codes of the (y, x, c) traversal in packed nibble form, which is also the
+    serialized representation, so bit-exact equality between two maps is
+    plain dataclass equality.
     """
 
     height: int
@@ -159,32 +165,19 @@ def blocked_channel_count(channels: int, block: int = DEFAULT_BLOCK) -> int:
     return ((channels + block - 1) // block) * block
 
 
-def to_blocked_layout(fm: FeatureMap, block: int = DEFAULT_BLOCK) -> bytes:
-    """Serialize a map in DRAM order: (channel block, y, x, channel within block).
+def blocked_layout(arr, block: int = DEFAULT_BLOCK) -> np.ndarray:
+    """Codes of a map in DRAM order: a (channel block, y, x, channel within block) array.
 
     Channels are zero padded up to a whole number of blocks, so a map with
-    fewer channels than ``block`` occupies exactly one padded block.
+    fewer channels than ``block`` occupies exactly one padded block. The
+    stored image is this array's codes, two per byte.
     """
-    cp = blocked_channel_count(fm.channels, block)
-    arr = fm.to_array()
-    if cp != fm.channels:
-        pad = np.zeros((fm.height, fm.width, cp - fm.channels), dtype=np.uint8)
-        arr = np.concatenate([arr, pad], axis=2)
-    nb = cp // block if block else 0
-    arr = arr.reshape(fm.height, fm.width, nb, block).transpose(2, 0, 1, 3)
-    return pack(arr.reshape(-1))
-
-
-def from_blocked_layout(
-    buf: bytes, height: int, width: int, channels: int, block: int = DEFAULT_BLOCK
-) -> FeatureMap:
-    """Inverse of `to_blocked_layout`; drops the channel padding."""
-    cp = blocked_channel_count(channels, block)
-    nb = cp // block if block else 0
-    codes = unpack(buf, height * width * cp)
-    arr = codes.reshape(nb, height, width, block).transpose(1, 2, 0, 3)
-    arr = arr.reshape(height, width, cp)[:, :, :channels]
-    return FeatureMap.from_array(arr)
+    a = np.asarray(arr)
+    h, w, c = a.shape
+    cp = blocked_channel_count(c, block)
+    if cp != c:
+        a = np.concatenate([a, np.zeros((h, w, cp - c), dtype=a.dtype)], axis=2)
+    return a.reshape(h, w, cp // block, block).transpose(2, 0, 1, 3)
 
 
 def write_tensor_blob(path, fm: FeatureMap) -> None:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from conftest import make_tiny_spec
+from conftest import make_tiny_spec, make_two_stage_spec, random_input
 
 from diracdelta.accel.perf import (
     CYCLES_PER_IC_ITER_RANGE,
@@ -19,8 +19,20 @@ from diracdelta.accel.perf import (
     roofline,
     step_cost,
 )
+from diracdelta.accel.subgraph import SimulatorExecutor, TileSchedule
+from diracdelta.bundle import random_bundle
 from diracdelta.errors import ConfigurationError
-from diracdelta.net import ConvStep, HeadStep, PoolStep, ShiftStep, build_diracdeltanet, conv_steps
+from diracdelta.net import (
+    ConvStep,
+    HeadStep,
+    PoolStep,
+    ShiftStep,
+    build_diracdeltanet,
+    compile_steps,
+    conv_steps,
+    forward,
+)
+from diracdelta.quant import NetworkQuantParams
 from diracdelta.tensor import blocked_channel_count
 
 # =========================================================================
@@ -112,6 +124,31 @@ def test_pool_and_shift_steps_cost_only_traffic():
 def test_step_cost_rejects_unknown_steps():
     with pytest.raises(ConfigurationError, match="no cost model"):
         step_cost(HeadStep("f", 1024, 1000, 7), CostModelParams())
+
+
+@pytest.mark.parametrize("make_spec,tile", [
+    (make_tiny_spec, 32), (make_tiny_spec, 16),
+    (make_two_stage_spec, 32), (make_two_stage_spec, 16),
+    (build_diracdeltanet, 32),
+])
+def test_simulated_traffic_equals_the_cost_model_on_every_step(make_spec, tile):
+    spec = make_spec()
+    bundle = random_bundle(spec, NetworkQuantParams(s=1.0), seed=13)
+    sim = SimulatorExecutor(TileSchedule(ic=tile, oc=tile))
+    forward(bundle, random_input(spec, seed=14), executor=sim)
+    params = CostModelParams(ic_parallel=tile, oc_parallel=tile)
+    steps = [s for s in compile_steps(spec) if isinstance(s, (ConvStep, PoolStep, ShiftStep))]
+    assert [name for name, _ in sim.log] == [
+        s.name if isinstance(s, ConvStep) else ("pool" if isinstance(s, PoolStep) else "shift")
+        for s in steps
+    ]
+    for step, (_name, stats) in zip(steps, sim.log):
+        cost = step_cost(step, params)
+        channels = step.in_channels if isinstance(step, ConvStep) else step.channels
+        read = stats.dram_read_bytes - stats.weight_bytes
+        assert read == step.spatial ** 2 * blocked_channel_count(channels, tile) // 2, step.name
+        assert (read + stats.dram_write_bytes, stats.weight_bytes, stats.memcpy_bytes) == (
+            cost.act_bytes, cost.weight_bytes, cost.memcpy_bytes), step.name
 
 
 # =========================================================================

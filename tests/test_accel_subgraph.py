@@ -16,12 +16,13 @@ from diracdelta.accel.subgraph import (
     run_subgraph,
     shift_pass,
 )
+from diracdelta import tensor
 from diracdelta.bundle import random_bundle
 from diracdelta.errors import ShapeError
 from diracdelta.net import ReferenceExecutor, forward
 from diracdelta.ops import (
     concat_shuffle,
-    conv1x1_ref,
+    conv1x1,
     default_shift_directions,
     maxpool2x2,
     shift,
@@ -38,13 +39,18 @@ def _table(seed):
 
 def _random_case(seed, h, w, ic, oc):
     rng = np.random.default_rng(seed)
-    fm = FeatureMap.from_array(rng.integers(0, 16, size=(h, w, ic), dtype=np.uint8))
+    fm = rng.integers(0, 16, size=(h, w, ic), dtype=np.uint8)
     wm = WeightMatrix(oc, ic, rng.integers(0, 16, size=(oc, ic), dtype=np.uint8))
     return fm, wm, _table(seed + 1)
 
 
+def _same(got, want):
+    """Equal uint8 code arrays."""
+    return got.dtype == want.dtype == np.uint8 and np.array_equal(got, want)
+
+
 def _reference(fm, wm, table, pool=False, shift_dirs=None, shuffle_with=None):
-    out = FeatureMap.from_array(table.apply(conv1x1_ref(fm, wm)))
+    out = table.apply(conv1x1(fm, wm))
     if pool:
         out = maxpool2x2(out)
     if shift_dirs is not None:
@@ -78,12 +84,10 @@ def test_pipeline_matches_reference_composition(h, w, ic, oc, pool, shifted, shu
     if shuffled:
         rng = np.random.default_rng(99)
         out_h, out_w = (h // 2, w // 2) if pool else (h, w)
-        skip = FeatureMap.from_array(
-            rng.integers(0, 16, size=(out_h, out_w, oc), dtype=np.uint8)
-        )
+        skip = rng.integers(0, 16, size=(out_h, out_w, oc), dtype=np.uint8)
     got = run_subgraph(fm, wm, table, pool=pool, shift_dirs=dirs, shuffle_with=skip)
     want = _reference(fm, wm, table, pool=pool, shift_dirs=dirs, shuffle_with=skip)
-    assert got.output == want
+    assert _same(got.output, want)
 
 
 @pytest.mark.parametrize("scheduler", ["single-thread", "concurrent"])
@@ -92,14 +96,14 @@ def test_both_schedulers_compute_identical_bytes(scheduler):
     dirs = default_shift_directions(24)
     got = run_subgraph(fm, wm, table, pool=True, shift_dirs=dirs, scheduler=scheduler)
     want = _reference(fm, wm, table, pool=True, shift_dirs=dirs)
-    assert got.output == want
+    assert _same(got.output, want)
 
 
 def test_schedulers_agree_on_stats_too():
     fm, wm, table = _random_case(21, 6, 6, 40, 24)
     a = run_subgraph(fm, wm, table, scheduler="single-thread")
     b = run_subgraph(fm, wm, table, scheduler="concurrent")
-    assert a.output == b.output
+    assert _same(a.output, b.output)
     assert a.stats.dram_read_bytes == b.stats.dram_read_bytes
     assert a.stats.dram_write_bytes == b.stats.dram_write_bytes
     assert a.stats.max_abs_acc == b.stats.max_abs_acc
@@ -109,7 +113,7 @@ def test_small_tiles_and_unit_fifo_capacity_still_bit_exact():
     fm, wm, table = _random_case(31, 6, 6, 20, 12)
     schedule = TileSchedule(ic=8, oc=8, fifo_capacity=1)
     got = run_subgraph(fm, wm, table, schedule)
-    assert got.output == _reference(fm, wm, table)
+    assert _same(got.output, _reference(fm, wm, table))
     assert all(d <= 1 for d in got.stats.fifo_depths.values())
 
 
@@ -131,9 +135,9 @@ def test_traffic_counters_follow_closed_forms():
 def test_shuffle_doubles_the_stored_channels_and_counts_the_copy():
     fm, wm, table = _random_case(43, 4, 4, 16, 8)
     rng = np.random.default_rng(44)
-    skip = FeatureMap.from_array(rng.integers(0, 16, size=(4, 4, 8), dtype=np.uint8))
+    skip = rng.integers(0, 16, size=(4, 4, 8), dtype=np.uint8)
     res = run_subgraph(fm, wm, table, shuffle_with=skip)
-    assert res.output.channels == 16
+    assert res.output.shape[2] == 16
     assert res.stats.memcpy_bytes == 4 * 4 * 8 // 2
     assert res.stats.dram_write_bytes == 4 * 4 * blocked_channel_count(16) // 2
 
@@ -141,7 +145,7 @@ def test_shuffle_doubles_the_stored_channels_and_counts_the_copy():
 def test_accumulator_peak_matches_reference_and_respects_bound():
     fm, wm, table = _random_case(47, 5, 5, 48, 24)
     res = run_subgraph(fm, wm, table)
-    want_peak = int(np.abs(conv1x1_ref(fm, wm)).max())
+    want_peak = int(np.abs(conv1x1(fm, wm)).max())
     assert res.stats.max_abs_acc == want_peak
     assert res.stats.max_abs_acc <= ACC_LIMIT
 
@@ -173,21 +177,21 @@ def test_fifo_depths_respect_configured_capacity():
 def test_zero_weights_produce_the_zero_accumulator_code_everywhere():
     """Code-0 weights are all -15, so accumulators are never positive."""
     rng = np.random.default_rng(61)
-    fm = FeatureMap.from_array(rng.integers(0, 16, size=(4, 4, 10), dtype=np.uint8))
+    fm = rng.integers(0, 16, size=(4, 4, 10), dtype=np.uint8)
     wm = WeightMatrix(6, 10, np.zeros((6, 10), dtype=np.uint8))
     table = _table(62)
     res = run_subgraph(fm, wm, table)
-    assert set(np.unique(res.output.to_array())) == {table.lookup(0)}
+    assert set(np.unique(res.output)) == {table.lookup(0)}
     assert table.lookup(0) == 0
 
 
 def test_zero_activations_produce_the_zero_accumulator_code():
     rng = np.random.default_rng(63)
-    fm = FeatureMap.from_array(np.zeros((4, 4, 10), dtype=np.uint8))
+    fm = np.zeros((4, 4, 10), dtype=np.uint8)
     wm = WeightMatrix(6, 10, rng.integers(0, 16, size=(6, 10), dtype=np.uint8))
     table = _table(64)
     res = run_subgraph(fm, wm, table)
-    assert set(np.unique(res.output.to_array())) == {table.lookup(0)}
+    assert set(np.unique(res.output)) == {table.lookup(0)}
 
 
 def test_shape_guards():
@@ -195,7 +199,7 @@ def test_shape_guards():
     bad = WeightMatrix(8, 9, np.zeros((8, 9), dtype=np.uint8))
     with pytest.raises(ShapeError, match="input has 8 channels, weights expect 9"):
         run_subgraph(fm, bad, table)
-    odd = FeatureMap.from_array(np.zeros((3, 4, 8), dtype=np.uint8))
+    odd = np.zeros((3, 4, 8), dtype=np.uint8)
     with pytest.raises(ShapeError, match="pooling needs even spatial dims"):
         run_subgraph(odd, wm, table, pool=True)
     with pytest.raises(ShapeError, match="3 shift directions for 8 channels"):
@@ -208,35 +212,35 @@ def test_shape_guards():
 
 def test_pool_pass_matches_reference_with_traffic():
     rng = np.random.default_rng(71)
-    fm = FeatureMap.from_array(rng.integers(0, 16, size=(8, 6, 20), dtype=np.uint8))
+    fm = rng.integers(0, 16, size=(8, 6, 20), dtype=np.uint8)
     res = pool_pass(fm)
-    assert res.output == maxpool2x2(fm)
+    assert _same(res.output, maxpool2x2(fm))
     assert res.stats.dram_read_bytes == 8 * 6 * blocked_channel_count(20) // 2
     assert res.stats.dram_write_bytes == 4 * 3 * blocked_channel_count(20) // 2
     assert res.stats.pool_occupancy == 6 + 1
     with pytest.raises(ShapeError, match="even spatial dims"):
-        pool_pass(FeatureMap.from_array(np.zeros((3, 4, 2), dtype=np.uint8)))
+        pool_pass(np.zeros((3, 4, 2), dtype=np.uint8))
 
 
 def test_shift_pass_matches_reference_with_traffic():
     rng = np.random.default_rng(73)
-    fm = FeatureMap.from_array(rng.integers(0, 16, size=(5, 7, 11), dtype=np.uint8))
+    fm = rng.integers(0, 16, size=(5, 7, 11), dtype=np.uint8)
     res = shift_pass(fm)
-    assert res.output == shift(fm, default_shift_directions(11))
+    assert _same(res.output, shift(fm, default_shift_directions(11)))
     assert res.stats.dram_read_bytes == res.stats.dram_write_bytes
     assert res.stats.shift_occupancy <= 2 * (7 + 2) + 2
 
 
 def test_pool_and_shift_passes_count_bytes_in_the_schedule_input_tile():
     rng = np.random.default_rng(79)
-    fm = FeatureMap.from_array(rng.integers(0, 16, size=(6, 4, 12), dtype=np.uint8))
+    fm = rng.integers(0, 16, size=(6, 4, 12), dtype=np.uint8)
     passes = {
         "pool": (lambda sched: pool_pass(fm, sched), (3, 2)),
         "shift": (lambda sched: shift_pass(fm, schedule=sched), (6, 4)),
     }
     for run, (out_h, out_w) in passes.values():
         default, narrow = run(TileSchedule()), run(TileSchedule(ic=16))
-        assert narrow.output == default.output
+        assert _same(narrow.output, default.output)
         # 12 channels pad to one 32-channel block, or to one 16-channel tile
         for res, c in ((default, 32), (narrow, 16)):
             assert res.stats.dram_read_bytes == 6 * 4 * c // 2
@@ -255,6 +259,29 @@ def test_simulator_forward_equals_reference_forward(tiny_bundle):
     np.testing.assert_array_equal(ref.int_logits, sim.int_logits)
     np.testing.assert_array_equal(ref.logits, sim.logits)
     assert ref.class_index == sim.class_index
+
+
+@pytest.mark.parametrize("make_executor", [ReferenceExecutor, SimulatorExecutor])
+def test_forward_packs_nothing_and_unpacks_its_input_once(tiny_bundle, monkeypatch,
+                                                          make_executor):
+    fm = random_input(tiny_bundle.spec, seed=207)
+    want = forward(tiny_bundle, fm, executor=make_executor())
+
+    def refuse(codes):
+        raise AssertionError("a forward pass packed nibbles")
+
+    unpacked = []
+    to_array = FeatureMap.to_array
+
+    def counting_to_array(self):
+        unpacked.append(self)
+        return to_array(self)
+
+    monkeypatch.setattr(tensor, "pack", refuse)
+    monkeypatch.setattr(FeatureMap, "to_array", counting_to_array)
+    got = forward(tiny_bundle, fm, executor=make_executor())
+    assert got.logits.tobytes() == want.logits.tobytes()
+    assert len(unpacked) == 1 and unpacked[0] is fm
 
 
 def test_simulator_logs_one_entry_per_engine_invocation(tiny_bundle):

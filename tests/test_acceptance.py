@@ -29,7 +29,7 @@ from diracdelta.net import (
 )
 from diracdelta.ops import (
     concat_shuffle,
-    conv1x1_ref,
+    conv1x1,
     default_shift_directions,
     maxpool2x2,
     shift,
@@ -45,7 +45,7 @@ from diracdelta.quant import (
     quantize_uniform,
     quantize_weights,
 )
-from diracdelta.tensor import ACC_LIMIT, FeatureMap, WeightMatrix, check_accumulators
+from diracdelta.tensor import ACC_LIMIT, WeightMatrix, check_accumulators
 
 NET = NetworkQuantParams(s=1.0)
 
@@ -93,9 +93,9 @@ def test_criterion_02_roofline_arithmetic():
 
 def test_criterion_03_accumulator_bound():
     # all-max synthetic layer at the widest supported input
-    fm = FeatureMap.from_array(np.full((4, 4, 512), 15, dtype=np.uint8))
+    fm = np.full((4, 4, 512), 15, dtype=np.uint8)
     wm = WeightMatrix(32, 512, np.full((32, 512), 15, dtype=np.uint8))
-    acc = conv1x1_ref(fm, wm)
+    acc = conv1x1(fm, wm)
     assert int(np.max(np.abs(acc))) == ACC_LIMIT == 115200
     check_accumulators(acc)
 
@@ -107,9 +107,9 @@ def test_criterion_03_accumulator_bound():
     for _ in range(1000):
         ic = int(rng.integers(1, 513))
         oc = int(rng.integers(1, 9))
-        x = FeatureMap.from_array(rng.integers(0, 16, size=(2, 2, ic), dtype=np.uint8))
+        x = rng.integers(0, 16, size=(2, 2, ic), dtype=np.uint8)
         w = WeightMatrix(oc, ic, rng.integers(0, 16, size=(oc, ic), dtype=np.uint8))
-        a = conv1x1_ref(x, w)
+        a = conv1x1(x, w)
         check_accumulators(a)
         assert int(np.max(np.abs(a))) <= 115200
     print("[PASS] criterion 3: worst case |accumulator| = 115200 exactly, "
@@ -121,9 +121,9 @@ def test_criterion_03_accumulator_bound():
 # -------------------------------------------------------------------------
 
 def _reference_composition(fm, wm, table, pool, shift_dirs, skip):
-    acc = conv1x1_ref(fm, wm)
+    acc = conv1x1(fm, wm)
     check_accumulators(acc)
-    out = FeatureMap.from_array(table.apply(acc))
+    out = table.apply(acc)
     if pool:
         out = maxpool2x2(out)
     if shift_dirs is not None:
@@ -144,8 +144,7 @@ def test_criterion_04_subgraphs_match_reference_ops():
     for seed in range(7):
         rng = np.random.default_rng(100 + seed)
         for spatial, ic, oc, pool, shifted, shuffled in shapes:
-            fm = FeatureMap.from_array(
-                rng.integers(0, 16, size=(spatial, spatial, ic), dtype=np.uint8))
+            fm = rng.integers(0, 16, size=(spatial, spatial, ic), dtype=np.uint8)
             wm = WeightMatrix(
                 oc, ic, rng.integers(0, 16, size=(oc, ic), dtype=np.uint8))
             table = _random_table(rng)
@@ -153,12 +152,12 @@ def test_criterion_04_subgraphs_match_reference_ops():
             out_sp = spatial // 2 if pool else spatial
             skip = None
             if shuffled:
-                skip = FeatureMap.from_array(
-                    rng.integers(0, 16, size=(out_sp, out_sp, oc), dtype=np.uint8))
+                skip = rng.integers(0, 16, size=(out_sp, out_sp, oc), dtype=np.uint8)
             got = run_subgraph(fm, wm, table, pool=pool, shift_dirs=dirs,
                                shuffle_with=skip)
             want = _reference_composition(fm, wm, table, pool, dirs, skip)
-            assert got.output == want
+            assert got.output.dtype == want.dtype == np.uint8
+            assert np.array_equal(got.output, want)
             runs += 1
     assert runs >= 100
 
@@ -254,11 +253,10 @@ def test_criterion_07_shuffle_shift_pool_oracles():
         sp = int(rng.integers(1, 5))
         labels = np.broadcast_to(np.arange(c, dtype=np.uint8) % 16,
                                  (sp, sp, c)).copy()
-        skip = FeatureMap.from_array(labels[:, :, :half])
-        res = FeatureMap.from_array(labels[:, :, half:])
+        skip = labels[:, :, :half]
+        res = labels[:, :, half:]
         out = concat_shuffle(skip, res)
-        np.testing.assert_array_equal(
-            out.to_array(), np.roll(labels, -(c // 4), axis=2))
+        np.testing.assert_array_equal(out, np.roll(labels, -(c // 4), axis=2))
         # a quarter of each branch crosses over
         merged_src = np.roll(np.arange(c), -(c // 4))
         assert int(np.sum(merged_src[:half] >= half)) == c // 4
@@ -266,20 +264,15 @@ def test_criterion_07_shuffle_shift_pool_oracles():
         # four quarter rotations come back around
         m = out
         for _ in range(3):
-            grid = m.to_array()
-            a = FeatureMap.from_array(grid[:, :, :half])
-            b = FeatureMap.from_array(grid[:, :, half:])
-            m = concat_shuffle(a, b)
-        np.testing.assert_array_equal(m.to_array(), labels)
+            m = concat_shuffle(m[:, :, :half], m[:, :, half:])
+        np.testing.assert_array_equal(m, labels)
 
     for _ in range(1000):
         c = int(rng.integers(1, 7))
         arr = rng.integers(0, 16, size=(4, 4, c), dtype=np.uint8)
-        fm = FeatureMap.from_array(arr)
-        np.testing.assert_array_equal(maxpool2x2(fm).to_array(), _pool_oracle(arr))
+        np.testing.assert_array_equal(maxpool2x2(arr), _pool_oracle(arr))
         dirs = default_shift_directions(c)
-        np.testing.assert_array_equal(shift(fm, dirs).to_array(),
-                                      _shift_oracle(arr, dirs))
+        np.testing.assert_array_equal(shift(arr, dirs), _shift_oracle(arr, dirs))
     print("[PASS] criterion 7: shuffle is a quarter rotation exchanging C/4 "
           "channels per branch; shift and pool match nested-loop oracles on "
           "1000 random maps")

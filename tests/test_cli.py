@@ -4,6 +4,7 @@ Commands run in-process through `main` so exit codes and printed lines are
 asserted exactly; one subprocess test checks the module entry point.
 """
 import json
+import shutil
 import subprocess
 import sys
 import zlib
@@ -92,6 +93,104 @@ def test_out_of_range_threshold_blob_fails_validation_with_exit_1(tmp_path, caps
     capsys.readouterr()
     assert cli.main(["validate", "--bundle", str(out)]) == 1
     assert "outside the accumulator range" in capsys.readouterr().err
+
+
+# Every manifest field `load_bundle` reads, with a value of the wrong JSON type
+MANIFEST_FIELDS = [
+    (("format_version",), "1"),
+    (("network",), []),
+    (("network", "input_size"), "16"),
+    (("network", "input_channels"), 3.0),
+    (("network", "stem_channels"), "48"),
+    (("network", "stage_channels"), [16.5]),
+    (("network", "stage_repeats"), {"0": 1}),
+    (("network", "conv5_channels"), None),
+    (("network", "num_classes"), True),
+    (("quant",), "C_{4,4}"),
+    (("quant", "s"), "1.0"),
+    (("quant", "k_w"), "4"),
+    (("quant", "k_a"), 4.5),
+    (("layers",), {}),
+    (("layers", 0, "name"), 1),
+    (("layers", 0, "in_channels"), "3"),
+    (("layers", 0, "out_channels"), [4]),
+    (("layers", 0, "spatial"), 16.0),
+    (("layers", 0, "pool"), "true"),
+    (("layers", 0, "shift"), 1),
+    (("layers", 0, "shuffle_with"), 0),
+    (("layers", 0, "alpha"), "0.9"),
+    (("layers", 0, "weight_scale"), False),
+    (("layers", 0, "weight_file"), ["conv1.w"]),
+    (("layers", 0, "table_file"), None),
+    (("fc",), []),
+    (("fc", "in_features"), "32"),
+    (("fc", "out_features"), 10.0),
+    (("fc", "scale"), "0.004"),
+    (("fc", "weight_file"), 7),
+]
+
+
+def _field_path(keys) -> str:
+    path = ""
+    for k in keys:
+        path += f"[{k}]" if isinstance(k, int) else (f".{k}" if path else k)
+    return path
+
+
+@pytest.fixture(scope="module")
+def tiny_bundle_dir(tmp_path_factory):
+    from conftest import make_tiny_spec
+    from diracdelta.bundle import random_bundle, save_bundle
+    from diracdelta.quant import NetworkQuantParams
+
+    d = tmp_path_factory.mktemp("manifest") / "bundle"
+    save_bundle(random_bundle(make_tiny_spec(), NetworkQuantParams(s=1.0), seed=3), d)
+    return d
+
+
+def _validate_with_manifest(src, tmp_path, capsys, edit):
+    root = tmp_path / "b"
+    shutil.copytree(src, root)
+    mf = json.loads((root / "manifest.json").read_text())
+    (root / "manifest.json").write_text(json.dumps(edit(mf)))
+    capsys.readouterr()
+    rc = cli.main(["validate", "--bundle", str(root)])
+    return rc, capsys.readouterr().err
+
+
+def _set(mf, keys, value=None, delete=False):
+    obj = mf
+    for k in keys[:-1]:
+        obj = obj[k]
+    if delete:
+        del obj[keys[-1]]
+    else:
+        obj[keys[-1]] = value
+    return mf
+
+
+@pytest.mark.parametrize("keys,wrong", MANIFEST_FIELDS, ids=lambda v: _field_path(v)
+                         if isinstance(v, tuple) else type(v).__name__)
+@pytest.mark.parametrize("delete", [True, False], ids=["deleted", "wrong_type"])
+def test_malformed_manifest_field_fails_validation_naming_it(
+        tiny_bundle_dir, tmp_path, capsys, keys, wrong, delete):
+    rc, err = _validate_with_manifest(
+        tiny_bundle_dir, tmp_path, capsys, lambda mf: _set(mf, keys, wrong, delete))
+    assert rc == 1
+    assert err.startswith("error: ") and _field_path(keys) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit,fragment", [
+    (lambda mf: mf["layers"], "manifest.json must hold an object, got list"),
+    (lambda mf: _set(mf, ("layers", 1), [1, 2]), "field layers[1] must be an object, got list"),
+    (lambda mf: _set(mf, ("network", "stem_channels"), [8]), "stem_channels must hold"),
+])
+def test_manifest_of_the_wrong_shape_fails_validation(
+        tiny_bundle_dir, tmp_path, capsys, edit, fragment):
+    rc, err = _validate_with_manifest(tiny_bundle_dir, tmp_path, capsys, edit)
+    assert rc == 1
+    assert err.startswith("error: ") and fragment in err
 
 
 # =========================================================================

@@ -13,7 +13,6 @@ from oracles import composed_forward, documented_head_codes
 from diracdelta.bundle import random_bundle
 from diracdelta.errors import GraphError, ShapeError
 from diracdelta.net import (
-    BlockSpec,
     ConvStep,
     HeadStep,
     ModelBundle,
@@ -31,14 +30,11 @@ from diracdelta.net import (
 from diracdelta.ops import (
     channel_split,
     concat_shuffle,
-    concat_shuffle_array,
-    conv1x1_ref,
+    conv1x1,
     default_shift_directions,
     fc_bit_serial,
     maxpool2x2,
-    maxpool2x2_array,
     shift,
-    shift_array,
 )
 from diracdelta.quant import NetworkQuantParams
 from diracdelta.tensor import FeatureMap
@@ -74,24 +70,31 @@ def test_spec_rejects_inconsistent_shapes():
         make_tiny_spec(stage_repeats=(-1,))
 
 
+def _blocks(spec):
+    """(kind, in channels, out channels, input spatial) per block, from the compiled steps.
+
+    Every block has one residual branch, opened by a `*_res_conv1` step, and
+    only a downsample block's residual conv pools.
+    """
+    blocks = []
+    for s in conv_steps(spec):
+        if s.name.endswith("_res_conv1"):
+            if s.pool:
+                blocks.append(("downsample", s.in_channels, s.out_channels, s.spatial))
+            else:
+                blocks.append(("basic", s.out_channels, s.out_channels, s.spatial))
+    return blocks
+
+
 def test_blocks_sequence():
-    blocks = build_diracdeltanet().blocks()
-    kinds = [b.kind for b in blocks]
+    blocks = _blocks(build_diracdeltanet())
+    kinds = [b[0] for b in blocks]
     assert kinds == (["downsample"] + ["basic"] * 3
                      + ["downsample"] + ["basic"] * 7
                      + ["downsample"] + ["basic"] * 3)
-    assert blocks[0] == BlockSpec("downsample", 64, 128, 56)
-    assert blocks[4] == BlockSpec("downsample", 128, 256, 28)
-    assert blocks[-1] == BlockSpec("basic", 512, 512, 7)
-
-
-def test_block_spec_guards():
-    with pytest.raises(GraphError, match="unknown block kind"):
-        BlockSpec("bottleneck", 8, 8, 4)
-    with pytest.raises(GraphError, match="preserve"):
-        BlockSpec("basic", 8, 16, 4)
-    with pytest.raises(GraphError, match="double"):
-        BlockSpec("downsample", 8, 8, 4)
+    assert blocks[0] == ("downsample", 64, 128, 56)
+    assert blocks[4] == ("downsample", 128, 256, 28)
+    assert blocks[-1] == ("basic", 512, 512, 7)
 
 
 # =========================================================================
@@ -241,20 +244,19 @@ def _hand_wired_tiny_forward(bundle, fm):
     net = bundle.net
 
     def conv(name, fm_in, pool=False, shifted=False, skip=None):
-        acc = conv1x1_ref(fm_in, bundle.weights[name])
-        out = FeatureMap.from_array(bundle.tables[name].apply(acc))
+        out = bundle.tables[name].apply(conv1x1(fm_in, bundle.weights[name]))
         if pool:
             out = maxpool2x2(out)
         if shifted:
-            out = shift(out, default_shift_directions(out.channels))
+            out = shift(out, default_shift_directions(out.shape[2]))
         if skip is not None:
             out = concat_shuffle(skip, out)
         return out
 
-    x = conv("conv1", fm, pool=True, shifted=True)
+    x = conv("conv1", fm.to_array(), pool=True, shifted=True)
     x = conv("conv2", x, pool=True, shifted=True)
     pooled_skip = maxpool2x2(x)
-    shifted_skip = shift(pooled_skip, default_shift_directions(pooled_skip.channels))
+    shifted_skip = shift(pooled_skip, default_shift_directions(pooled_skip.shape[2]))
     skip = conv("s2d_skip_conv", shifted_skip)
     r = conv("s2d_res_conv1", x, pool=True, shifted=True)
     x = conv("s2d_res_conv2", r, skip=skip)
@@ -350,17 +352,17 @@ def _hand_wired_tiny_float(spec, weights, net, alpha, x):
     def conv(name, v, pool=False, shifted=False, skip=None):
         out = np.clip(v @ weights[name].T, 0.0, alpha) * (net.s / alpha)
         if pool:
-            out = maxpool2x2_array(out)
+            out = maxpool2x2(out)
         if shifted:
-            out = shift_array(out, default_shift_directions(out.shape[2]))
+            out = shift(out, default_shift_directions(out.shape[2]))
         if skip is not None:
-            out = concat_shuffle_array(skip, out)
+            out = concat_shuffle(skip, out)
         return out
 
     x = conv("conv1", x, pool=True, shifted=True)
     x = conv("conv2", x, pool=True, shifted=True)
-    sp = maxpool2x2_array(x)
-    ss = shift_array(sp, default_shift_directions(sp.shape[2]))
+    sp = maxpool2x2(x)
+    ss = shift(sp, default_shift_directions(sp.shape[2]))
     skip = conv("s2d_skip_conv", ss)
     r = conv("s2d_res_conv1", x, pool=True, shifted=True)
     x = conv("s2d_res_conv2", r, skip=skip)

@@ -14,8 +14,7 @@ from diracdelta.ops import (
     ShiftDirection,
     channel_split,
     concat_shuffle,
-    concat_shuffle_array,
-    conv1x1_ref,
+    conv1x1,
     default_shift_directions,
     fc_bit_serial,
     global_avgpool_codes,
@@ -23,13 +22,13 @@ from diracdelta.ops import (
     shift,
 )
 from diracdelta.quant import NetworkQuantParams, quantize_uniform
-from diracdelta.tensor import ACC_LIMIT, FeatureMap, WeightMatrix
+from diracdelta.tensor import ACC_LIMIT, WeightMatrix
 
 from oracles import conv1x1_int64, documented_head_codes, global_avgpool
 
 
-def _random_fm(rng, h, w, c):
-    return FeatureMap.from_array(rng.integers(0, 16, size=(h, w, c), dtype=np.uint8))
+def _random_codes(rng, h, w, c):
+    return rng.integers(0, 16, size=(h, w, c), dtype=np.uint8)
 
 
 # =========================================================================
@@ -37,74 +36,74 @@ def _random_fm(rng, h, w, c):
 # =========================================================================
 
 def test_conv_single_mac():
-    fm = FeatureMap.from_array(np.array([[[10]]], dtype=np.uint8))
+    fm = np.array([[[10]]], dtype=np.uint8)
     w = WeightMatrix(1, 1, np.array([[14]], dtype=np.uint8))
     # effective weight 2*14 - 15 = 13
-    assert conv1x1_ref(fm, w).tolist() == [[[130]]]
+    assert conv1x1(fm, w).tolist() == [[[130]]]
 
 
 def test_conv_hits_the_documented_worst_case_exactly():
-    fm = FeatureMap.from_array(np.full((1, 1, 512), 15, dtype=np.uint8))
+    fm = np.full((1, 1, 512), 15, dtype=np.uint8)
     w_hi = WeightMatrix(1, 512, np.full((1, 512), 15, dtype=np.uint8))
     w_lo = WeightMatrix(1, 512, np.zeros((1, 512), dtype=np.uint8))
-    assert conv1x1_ref(fm, w_hi)[0, 0, 0] == ACC_LIMIT == 115200
-    assert conv1x1_ref(fm, w_lo)[0, 0, 0] == -ACC_LIMIT
+    assert conv1x1(fm, w_hi)[0, 0, 0] == ACC_LIMIT == 115200
+    assert conv1x1(fm, w_lo)[0, 0, 0] == -ACC_LIMIT
 
 
 def test_conv_beyond_the_channel_budget_is_rejected():
-    fm = FeatureMap.from_array(np.full((1, 1, 520), 15, dtype=np.uint8))
+    fm = np.full((1, 1, 520), 15, dtype=np.uint8)
     w = WeightMatrix(1, 520, np.full((1, 520), 15, dtype=np.uint8))
     with pytest.raises(ValidationError, match="exceeds bound 115200"):
-        conv1x1_ref(fm, w)
+        conv1x1(fm, w)
 
 
 def test_conv_matches_int64_einsum():
     rng = np.random.default_rng(123)
     for h, w, ic, oc in [(3, 5, 7, 4), (2, 2, 64, 32), (1, 9, 3, 16)]:
-        fm = _random_fm(rng, h, w, ic)
+        fm = _random_codes(rng, h, w, ic)
         wm = WeightMatrix(oc, ic, rng.integers(0, 16, size=(oc, ic), dtype=np.uint8))
-        acts = fm.to_array().astype(np.int64)
+        acts = fm.astype(np.int64)
         eff = wm.effective().astype(np.int64)
         want = np.einsum("yxi,oi->yxo", acts, eff)
-        np.testing.assert_array_equal(conv1x1_ref(fm, wm), want)
+        np.testing.assert_array_equal(conv1x1(fm, wm), want)
 
 
 def test_conv_equals_int64_matmul_at_and_beyond_the_bound():
     rng = np.random.default_rng(29)
     full = np.full((1, 1, 512), 15, dtype=np.uint8)
     acts = np.concatenate([full, rng.integers(0, 16, size=(3, 1, 512), dtype=np.uint8)])
-    fm = FeatureMap.from_array(acts.reshape(2, 2, 512))
+    fm = acts.reshape(2, 2, 512)
     codes = np.concatenate([np.full((1, 512), 15), np.zeros((1, 512)),
                             rng.integers(0, 16, size=(30, 512))]).astype(np.uint8)
     wm = WeightMatrix(32, 512, codes)
-    got = conv1x1_ref(fm, wm)
+    got = conv1x1(fm, wm)
     np.testing.assert_array_equal(got, conv1x1_int64(fm, wm))
     assert got[0, 0, 0] == ACC_LIMIT and got[0, 0, 1] == -ACC_LIMIT
     # one unit beyond the bound: 512 * 15 * 15 + 1 * 1, then its negative
-    over = FeatureMap.from_array(np.append(full, 1).reshape(1, 1, 513))
+    over = np.append(full, 1).reshape(1, 1, 513)
     for bulk, last in ((15, 8), (0, 7)):
         w = WeightMatrix(1, 513, np.array([[bulk] * 512 + [last]], dtype=np.uint8))
         with pytest.raises(ValidationError, match="magnitude 115201 exceeds bound"):
-            conv1x1_ref(over, w)
+            conv1x1(over, w)
 
 
 def test_conv_refuses_inputs_a_float32_gemm_cannot_sum_exactly():
     widest = 2**24 // 225  # 225 * widest < 2**24 <= 225 * (widest + 1)
     for c, ok in ((widest, True), (widest + 1, False)):
-        fm = FeatureMap.from_array(np.zeros((1, 1, c), dtype=np.uint8))
+        fm = np.zeros((1, 1, c), dtype=np.uint8)
         wm = WeightMatrix(1, c, np.zeros((1, c), dtype=np.uint8))
         if ok:
-            assert conv1x1_ref(fm, wm).tolist() == [[[0]]]
+            assert conv1x1(fm, wm).tolist() == [[[0]]]
         else:
             with pytest.raises(ValidationError, match="could reach 2"):
-                conv1x1_ref(fm, wm)
+                conv1x1(fm, wm)
 
 
 def test_conv_channel_mismatch():
-    fm = FeatureMap.from_array(np.zeros((2, 2, 3), dtype=np.uint8))
+    fm = np.zeros((2, 2, 3), dtype=np.uint8)
     w = WeightMatrix(4, 5, np.zeros((4, 5), dtype=np.uint8))
     with pytest.raises(ShapeError, match="has 3 channels, weights expect 5"):
-        conv1x1_ref(fm, w)
+        conv1x1(fm, w)
 
 
 # =========================================================================
@@ -129,24 +128,24 @@ def _pool_oracle(arr):
 def test_maxpool_matches_nested_loop_oracle():
     rng = np.random.default_rng(31)
     for h, w, c in [(4, 4, 3), (6, 8, 5), (2, 2, 1)]:
-        fm = _random_fm(rng, h, w, c)
+        fm = _random_codes(rng, h, w, c)
         np.testing.assert_array_equal(
-            maxpool2x2(fm).to_array(), _pool_oracle(fm.to_array())
+            maxpool2x2(fm), _pool_oracle(fm)
         )
 
 
 def test_maxpool_drops_trailing_odd_row_and_column():
     rng = np.random.default_rng(32)
-    fm = _random_fm(rng, 5, 7, 2)
+    fm = _random_codes(rng, 5, 7, 2)
     out = maxpool2x2(fm)
-    assert (out.height, out.width) == (2, 3)
-    trimmed = FeatureMap.from_array(fm.to_array()[:4, :6])
-    assert out == maxpool2x2(trimmed)
+    assert out.shape[:2] == (2, 3)
+    trimmed = fm[:4, :6]
+    np.testing.assert_array_equal(out, maxpool2x2(trimmed))
 
 
 def test_maxpool_ramp():
     ramp = np.arange(16, dtype=np.uint8).reshape(4, 4, 1) % 16
-    out = maxpool2x2(FeatureMap.from_array(ramp)).to_array()[:, :, 0]
+    out = maxpool2x2(ramp)[:, :, 0]
     assert out.tolist() == [[5, 7], [13, 15]]
 
 
@@ -169,34 +168,34 @@ def _shift_oracle(arr, directions):
 
 def test_shift_direction_semantics_by_hand():
     col = np.array([[1], [2], [3]], dtype=np.uint8)[:, :, None].reshape(3, 1, 1)
-    assert shift(FeatureMap.from_array(col), (UP,)).to_array().ravel().tolist() == [2, 3, 0]
-    assert shift(FeatureMap.from_array(col), (DOWN,)).to_array().ravel().tolist() == [0, 1, 2]
+    assert shift(col, (UP,)).ravel().tolist() == [2, 3, 0]
+    assert shift(col, (DOWN,)).ravel().tolist() == [0, 1, 2]
     row = np.array([[1, 2, 3]], dtype=np.uint8).reshape(1, 3, 1)
-    assert shift(FeatureMap.from_array(row), (LEFT,)).to_array().ravel().tolist() == [2, 3, 0]
-    assert shift(FeatureMap.from_array(row), (RIGHT,)).to_array().ravel().tolist() == [0, 1, 2]
-    assert shift(FeatureMap.from_array(col), (IDENTITY,)).to_array().ravel().tolist() == [1, 2, 3]
+    assert shift(row, (LEFT,)).ravel().tolist() == [2, 3, 0]
+    assert shift(row, (RIGHT,)).ravel().tolist() == [0, 1, 2]
+    assert shift(col, (IDENTITY,)).ravel().tolist() == [1, 2, 3]
 
 
 def test_shift_matches_nested_loop_oracle():
     rng = np.random.default_rng(33)
     for h, w, c in [(4, 4, 10), (3, 7, 6), (5, 2, 5)]:
-        fm = _random_fm(rng, h, w, c)
+        fm = _random_codes(rng, h, w, c)
         dirs = default_shift_directions(c)
         np.testing.assert_array_equal(
-            shift(fm, dirs).to_array(), _shift_oracle(fm.to_array(), dirs)
+            shift(fm, dirs), _shift_oracle(fm, dirs)
         )
 
 
 def test_shift_with_arbitrary_direction_lists_matches_the_oracle():
     rng = np.random.default_rng(35)
     for h, w, c in [(4, 5, 9), (3, 3, 16), (6, 2, 1)]:
-        fm = _random_fm(rng, h, w, c)
+        fm = _random_codes(rng, h, w, c)
         dirs = tuple(DIRECTION_CYCLE[i] for i in rng.integers(0, 5, size=c))
         np.testing.assert_array_equal(
-            shift(fm, dirs).to_array(), _shift_oracle(fm.to_array(), dirs)
+            shift(fm, dirs), _shift_oracle(fm, dirs)
         )
         np.testing.assert_array_equal(
-            shift(fm, list(dirs)).to_array(), _shift_oracle(fm.to_array(), dirs)
+            shift(fm, list(dirs)), _shift_oracle(fm, dirs)
         )
 
 
@@ -212,7 +211,7 @@ def test_shift_guards():
         ShiftDirection(1, 1)
     with pytest.raises(ValidationError, match="must be -1, 0, or 1"):
         ShiftDirection(2, 0)
-    fm = FeatureMap.from_array(np.zeros((2, 2, 3), dtype=np.uint8))
+    fm = np.zeros((2, 2, 3), dtype=np.uint8)
     with pytest.raises(ShapeError, match="2 directions for 3 channels"):
         shift(fm, (UP, DOWN))
 
@@ -226,8 +225,8 @@ def test_concat_shuffle_is_a_quarter_rotation():
     h, w = 2, 3
     skip = np.stack([np.full((h, w), v, dtype=np.uint8) for v in range(4)], axis=2)
     res = np.stack([np.full((h, w), v, dtype=np.uint8) for v in range(4, 8)], axis=2)
-    out = concat_shuffle(FeatureMap.from_array(skip), FeatureMap.from_array(res))
-    assert out.to_array()[0, 0].tolist() == [2, 3, 4, 5, 6, 7, 0, 1]
+    out = concat_shuffle(skip, res)
+    assert out[0, 0].tolist() == [2, 3, 4, 5, 6, 7, 0, 1]
 
 
 def test_concat_shuffle_matches_roll():
@@ -236,8 +235,8 @@ def test_concat_shuffle_matches_roll():
     res = rng.integers(0, 16, size=(3, 3, 6), dtype=np.uint8)
     merged = np.concatenate([skip, res], axis=2)
     want = np.roll(merged, -3, axis=2)
-    got = concat_shuffle(FeatureMap.from_array(skip), FeatureMap.from_array(res))
-    np.testing.assert_array_equal(got.to_array(), want)
+    got = concat_shuffle(skip, res)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_shuffle_applied_four_times_is_identity():
@@ -245,7 +244,7 @@ def test_shuffle_applied_four_times_is_identity():
     x = rng.integers(0, 16, size=(2, 2, 8), dtype=np.uint8)
     y = x
     for _ in range(4):
-        y = concat_shuffle_array(y[:, :, :4], y[:, :, 4:])
+        y = concat_shuffle(y[:, :, :4], y[:, :, 4:])
     np.testing.assert_array_equal(y, x)
 
 
@@ -253,23 +252,21 @@ def test_shuffle_exchanges_exactly_a_quarter_of_the_channels():
     c = 16
     skip = np.ones((2, 2, c // 2), dtype=np.uint8)
     res = np.full((2, 2, c // 2), 2, dtype=np.uint8)
-    out = concat_shuffle(
-        FeatureMap.from_array(skip), FeatureMap.from_array(res)
-    ).to_array()
+    out = concat_shuffle(skip, res)
     first, second = out[0, 0, : c // 2], out[0, 0, c // 2 :]
     assert int((first == 2).sum()) == c // 4
     assert int((second == 1).sum()) == c // 4
 
 
 def test_concat_shuffle_shape_guards():
-    a = FeatureMap.from_array(np.zeros((2, 2, 4), dtype=np.uint8))
-    b = FeatureMap.from_array(np.zeros((2, 3, 4), dtype=np.uint8))
+    a = np.zeros((2, 2, 4), dtype=np.uint8)
+    b = np.zeros((2, 3, 4), dtype=np.uint8)
     with pytest.raises(ShapeError, match="spatial sizes differ"):
         concat_shuffle(a, b)
-    c = FeatureMap.from_array(np.zeros((2, 2, 6), dtype=np.uint8))
+    c = np.zeros((2, 2, 6), dtype=np.uint8)
     with pytest.raises(ShapeError, match="channel counts differ"):
         concat_shuffle(a, c)
-    odd = FeatureMap.from_array(np.zeros((2, 2, 1), dtype=np.uint8))
+    odd = np.zeros((2, 2, 1), dtype=np.uint8)
     with pytest.raises(ShapeError, match="divisible by 4"):
         concat_shuffle(odd, odd)
 
@@ -277,20 +274,20 @@ def test_concat_shuffle_shape_guards():
 def test_channel_split_halves_in_order():
     rng = np.random.default_rng(36)
     arr = rng.integers(0, 16, size=(2, 2, 10), dtype=np.uint8)
-    a, b = channel_split(FeatureMap.from_array(arr))
-    np.testing.assert_array_equal(a.to_array(), arr[:, :, :5])
-    np.testing.assert_array_equal(b.to_array(), arr[:, :, 5:])
+    a, b = channel_split(arr)
+    np.testing.assert_array_equal(a, arr[:, :, :5])
+    np.testing.assert_array_equal(b, arr[:, :, 5:])
     with pytest.raises(ShapeError, match="cannot split 3"):
-        channel_split(FeatureMap.from_array(arr[:, :, :3]))
+        channel_split(arr[:, :, :3])
 
 
 def test_split_then_shuffle_round_trips_through_the_block_wiring():
     """A basic block that copies its residual half leaves a rotated map."""
     rng = np.random.default_rng(37)
     arr = rng.integers(0, 16, size=(2, 2, 8), dtype=np.uint8)
-    first, second = channel_split(FeatureMap.from_array(arr))
+    first, second = channel_split(arr)
     out = concat_shuffle(first, second)
-    np.testing.assert_array_equal(out.to_array(), np.roll(arr, -2, axis=2))
+    np.testing.assert_array_equal(out, np.roll(arr, -2, axis=2))
 
 
 # =========================================================================
@@ -301,7 +298,7 @@ def test_global_avgpool_exact_rational_rounding():
     rng = np.random.default_rng(38)
     arr = rng.integers(0, 16, size=(7, 7, 5), dtype=np.uint8)
     net = NetworkQuantParams(s=0.7)
-    out = global_avgpool(FeatureMap.from_array(arr), net)
+    out = global_avgpool(arr, net)
     sums = arr.astype(np.int64).sum(axis=(0, 1))
     want = [float(Fraction(int(v)) * Fraction(0.7) / (49 * 15)) for v in sums]
     assert out.tolist() == want
@@ -309,13 +306,13 @@ def test_global_avgpool_exact_rational_rounding():
 
 def test_global_avgpool_constant_map():
     net = NetworkQuantParams(s=1.0)
-    fm = FeatureMap.from_array(np.full((7, 7, 3), 15, dtype=np.uint8))
+    fm = np.full((7, 7, 3), 15, dtype=np.uint8)
     np.testing.assert_array_equal(global_avgpool(fm, net), np.ones(3))
 
 
 def test_global_avgpool_size_check():
     net = NetworkQuantParams(s=1.0)
-    fm = FeatureMap.from_array(np.zeros((6, 7, 3), dtype=np.uint8))
+    fm = np.zeros((6, 7, 3), dtype=np.uint8)
     with pytest.raises(ShapeError, match="expects a 7x7 map, got 6x7"):
         global_avgpool(fm, net)
 
@@ -323,24 +320,24 @@ def test_global_avgpool_size_check():
 def test_global_avgpool_custom_size():
     net = NetworkQuantParams(s=1.0)
     arr = np.arange(8, dtype=np.uint8).reshape(2, 2, 2)
-    out = global_avgpool(FeatureMap.from_array(arr), net, size=2)
+    out = global_avgpool(arr, net, size=2)
     assert out.tolist() == [float(Fraction(0 + 2 + 4 + 6) / 60), float(Fraction(1 + 3 + 5 + 7) / 60)]
 
 
-def _maps_with_every_code_sum(size: int) -> FeatureMap:
+def _maps_with_every_code_sum(size: int) -> np.ndarray:
     """A size x size map whose channel v has code sum v, for every reachable v."""
     n = size * size
     sums = np.arange(15 * n + 1)
     pixel = np.arange(n)[:, None]
     codes = np.clip(sums[None, :] - 15 * pixel, 0, 15).astype(np.uint8)
-    return FeatureMap.from_array(codes.reshape(size, size, sums.size))
+    return codes.reshape(size, size, sums.size)
 
 
 def test_global_avgpool_codes_round_every_sum_ties_up():
     s_values = [0.1, 0.3, 0.7, 1.0, 1.1, 2.5, 3.0, 1 / 3, 0.123456789, 17.0, 1e-3, 6.02e3]
     for size in range(1, 8):
         fm = _maps_with_every_code_sum(size)
-        sums = fm.to_array().astype(np.int64).sum(axis=(0, 1))
+        sums = fm.astype(np.int64).sum(axis=(0, 1))
         assert sums.tolist() == list(range(15 * size * size + 1))
         got = global_avgpool_codes(fm, size)
         assert got.dtype == np.uint8
@@ -351,7 +348,7 @@ def test_global_avgpool_codes_round_every_sum_ties_up():
 
 def test_global_avgpool_codes_fixes_the_even_head_double_rounding():
     # 2x2 head, s = 0.1, code sum 6: the mean code is exactly 1.5, a tie
-    fm = FeatureMap.from_array(np.array([[[3], [3]], [[0], [0]]], dtype=np.uint8))
+    fm = np.array([[[3], [3]], [[0], [0]]], dtype=np.uint8)
     net = NetworkQuantParams(s=0.1)
     assert global_avgpool_codes(fm, 2).tolist() == [2]
     # dequantize, divide by s, quantize: the float path lands below the tie
@@ -359,7 +356,7 @@ def test_global_avgpool_codes_fixes_the_even_head_double_rounding():
 
 
 def test_global_avgpool_codes_size_check():
-    fm = FeatureMap.from_array(np.zeros((6, 7, 3), dtype=np.uint8))
+    fm = np.zeros((6, 7, 3), dtype=np.uint8)
     with pytest.raises(ShapeError, match="expects a 7x7 map, got 6x7"):
         global_avgpool_codes(fm, 7)
 
@@ -388,7 +385,7 @@ def test_fc_bit_serial_agrees_with_conv_on_one_pixel():
     rng = np.random.default_rng(40)
     w = WeightMatrix(6, 12, rng.integers(0, 16, size=(6, 12), dtype=np.uint8))
     a = rng.integers(0, 16, size=12, dtype=np.uint8)
-    via_conv = conv1x1_ref(FeatureMap.from_array(a.reshape(1, 1, 12)), w)[0, 0]
+    via_conv = conv1x1(a.reshape(1, 1, 12), w)[0, 0]
     np.testing.assert_array_equal(fc_bit_serial(a, w), via_conv)
 
 

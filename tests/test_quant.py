@@ -1,10 +1,11 @@
-"""Quantizer semantics, threshold table construction, and the progressive-width rules.
+"""Quantizer semantics, threshold table construction, and the bit-width tag.
 
 The threshold tests lean on an independent rational oracle: the boundary for
 code i sits at the smallest integer accumulator acc with
 ``acc * f / alpha >= (2i - 1) / (2 * levels)``, i.e.
 ``ceil(alpha * (2i - 1) / (2 * levels * f))`` computed in exact arithmetic.
 """
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from diracdelta.errors import (
     ValidationError,
 )
 from diracdelta.quant import (
-    FULL_PRECISION,
     LayerQuantParams,
     NetworkQuantParams,
     QuantConfig,
@@ -31,7 +31,6 @@ from diracdelta.quant import (
     quantize_activation,
     quantize_uniform,
     quantize_weights,
-    validate_quant_path,
 )
 from diracdelta.tensor import ACC_LIMIT
 
@@ -359,39 +358,13 @@ def test_table_rejects_thresholds_outside_the_accumulator_range():
 
 
 # =========================================================================
-# progressive width configs
+# bit-width configs
 # =========================================================================
 
 def test_quant_config_tag_and_lineage():
-    root = QuantConfig(32, 32)
-    mid = QuantConfig(8, 8, parent=root)
-    leaf = QuantConfig(4, 4, parent=mid)
-    assert leaf.tag == "C_{4,4}"
-    assert root.tag == "C_{32,32}"
-    assert leaf.lineage() == (root, mid, leaf)
+    assert QuantConfig(4, 4).tag == "C_{4,4}"
+    assert QuantConfig(32, 32).tag == "C_{32,32}"
+    # a config is its two widths, with no chain of parent configs
+    assert [f.name for f in dataclasses.fields(QuantConfig)] == ["w_bits", "a_bits"]
     with pytest.raises(DomainError):
         QuantConfig(0, 4)
-
-
-def test_validate_quant_path_accepts_non_increasing():
-    path = [FULL_PRECISION, (8, 8), (4, 8), (4, 4), (4, 4)]
-    assert validate_quant_path(path) is None
-
-
-def test_validate_quant_path_flags_first_increase():
-    v = validate_quant_path([(32, 32), (4, 4), (8, 4)])
-    assert v is not None
-    assert v.step == 2
-    assert "raises precision" in v.message
-
-
-def test_validate_quant_path_preconditions():
-    with pytest.raises(DomainError, match="empty"):
-        validate_quant_path([])
-    with pytest.raises(DomainError, match=r"must start at \(32, 32\)"):
-        validate_quant_path([(8, 8), (4, 4)])
-
-
-def test_validate_quant_path_accepts_config_objects():
-    path = [QuantConfig(32, 32), QuantConfig(4, 4)]
-    assert validate_quant_path(path) is None

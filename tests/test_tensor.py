@@ -14,11 +14,10 @@ from diracdelta.tensor import (
     FeatureMap,
     WeightMatrix,
     blocked_channel_count,
+    blocked_layout,
     check_accumulators,
-    from_blocked_layout,
     pack,
     read_tensor_blob,
-    to_blocked_layout,
     unpack,
     write_tensor_blob,
 )
@@ -180,7 +179,6 @@ def test_blocked_layout_matches_nested_loop_oracle():
     """Blob order must be (block index, y, x, channel within block)."""
     rng = np.random.default_rng(5)
     arr = rng.integers(0, 16, size=(3, 2, 5), dtype=np.uint8)
-    fm = FeatureMap.from_array(arr)
     block = 4
     padded = np.zeros((3, 2, 8), dtype=np.uint8)
     padded[:, :, :5] = arr
@@ -190,17 +188,18 @@ def test_blocked_layout_matches_nested_loop_oracle():
             for x in range(2):
                 for c in range(block):
                     expect.append(int(padded[y, x, nb * block + c]))
-    assert to_blocked_layout(fm, block=block) == pack(expect)
+    assert pack(blocked_layout(arr, block=block).reshape(-1)) == pack(expect)
 
 
 def test_blocked_layout_round_trip_drops_padding():
     rng = np.random.default_rng(6)
     for h, w, c, block in [(4, 4, 3, 32), (2, 3, 32, 32), (5, 1, 33, 32), (7, 7, 512, 32)]:
         arr = rng.integers(0, 16, size=(h, w, c), dtype=np.uint8)
-        fm = FeatureMap.from_array(arr)
-        buf = to_blocked_layout(fm, block=block)
-        assert len(buf) == h * w * blocked_channel_count(c, block) // 2
-        assert from_blocked_layout(buf, h, w, c, block=block) == fm
+        blocked = blocked_layout(arr, block=block)
+        assert len(pack(blocked.reshape(-1))) == h * w * blocked_channel_count(c, block) // 2
+        # block-major back to channel-innermost, then drop the padding
+        back = blocked.transpose(1, 2, 0, 3).reshape(h, w, -1)[:, :, :c]
+        np.testing.assert_array_equal(back, arr)
 
 
 # =========================================================================
