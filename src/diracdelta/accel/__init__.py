@@ -17,7 +17,7 @@ from .subgraph import (
     run_subgraph,
     shift_pass,
 )
-from .units import PoolLane, ShiftLane, conversion_unit, shuffle_writeback
+from .units import PoolLane, ShiftLane, shuffle_writeback
 
 __all__ = [
     "SCHEDULERS",
@@ -39,6 +39,5 @@ __all__ = [
     "shift_pass",
     "PoolLane",
     "ShiftLane",
-    "conversion_unit",
     "shuffle_writeback",
 ]

@@ -49,6 +49,10 @@ class CostModelParams:
     oc_parallel: int = 32
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigurationError(f"{f.name} must be finite, got {v}")
         lo, hi = CYCLES_PER_IC_ITER_RANGE
         if not lo <= self.cycles_per_ic_iter <= hi:
             raise ConfigurationError(

@@ -1,5 +1,6 @@
-"""Hardware unit models: re-quantization comparators, pooling and shift line
-buffers, and the shuffle writeback.
+"""Hardware unit models: pooling and shift line buffers and the shuffle
+writeback. Re-quantization is `ThresholdTable.apply`; its comparator forms
+live with the test oracles.
 
 Every unit takes and returns uint8 code arrays, as the engines carry them;
 nothing here packs nibbles.
@@ -15,55 +16,8 @@ from collections import deque
 
 import numpy as np
 
-from ..errors import ConstructionError, ShapeError
+from ..errors import ShapeError
 from ..ops import ShiftDirection
-from ..quant import ThresholdTable
-
-
-# =========================================================================
-# accumulator -> code conversion
-# =========================================================================
-
-def conversion_linear(acc: int, thresholds) -> int:
-    """Reference comparator bank: count every threshold the value reaches."""
-    return sum(1 for t in thresholds if t <= acc)
-
-
-def conversion_tree(acc: int, thresholds) -> int:
-    """Four-deep comparison tree over 15 thresholds.
-
-    Walks offsets 8, 4, 2, 1 through the 1-indexed table, which is how a
-    pipelined comparator tree resolves a 4-bit code in four stages.
-    """
-    if len(thresholds) != 15:
-        raise ConstructionError(
-            f"the comparison tree needs exactly 15 thresholds, got {len(thresholds)}"
-        )
-    code = 0
-    for step in (8, 4, 2, 1):
-        probe = code + step
-        if probe <= 15 and thresholds[probe - 1] <= acc:
-            code = probe
-    return code
-
-
-def conversion_unit(acc, table: ThresholdTable, mode: str = "tree"):
-    """Accumulator-to-code conversion in one of three equivalent forms."""
-    if mode == "tree":
-        arr = np.asarray(acc)
-        if arr.ndim == 0:
-            return conversion_tree(int(arr), table.thresholds)
-        flat = [conversion_tree(int(v), table.thresholds) for v in arr.reshape(-1)]
-        return np.array(flat, dtype=np.uint8).reshape(arr.shape)
-    if mode == "linear":
-        arr = np.asarray(acc)
-        if arr.ndim == 0:
-            return conversion_linear(int(arr), table.thresholds)
-        flat = [conversion_linear(int(v), table.thresholds) for v in arr.reshape(-1)]
-        return np.array(flat, dtype=np.uint8).reshape(arr.shape)
-    if mode == "vector":
-        return table.apply(acc)
-    raise ConstructionError(f"unknown conversion mode {mode!r}")
 
 
 # =========================================================================

@@ -1,20 +1,24 @@
-"""Model bundles on disk: a manifest plus checksummed binary blobs.
+"""Model bundles on disk: a manifest plus checksummed weight blobs.
 
 A bundle is a directory:
 
     manifest.json       network shape, quantization params, per-layer rows
     <layer>.w           packed 4-bit weight codes, trailing CRC32 (LE u32)
-    <layer>.t           threshold table as little-endian int32, trailing CRC32
     fc.w                packed classifier weight codes, trailing CRC32
 
+The manifest holds only what the graph cannot supply: the format version,
+the network dimensions, the shared scale and bit widths, one ``{name,
+alpha, weight_scale}`` row per conv step in `compile_steps` order, and the
+classifier's ``scale``. Layer shapes, fused post-ops and blob names follow
+from the graph that the network dimensions compile to, and each threshold
+table is rebuilt from its layer's alpha and weight scale by
+`build_threshold_table`, so no stored value can disagree with another.
+
 `manifest.json` is written with sorted keys and a fixed layout so that the
-same bundle saves byte-identically every time. On load the layer rows are
-cross-checked against the graph regenerated from the network parameters, so
-a manifest edited out of step with its own shape description is rejected
-rather than silently trusted. A manifest field that is missing or of the
-wrong JSON type is reported by its path (say ``layers[0].alpha``). Blob names
-must be plain file names inside the bundle directory, and every blob payload
-must have exactly the size its shape requires.
+same bundle saves byte-identically every time. A manifest field that is
+missing or of the wrong JSON type is reported by its path (say
+``layers[0].alpha``), and every blob payload must have exactly the size its
+shape requires.
 """
 from __future__ import annotations
 
@@ -25,19 +29,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BundleError, ChecksumError, GraphError
-from .net import ModelBundle, NetworkSpec, compile_steps, conv_steps
+from .errors import BundleError, ChecksumError, ConstructionError, DomainError, GraphError
+from .net import ModelBundle, NetworkSpec, conv_steps
 from .quant import (
     LayerQuantParams,
     NetworkQuantParams,
-    QuantConfig,
-    ThresholdTable,
     build_threshold_table,
     quantize_weights,
 )
 from .tensor import WeightMatrix
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _CRC = struct.Struct("<I")
 
@@ -59,43 +61,45 @@ def _unframe(buf: bytes, what: str) -> bytes:
     return payload
 
 
-def _layer_rows(bundle: ModelBundle) -> list:
-    rows = []
-    for step in conv_steps(bundle.spec):
-        p = bundle.layer_params[step.name]
-        rows.append(
-            {
-                "alpha": p.alpha,
-                "in_channels": step.in_channels,
-                "name": step.name,
-                "out_channels": step.out_channels,
-                "pool": step.pool,
-                "shift": step.shift,
-                "shuffle_with": step.shuffle_with,
-                "spatial": step.spatial,
-                "table_file": f"{step.name}.t",
-                "weight_file": f"{step.name}.w",
-                "weight_scale": p.weight_scale,
-            }
-        )
-    return rows
+def _tables(layer_params: dict, net: NetworkQuantParams) -> dict:
+    """Every layer's threshold table, built from its alpha and weight scale."""
+    tables = {}
+    for name, p in layer_params.items():
+        try:
+            tables[name] = build_threshold_table(p, net)
+        except ConstructionError as e:
+            raise ConstructionError(f"layer {name}: {e}") from None
+    return tables
 
 
 def save_bundle(bundle: ModelBundle, path) -> Path:
-    """Write the bundle directory; returns the directory path."""
+    """Write the bundle directory; returns the directory path.
+
+    Tables are stored as the parameters they are built from, so a bundle
+    whose tables differ from what its parameters build is refused.
+    """
     bundle.validate()
+    for name, table in _tables(bundle.layer_params, bundle.net).items():
+        if bundle.tables.get(name) != table:
+            raise BundleError(
+                f"layer {name}: threshold table is not the one its alpha and "
+                "weight_scale build, and a bundle stores only those"
+            )
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     spec = bundle.spec
+    steps = conv_steps(spec)
     manifest = {
-        "fc": {
-            "in_features": spec.conv5_channels,
-            "out_features": spec.num_classes,
-            "scale": bundle.fc_scale,
-            "weight_file": "fc.w",
-        },
+        "fc": {"scale": bundle.fc_scale},
         "format_version": FORMAT_VERSION,
-        "layers": _layer_rows(bundle),
+        "layers": [
+            {
+                "alpha": bundle.layer_params[step.name].alpha,
+                "name": step.name,
+                "weight_scale": bundle.layer_params[step.name].weight_scale,
+            }
+            for step in steps
+        ],
         "network": {
             "conv5_channels": spec.conv5_channels,
             "input_channels": spec.input_channels,
@@ -105,20 +109,13 @@ def save_bundle(bundle: ModelBundle, path) -> Path:
             "stage_repeats": list(spec.stage_repeats),
             "stem_channels": list(spec.stem_channels),
         },
-        "quant": {
-            "k_a": bundle.net.k_a,
-            "k_w": bundle.net.k_w,
-            "s": bundle.net.s,
-            "tag": QuantConfig(bundle.net.k_w, bundle.net.k_a).tag,
-        },
+        "quant": {"k_a": bundle.net.k_a, "k_w": bundle.net.k_w, "s": bundle.net.s},
     }
     (root / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
-    for step in conv_steps(spec):
+    for step in steps:
         (root / f"{step.name}.w").write_bytes(_frame(bundle.weights[step.name].packed()))
-        table = np.asarray(bundle.tables[step.name].thresholds, dtype="<i4")
-        (root / f"{step.name}.t").write_bytes(_frame(table.tobytes()))
     (root / "fc.w").write_bytes(_frame(bundle.fc_weights.packed()))
     return root
 
@@ -131,9 +128,7 @@ def _is_int(v) -> bool:
 _KINDS = {
     "an integer": _is_int,
     "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "a boolean": lambda v: isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
-    "a string or null": lambda v: v is None or isinstance(v, str),
     "an object": lambda v: isinstance(v, dict),
     "a list": lambda v: isinstance(v, list),
     "a list of integers": lambda v: isinstance(v, list) and all(_is_int(e) for e in v),
@@ -158,7 +153,7 @@ def _field(obj: dict, path: str, key: str, kind: str):
 
 
 def load_bundle(path) -> ModelBundle:
-    """Read a bundle directory back, verifying checksums and graph consistency."""
+    """Read a bundle directory back, verifying checksums and rebuilding its tables."""
     root = Path(path)
     mf = root / "manifest.json"
     if not mf.is_file():
@@ -197,80 +192,45 @@ def load_bundle(path) -> ModelBundle:
             f"manifest lists {len(rows)} layers but the graph has {len(steps)}"
         )
     weights = {}
-    tables = {}
     layer_params = {}
     for i, (step, row) in enumerate(zip(steps, rows)):
         where = f"layers[{i}]"
         _checked(row, where, "an object")
-        for key, kind, want in (
-            ("name", "a string", step.name),
-            ("in_channels", "an integer", step.in_channels),
-            ("out_channels", "an integer", step.out_channels),
-            ("spatial", "an integer", step.spatial),
-            ("pool", "a boolean", step.pool),
-            ("shift", "a boolean", step.shift),
-            ("shuffle_with", "a string or null", step.shuffle_with),
-        ):
-            got = _field(row, where, key, kind)
-            if got != want:
-                raise GraphError(
-                    f"manifest row for {step.name} disagrees with the graph: "
-                    f"{key} is {got!r}, expected {want!r}"
-                )
-        layer_params[step.name] = LayerQuantParams(
-            alpha=_field(row, where, "alpha", "a number"),
-            weight_scale=_field(row, where, "weight_scale", "a number"),
-        )
-        wbuf = _read_blob(root, _field(row, where, "weight_file", "a string"),
-                          f"layer {step.name} weights")
-        weights[step.name] = _weights_from_blob(
-            wbuf, step.out_channels, step.in_channels, f"layer {step.name} weights"
-        )
-        tbuf = _read_blob(root, _field(row, where, "table_file", "a string"),
-                          f"layer {step.name} table")
-        want_bytes = net.act_levels * 4
-        if len(tbuf) != want_bytes:
-            raise BundleError(
-                f"layer {step.name} table: payload is {len(tbuf)} bytes, "
-                f"expected {want_bytes}"
+        name = _field(row, where, "name", "a string")
+        if name != step.name:
+            raise GraphError(
+                f"manifest {where} is {name!r}, but the graph's conv step {i} is {step.name!r}"
             )
-        values = np.frombuffer(tbuf, dtype="<i4")
-        tables[step.name] = ThresholdTable(tuple(int(v) for v in values))
-    if (_field(fc_row, "fc", "in_features", "an integer"),
-            _field(fc_row, "fc", "out_features", "an integer")) != (
-        spec.conv5_channels,
-        spec.num_classes,
-    ):
-        raise GraphError("manifest fc row disagrees with the network shape")
-    fc_buf = _read_blob(root, _field(fc_row, "fc", "weight_file", "a string"), "fc weights")
-    fc_weights = _weights_from_blob(fc_buf, spec.num_classes, spec.conv5_channels,
-                                    "fc weights")
+        try:
+            layer_params[step.name] = LayerQuantParams(
+                alpha=_field(row, where, "alpha", "a number"),
+                weight_scale=_field(row, where, "weight_scale", "a number"),
+            )
+        except DomainError as e:
+            raise BundleError(f"manifest.json {where}: {e}") from None
+        weights[step.name] = _read_weights(root, step.name, step.out_channels,
+                                           step.in_channels, f"layer {step.name} weights")
     bundle = ModelBundle(
         spec=spec,
         net=net,
         weights=weights,
-        tables=tables,
+        tables=_tables(layer_params, net),
         layer_params=layer_params,
-        fc_weights=fc_weights,
+        fc_weights=_read_weights(root, "fc", spec.num_classes, spec.conv5_channels,
+                                 "fc weights"),
         fc_scale=_field(fc_row, "fc", "scale", "a number"),
     )
     bundle.validate()
     return bundle
 
 
-def _read_blob(root: Path, rel: str, what: str) -> bytes:
-    if rel in ("", "..") or Path(rel).name != rel:
-        raise BundleError(
-            f"{what}: blob file {rel!r} is not a plain file name inside the bundle"
-        )
-    p = root / rel
+def _read_weights(root: Path, layer: str, out_channels: int, in_channels: int,
+                  what: str) -> WeightMatrix:
+    """The weight matrix in ``<layer>.w``, checksum and payload size verified."""
+    p = root / f"{layer}.w"
     if not p.is_file():
-        raise BundleError(f"{what}: missing blob file {rel}")
-    return _unframe(p.read_bytes(), what)
-
-
-def _weights_from_blob(buf: bytes, out_channels: int, in_channels: int,
-                       what: str) -> WeightMatrix:
+        raise BundleError(f"{what}: missing blob file {p.name}")
+    buf = _unframe(p.read_bytes(), what)
     want = (out_channels * in_channels + 1) // 2
     if len(buf) != want:
         raise BundleError(f"{what}: payload is {len(buf)} bytes, expected {want}")
@@ -289,16 +249,13 @@ def random_bundle(spec: NetworkSpec, net: NetworkQuantParams, seed: int) -> Mode
     rng = np.random.default_rng(seed)
     w_scale = 1.0 / net.weight_levels
     weights = {}
-    tables = {}
     layer_params = {}
     for step in conv_steps(spec):
         codes = rng.integers(0, net.weight_levels + 1,
                              size=(step.out_channels, step.in_channels), dtype=np.uint8)
         weights[step.name] = WeightMatrix(step.out_channels, step.in_channels, codes)
         alpha = net.s * float(rng.uniform(0.5, 1.5))
-        p = LayerQuantParams(alpha=alpha, weight_scale=w_scale)
-        layer_params[step.name] = p
-        tables[step.name] = build_threshold_table(p, net)
+        layer_params[step.name] = LayerQuantParams(alpha=alpha, weight_scale=w_scale)
     fc_codes = rng.integers(0, net.weight_levels + 1,
                             size=(spec.num_classes, spec.conv5_channels), dtype=np.uint8)
     fc_weights = WeightMatrix(spec.num_classes, spec.conv5_channels, fc_codes)
@@ -307,7 +264,7 @@ def random_bundle(spec: NetworkSpec, net: NetworkQuantParams, seed: int) -> Mode
         spec=spec,
         net=net,
         weights=weights,
-        tables=tables,
+        tables=_tables(layer_params, net),
         layer_params=layer_params,
         fc_weights=fc_weights,
         fc_scale=fc_scale,
@@ -325,7 +282,6 @@ def quantize_bundle(spec: NetworkSpec, net: NetworkQuantParams, float_weights: d
     """
     alphas = alphas or {}
     weights = {}
-    tables = {}
     layer_params = {}
     for step in conv_steps(spec):
         if step.name not in float_weights:
@@ -340,10 +296,9 @@ def quantize_bundle(spec: NetworkSpec, net: NetworkQuantParams, float_weights: d
         weights[step.name] = WeightMatrix(
             step.out_channels, step.in_channels, codes.astype(np.uint8)
         )
-        p = LayerQuantParams(alpha=float(alphas.get(step.name, net.s)),
-                             weight_scale=w_scale)
-        layer_params[step.name] = p
-        tables[step.name] = build_threshold_table(p, net)
+        layer_params[step.name] = LayerQuantParams(
+            alpha=float(alphas.get(step.name, net.s)), weight_scale=w_scale
+        )
     if "fc" not in float_weights:
         raise BundleError("no float weights supplied for layer fc")
     fw = np.asarray(float_weights["fc"], dtype=np.float64)
@@ -359,7 +314,7 @@ def quantize_bundle(spec: NetworkSpec, net: NetworkQuantParams, float_weights: d
         spec=spec,
         net=net,
         weights=weights,
-        tables=tables,
+        tables=_tables(layer_params, net),
         layer_params=layer_params,
         fc_weights=fc_weights,
         fc_scale=fc_w_scale * net.s / net.act_levels,

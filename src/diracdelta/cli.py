@@ -7,7 +7,7 @@ Subcommands:
     infer      run a bundle on an input tensor (reference or simulator engine)
     simulate   run the pipeline engine and print per-invocation statistics
     report     roofline, batch sweep, and block ablation from the cost model
-    validate   load a bundle, verifying checksums and graph consistency
+    validate   load a bundle, verifying checksums and rebuilding its tables
 
 Exit status: 0 on success, 1 on any validation or model error, 2 on I/O
 failures.
@@ -34,7 +34,7 @@ from .bundle import (
 )
 from .errors import DiracDeltaError, UnsupportedWidthError, ValidationError
 from .net import build_diracdeltanet, count_params_macs, forward
-from .quant import NetworkQuantParams, QuantConfig
+from .quant import NetworkQuantParams
 from .tensor import FeatureMap, read_tensor_blob
 
 DEFAULT_BATCHES = (1, 2, 4, 8, 16)
@@ -96,7 +96,7 @@ def cmd_build(cfg: RunConfig, s: float) -> int:
     path = save_bundle(bundle, cfg.out)
     print(f"bundle written to {path}")
     _print_structure(spec)
-    print(f"quant {QuantConfig(net.k_w, net.k_a).tag}, s={net.s}, seed {cfg.seed}")
+    print(f"quant {net.tag}, s={net.s}, seed {cfg.seed}")
     return 0
 
 
@@ -118,7 +118,7 @@ def cmd_quantize(cfg: RunConfig, weights_dir: Path, s: float, w_bits: int,
     bundle = quantize_bundle(spec, net, floats)
     path = save_bundle(bundle, cfg.out)
     print(f"bundle written to {path}")
-    print(f"quantized as {QuantConfig(w_bits, a_bits).tag}, s={s}")
+    print(f"quantized as {net.tag}, s={s}")
     return 0
 
 
@@ -186,9 +186,8 @@ def cmd_report(cfg: RunConfig) -> int:
 def cmd_validate(cfg: RunConfig) -> int:
     bundle = load_bundle(cfg.bundle)
     counts = count_params_macs(bundle.spec)
-    tag = QuantConfig(bundle.net.k_w, bundle.net.k_a).tag
     print(
-        f"bundle OK: {len(bundle.weights)} conv layers, {tag}, "
+        f"bundle OK: {len(bundle.weights)} conv layers, {bundle.net.tag}, "
         f"s={bundle.net.s}, params {counts.total_params}"
     )
     return 0

@@ -27,6 +27,7 @@ pool, shift, split and shuffle are the same `ops` functions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -319,8 +320,8 @@ class ModelBundle:
                 f"layer fc: weight shape ({fcw.out_channels}, {fcw.in_channels}) "
                 f"does not match graph {expected}"
             )
-        if not self.fc_scale > 0:
-            raise GraphError("fc_scale must be positive")
+        if not 0 < self.fc_scale < math.inf:
+            raise GraphError(f"fc_scale must be positive and finite, got {self.fc_scale}")
 
 
 def _default_shift(x: np.ndarray) -> np.ndarray:

@@ -11,8 +11,10 @@ A layer's threshold table folds its clip bound alpha, the shared s, and the
 layer weight scale into 15 integers over the accumulator domain. Looking an
 integer accumulator up in the table (count of thresholds <= acc) reproduces
 the float quantizer exactly; the table is built by bisecting the quantizer
-itself, so the equivalence is bit-for-bit under float rounding and the
-exhaustive sweep test can demand strict equality.
+itself, all 15 targets at once, so the equivalence is bit-for-bit under
+float rounding and the exhaustive sweep test can demand strict equality. A
+table is a pure function of alpha, the weight scale and s, which is why
+bundles store those and rebuild the table on load.
 
 At run time a table is not searched. Construction also lays out a uint8
 lookup array over the accumulator window [t_first - 1, t_last], one code per
@@ -28,7 +30,7 @@ wherever rounding happens, so "up" and "away from zero" agree.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -78,28 +80,11 @@ def quantize_weights(w, k: int = 4):
     return codes, m / float((1 << k) - 1)
 
 
-def dequantize_weight_codes(codes, k: int = 4) -> np.ndarray:
-    """Grid values in [-1, 1] for weight codes: (2*code - (2^k - 1)) / (2^k - 1)."""
-    levels = (1 << k) - 1
-    return (2.0 * np.asarray(codes, dtype=np.float64) - levels) / levels
-
-
 def pact_clip(x, alpha: float):
     """Clip x to [0, alpha]."""
     if not alpha > 0:
         raise DomainError(f"clip bound alpha must be positive, got {alpha}")
     return np.minimum(np.maximum(x, 0.0), alpha) if not _scalar_in(x) else min(max(x, 0.0), alpha)
-
-
-def pact_clip_abs_form(x, alpha: float):
-    """The absolute-value identity (|x| - |x - alpha| + alpha) / 2.
-
-    Algebraically equal to `pact_clip` for alpha > 0; in float64 the two can
-    differ by an ulp, which is why the pipeline uses the explicit clip.
-    """
-    if not alpha > 0:
-        raise DomainError(f"clip bound alpha must be positive, got {alpha}")
-    return (np.abs(x) - np.abs(x - alpha) + alpha) / 2
 
 
 @dataclass(frozen=True)
@@ -111,8 +96,8 @@ class NetworkQuantParams:
     k_a: int = 4
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise DomainError(f"activation scale s must be positive, got {self.s}")
+        if not 0 < self.s < math.inf:
+            raise DomainError(f"activation scale s must be positive and finite, got {self.s}")
         for name in ("k_w", "k_a"):
             v = getattr(self, name)
             if not 1 <= v <= 32:
@@ -125,6 +110,11 @@ class NetworkQuantParams:
     @property
     def act_levels(self) -> int:
         return (1 << self.k_a) - 1
+
+    @property
+    def tag(self) -> str:
+        """The width pair as the paper names it, such as ``C_{4,4}``."""
+        return f"C_{{{self.k_w},{self.k_a}}}"
 
 
 @dataclass(frozen=True)
@@ -140,10 +130,10 @@ class LayerQuantParams:
     weight_scale: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if not self.weight_scale > 0:
-            raise DomainError(f"weight_scale must be positive, got {self.weight_scale}")
+        for name in ("alpha", "weight_scale"):
+            v = getattr(self, name)
+            if not 0 < v < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {v}")
 
 
 class ActQuant(NamedTuple):
@@ -208,10 +198,6 @@ class ThresholdTable:
     def levels(self) -> int:
         return len(self.thresholds)
 
-    def lookup(self, acc: int) -> int:
-        """Code for one accumulator: how many thresholds it reaches."""
-        return bisect_right(self.thresholds, acc)
-
     def apply(self, acc) -> np.ndarray:
         """Vectorized lookup; returns uint8 codes with the input's shape."""
         arr = np.asarray(acc)
@@ -238,7 +224,8 @@ def build_threshold_table(
     accumulator whose quantized activation code reaches i. The search bisects
     `quantize_activation` itself over [0, acc_limit] (codes at non-positive
     accumulators are always 0 because alpha > 0), which makes the table agree
-    with the float path on every representable input by construction.
+    with the float path on every representable input by construction. All
+    targets are bisected together, one array of probes per step.
 
     Raises `ConstructionError` when the parameters are inconsistent with the
     accumulator range: a boundary beyond acc_limit (alpha too large for the
@@ -247,26 +234,24 @@ def build_threshold_table(
     """
     levels = net.act_levels
     f = accumulator_scale(params, net)
-
-    def code_at(acc: int) -> int:
-        return quantize_activation(acc * f, params, net).code
-
-    if code_at(acc_limit) < levels:
+    if quantize_activation(acc_limit * f, params, net).code < levels:
         raise ConstructionError(
             f"top code unreachable within accumulator range +-{acc_limit}; "
             f"alpha={params.alpha} is too large for this layer's scales"
         )
-    thresholds = []
-    for target in range(1, levels + 1):
-        lo, hi = 0, acc_limit  # code_at(lo) < target <= code_at(hi)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if code_at(mid) >= target:
-                hi = mid
-            else:
-                lo = mid
-        thresholds.append(hi)
-    for i in range(1, len(thresholds)):
+    targets = np.arange(1, levels + 1)
+    lo = np.zeros(levels, dtype=np.int64)  # code at lo < target <= code at hi
+    hi = np.full(levels, acc_limit, dtype=np.int64)
+    while np.any(hi - lo > 1):
+        # The code is monotone in acc, so any probe strictly inside (lo, hi]
+        # finds the same boundary. The upper midpoint leaves a settled pair
+        # (hi = lo + 1) where it is and never probes acc = 0.
+        mid = (lo + hi + 1) // 2
+        reached = quantize_activation(mid * f, params, net).code >= targets
+        hi = np.where(reached, mid, hi)
+        lo = np.where(reached, lo, mid)
+    thresholds = hi.tolist()
+    for i in range(1, levels):
         if thresholds[i] <= thresholds[i - 1]:
             raise ConstructionError(
                 f"codes {i} and {i + 1} share threshold {thresholds[i]}; "
@@ -274,20 +259,3 @@ def build_threshold_table(
             )
     return ThresholdTable(tuple(thresholds))
 
-
-@dataclass(frozen=True)
-class QuantConfig:
-    """A weight and activation bit-width pair, named by its tag."""
-
-    w_bits: int
-    a_bits: int
-
-    def __post_init__(self):
-        for name in ("w_bits", "a_bits"):
-            v = getattr(self, name)
-            if not 1 <= v <= 32:
-                raise DomainError(f"{name}={v} outside [1, 32]")
-
-    @property
-    def tag(self) -> str:
-        return f"C_{{{self.w_bits},{self.a_bits}}}"

@@ -1,18 +1,21 @@
 """Slow, obviously correct formulations that the fast engine paths must equal.
 
 Each is the straightforward form of something the package computes faster:
-a binary search instead of the threshold lookup array, an int64 matmul
-instead of the float32 GEMM, exact rationals instead of the integer head, and
-an operator-by-operator composition that stores every intermediate as a
-packed `FeatureMap` instead of the engines' step interpreter over uint8
-arrays.
+a binary search instead of the threshold lookup array, per-element
+comparator banks instead of the lookup array, one scalar bisection per code
+instead of the array bisection that builds a threshold table, an int64
+matmul instead of the float32 GEMM, exact rationals instead of the integer
+head, and an operator-by-operator composition that stores every intermediate
+as a packed `FeatureMap` instead of the engines' step interpreter over uint8
+arrays. The clip and weight-grid identities the package does not use are
+here too, as statements the tests check.
 """
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from diracdelta.errors import ShapeError
+from diracdelta.errors import ConstructionError, DomainError, ShapeError
 from diracdelta.net import ConvStep, PoolStep, ShiftStep, SplitStep, compile_steps
 from diracdelta.ops import (
     channel_split,
@@ -22,14 +25,102 @@ from diracdelta.ops import (
     maxpool2x2,
     shift,
 )
-from diracdelta.quant import NetworkQuantParams
-from diracdelta.tensor import ACC_DTYPE, FeatureMap, WeightMatrix, check_accumulators
+from diracdelta.quant import (
+    LayerQuantParams,
+    NetworkQuantParams,
+    ThresholdTable,
+    accumulator_scale,
+    quantize_activation,
+)
+from diracdelta.tensor import ACC_DTYPE, ACC_LIMIT, FeatureMap, WeightMatrix, check_accumulators
 
 
 def searchsorted_apply(table, acc) -> np.ndarray:
     """Threshold lookup as a binary search: how many thresholds acc reaches."""
     t = np.asarray(table.thresholds, dtype=np.int64)
     return np.searchsorted(t, np.asarray(acc), side="right").astype(np.uint8)
+
+
+def conversion_linear(acc: int, thresholds) -> int:
+    """Comparator bank: count every threshold the value reaches."""
+    return sum(1 for t in thresholds if t <= acc)
+
+
+def conversion_tree(acc: int, thresholds) -> int:
+    """Four-deep comparison tree over 15 thresholds.
+
+    Walks offsets 8, 4, 2, 1 through the 1-indexed table, which is how a
+    pipelined comparator tree resolves a 4-bit code in four stages.
+    """
+    if len(thresholds) != 15:
+        raise ConstructionError(
+            f"the comparison tree needs exactly 15 thresholds, got {len(thresholds)}"
+        )
+    code = 0
+    for step in (8, 4, 2, 1):
+        probe = code + step
+        if probe <= 15 and thresholds[probe - 1] <= acc:
+            code = probe
+    return code
+
+
+def conversion_unit(acc, table: ThresholdTable):
+    """The comparison tree on every accumulator: an int for a scalar, else uint8 codes."""
+    arr = np.asarray(acc)
+    if arr.ndim == 0:
+        return conversion_tree(int(arr), table.thresholds)
+    flat = [conversion_tree(int(v), table.thresholds) for v in arr.reshape(-1)]
+    return np.array(flat, dtype=np.uint8).reshape(arr.shape)
+
+
+def scalar_threshold_table(params: LayerQuantParams, net: NetworkQuantParams,
+                           acc_limit: int = ACC_LIMIT) -> ThresholdTable:
+    """`build_threshold_table` as one scalar bisection per target code."""
+    levels = net.act_levels
+    f = accumulator_scale(params, net)
+
+    def code_at(acc: int) -> int:
+        return quantize_activation(acc * f, params, net).code
+
+    if code_at(acc_limit) < levels:
+        raise ConstructionError(
+            f"top code unreachable within accumulator range +-{acc_limit}; "
+            f"alpha={params.alpha} is too large for this layer's scales"
+        )
+    thresholds = []
+    for target in range(1, levels + 1):
+        lo, hi = 0, acc_limit  # code_at(lo) < target <= code_at(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if code_at(mid) >= target:
+                hi = mid
+            else:
+                lo = mid
+        thresholds.append(hi)
+    for i in range(1, len(thresholds)):
+        if thresholds[i] <= thresholds[i - 1]:
+            raise ConstructionError(
+                f"codes {i} and {i + 1} share threshold {thresholds[i]}; "
+                f"alpha={params.alpha} is too small for this layer's scales"
+            )
+    return ThresholdTable(tuple(thresholds))
+
+
+def pact_clip_abs_form(x, alpha: float):
+    """The absolute-value identity (|x| - |x - alpha| + alpha) / 2.
+
+    Algebraically equal to `pact_clip` for alpha > 0; in float64 the two can
+    differ by an ulp, which is why the pipeline uses the explicit clip.
+    """
+    if not alpha > 0:
+        raise DomainError(f"clip bound alpha must be positive, got {alpha}")
+    return (np.abs(x) - np.abs(x - alpha) + alpha) / 2
+
+
+def dequantize_weight_codes(codes, k: int = 4) -> np.ndarray:
+    """Grid values in [-1, 1] for weight codes: (2*code - (2^k - 1)) / (2^k - 1)."""
+    levels = (1 << k) - 1
+    return (2.0 * np.asarray(codes, dtype=np.float64) - levels) / levels
 
 
 def conv1x1_int64(x: np.ndarray, weights: WeightMatrix) -> np.ndarray:

@@ -1,16 +1,9 @@
-"""Pixel-serial lane models, the conversion unit, shuffle writeback, and FIFOs."""
+"""Pixel-serial lane models, the conversion unit oracles, shuffle writeback, and FIFOs."""
 import numpy as np
 import pytest
 
 from diracdelta.accel.fifo import FifoChannel, run_network, run_round_robin, run_threaded
-from diracdelta.accel.units import (
-    PoolLane,
-    ShiftLane,
-    conversion_linear,
-    conversion_tree,
-    conversion_unit,
-    shuffle_writeback,
-)
+from diracdelta.accel.units import PoolLane, ShiftLane, shuffle_writeback
 from diracdelta.errors import (
     ConfigurationError,
     ConstructionError,
@@ -30,6 +23,8 @@ from diracdelta.ops import (
 )
 from diracdelta.quant import LayerQuantParams, NetworkQuantParams, ThresholdTable, build_threshold_table
 
+from oracles import conversion_linear, conversion_tree, conversion_unit
+
 # =========================================================================
 # conversion unit
 # =========================================================================
@@ -42,9 +37,9 @@ def _production_table():
 def test_conversion_forms_agree_everywhere_near_the_table():
     table = _production_table()
     span = np.arange(table.thresholds[0] - 30, table.thresholds[-1] + 30)
-    tree = conversion_unit(span, table, mode="tree")
-    linear = conversion_unit(span, table, mode="linear")
-    vector = conversion_unit(span, table, mode="vector")
+    tree = conversion_unit(span, table)
+    linear = [conversion_linear(int(a), table.thresholds) for a in span]
+    vector = table.apply(span)
     np.testing.assert_array_equal(tree, linear)
     np.testing.assert_array_equal(tree, vector)
 
@@ -52,11 +47,11 @@ def test_conversion_forms_agree_everywhere_near_the_table():
 def test_conversion_saturation():
     table = _production_table()
     lo, hi = table.thresholds[0], table.thresholds[-1]
-    for mode in ("tree", "linear", "vector"):
-        assert conversion_unit(lo - 1, table, mode=mode) == 0
-        assert conversion_unit(-115200, table, mode=mode) == 0
-        assert conversion_unit(hi, table, mode=mode) == 15
-        assert conversion_unit(115200, table, mode=mode) == 15
+    for convert in (conversion_tree, conversion_linear, lambda a, t: table.apply(a)):
+        assert convert(lo - 1, table.thresholds) == 0
+        assert convert(-115200, table.thresholds) == 0
+        assert convert(hi, table.thresholds) == 15
+        assert convert(115200, table.thresholds) == 15
 
 
 def test_conversion_thresholds_are_inclusive():
@@ -73,15 +68,10 @@ def test_conversion_tree_demands_a_full_table():
     assert conversion_linear(5, tuple(range(1, 8))) == 5
 
 
-def test_conversion_unit_unknown_mode():
-    with pytest.raises(ConstructionError, match="unknown conversion mode"):
-        conversion_unit(1, _production_table(), mode="simd")
-
-
 def test_conversion_unit_scalar_and_array_forms():
     table = ThresholdTable(tuple(range(10, 160, 10)))
-    assert conversion_unit(10, table, mode="tree") == 1
-    out = conversion_unit(np.array([[0, 10], [95, 200]]), table, mode="tree")
+    assert conversion_unit(10, table) == 1
+    out = conversion_unit(np.array([[0, 10], [95, 200]]), table)
     assert out.dtype == np.uint8
     assert out.tolist() == [[0, 1], [9, 15]]
 

@@ -17,7 +17,6 @@ from diracdelta.accel.perf import (
     roofline,
 )
 from diracdelta.accel.subgraph import SimulatorExecutor, run_subgraph
-from diracdelta.accel.units import conversion_unit
 from diracdelta.bundle import random_bundle
 from diracdelta.net import (
     ReferenceExecutor,
@@ -39,13 +38,14 @@ from diracdelta.quant import (
     NetworkQuantParams,
     accumulator_scale,
     build_threshold_table,
-    dequantize_weight_codes,
     pact_clip,
     quantize_activation,
     quantize_uniform,
     quantize_weights,
 )
 from diracdelta.tensor import ACC_LIMIT, WeightMatrix, check_accumulators
+
+from oracles import conversion_linear, conversion_unit, dequantize_weight_codes
 
 NET = NetworkQuantParams(s=1.0)
 
@@ -185,8 +185,8 @@ def test_criterion_05_exhaustive_conversion_sweep():
     f = accumulator_scale(p, NET)
     want = quantize_activation(accs * f, p, NET).code.astype(np.uint8)
     np.testing.assert_array_equal(table.apply(accs), want)
-    tree = conversion_unit(accs, table, mode="tree")
-    linear = conversion_unit(accs, table, mode="linear")
+    tree = conversion_unit(accs, table)
+    linear = np.array([conversion_linear(int(a), table.thresholds) for a in accs], dtype=np.uint8)
     np.testing.assert_array_equal(tree, want)
     np.testing.assert_array_equal(linear, want)
     print("[PASS] criterion 5: lookup equals the float formula for all "

@@ -1,4 +1,5 @@
 """Bundle serialization: manifests, checksummed blobs, and float weight import."""
+import dataclasses
 import json
 import struct
 import zlib
@@ -17,7 +18,12 @@ from diracdelta.bundle import (
 )
 from diracdelta.errors import BundleError, ChecksumError, ConstructionError, GraphError
 from diracdelta.net import conv_steps, forward
-from diracdelta.quant import NetworkQuantParams
+from diracdelta.quant import (
+    LayerQuantParams,
+    NetworkQuantParams,
+    ThresholdTable,
+    build_threshold_table,
+)
 
 
 def _tree_bytes(root):
@@ -67,10 +73,14 @@ def test_manifest_shape(tmp_path, tiny_bundle):
     root = save_bundle(tiny_bundle, tmp_path / "b")
     text = (root / "manifest.json").read_text()
     manifest = json.loads(text)
-    assert manifest["format_version"] == 1
-    assert manifest["quant"] == {"k_a": 4, "k_w": 4, "s": 1.0, "tag": "C_{4,4}"}
-    assert len(manifest["layers"]) == len(conv_steps(tiny_bundle.spec))
-    assert manifest["fc"]["in_features"] == tiny_bundle.spec.conv5_channels
+    assert manifest["format_version"] == 2
+    assert manifest["quant"] == {"k_a": 4, "k_w": 4, "s": 1.0}
+    assert manifest["layers"] == [
+        {"alpha": p.alpha, "name": step.name, "weight_scale": p.weight_scale}
+        for step in conv_steps(tiny_bundle.spec)
+        for p in [tiny_bundle.layer_params[step.name]]
+    ]
+    assert manifest["fc"] == {"scale": tiny_bundle.fc_scale}
     # stable serialization: sorted keys, two-space indent, trailing newline
     assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
@@ -83,9 +93,12 @@ def test_blob_framing(tmp_path, tiny_bundle):
     payload, tail = blob[:-4], blob[-4:]
     assert payload == tiny_bundle.weights["conv1"].packed()
     assert int.from_bytes(tail, "little") == zlib.crc32(payload)
-    table_payload = (root / "conv1.t").read_bytes()[:-4]
-    want = np.asarray(tiny_bundle.tables["conv1"].thresholds, dtype="<i4").tobytes()
-    assert table_payload == want
+
+
+def test_bundle_directory_holds_the_manifest_and_weight_blobs_only(tmp_path, tiny_bundle):
+    root = save_bundle(tiny_bundle, tmp_path / "b")
+    want = {"manifest.json", "fc.w"} | {f"{s.name}.w" for s in conv_steps(tiny_bundle.spec)}
+    assert {p.name for p in root.iterdir()} == want
 
 
 # =========================================================================
@@ -102,9 +115,11 @@ def test_flipped_weight_byte_is_caught(tmp_path, tiny_bundle):
         load_bundle(root)
 
 
-def test_truncated_table_is_caught(tmp_path, tiny_bundle):
+
+
+def test_truncated_weight_blob_is_caught(tmp_path, tiny_bundle):
     root = save_bundle(tiny_bundle, tmp_path / "b")
-    p = root / "conv1.t"
+    p = root / "conv1.w"
     p.write_bytes(p.read_bytes()[:2])
     with pytest.raises(ChecksumError, match="shorter than its own checksum"):
         load_bundle(root)
@@ -112,14 +127,6 @@ def test_truncated_table_is_caught(tmp_path, tiny_bundle):
 
 def _write_framed(path, payload: bytes) -> None:
     path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
-
-
-def test_table_payload_with_valid_crc_but_wrong_size(tmp_path, tiny_bundle):
-    root = save_bundle(tiny_bundle, tmp_path / "b")
-    payload = np.arange(1, 8, dtype="<i4").tobytes()  # 7 thresholds, not 15
-    _write_framed(root / "conv1.t", payload)
-    with pytest.raises(BundleError, match="payload is 28 bytes, expected 60"):
-        load_bundle(root)
 
 
 def test_over_long_weight_blobs_with_valid_crc_are_rejected(tmp_path, tiny_bundle):
@@ -132,27 +139,6 @@ def test_over_long_weight_blobs_with_valid_crc_are_rejected(tmp_path, tiny_bundl
         with pytest.raises(BundleError, match=f"{what}: payload is {size + 1} bytes, "
                                               f"expected {size}"):
             load_bundle(root)
-
-
-def test_blob_names_must_stay_inside_the_bundle(tmp_path, tiny_bundle):
-    other = save_bundle(tiny_bundle, tmp_path / "other")
-    root = save_bundle(tiny_bundle, tmp_path / "b")
-    assert (root / "../other/conv2.w").is_file()
-    for key, value in (("weight_file", "../other/conv2.w"), ("table_file", str(other / "conv2.t")),
-                       ("weight_file", ".."), ("table_file", "")):
-        mf = json.loads((root / "manifest.json").read_text())
-        mf["layers"][1][key] = value
-        (root / "manifest.json").write_text(json.dumps(mf))
-        with pytest.raises(BundleError, match="not a plain file name inside the bundle"):
-            load_bundle(root)
-
-
-def test_table_with_thresholds_beyond_the_accumulator_range(tmp_path, tiny_bundle):
-    root = save_bundle(tiny_bundle, tmp_path / "b")
-    far = np.arange(1, 16, dtype="<i4") * 100_000_000
-    _write_framed(root / "conv1.t", far.tobytes())
-    with pytest.raises(ConstructionError, match="outside the accumulator range"):
-        load_bundle(root)
 
 
 def test_missing_blob(tmp_path, tiny_bundle):
@@ -195,9 +181,10 @@ def test_missing_manifest_field(tmp_path, tiny_bundle):
 def test_manifest_row_out_of_step_with_graph(tmp_path, tiny_bundle):
     root = save_bundle(tiny_bundle, tmp_path / "b")
     mf = json.loads((root / "manifest.json").read_text())
-    mf["layers"][1]["in_channels"] = 999
+    mf["layers"][1]["name"] = "conv3"
     (root / "manifest.json").write_text(json.dumps(mf))
-    with pytest.raises(GraphError, match="conv2 disagrees with the graph: in_channels is 999"):
+    with pytest.raises(GraphError, match="layers\\[1\\] is 'conv3', but the graph's conv "
+                                         "step 1 is 'conv2'"):
         load_bundle(root)
 
 
@@ -210,13 +197,38 @@ def test_manifest_dropped_row(tmp_path, tiny_bundle):
         load_bundle(root)
 
 
-def test_manifest_fc_row_mismatch(tmp_path, tiny_bundle):
+# =========================================================================
+# threshold tables are rebuilt from the manifest
+# =========================================================================
+
+def test_editing_alpha_rebuilds_the_table(tmp_path, tiny_bundle):
     root = save_bundle(tiny_bundle, tmp_path / "b")
     mf = json.loads((root / "manifest.json").read_text())
-    mf["fc"]["out_features"] = 7
+    mf["layers"][1]["alpha"] = 0.6
     (root / "manifest.json").write_text(json.dumps(mf))
-    with pytest.raises(GraphError, match="fc row disagrees"):
+    loaded = load_bundle(root)
+    p = loaded.layer_params["conv2"]
+    assert p == LayerQuantParams(alpha=0.6, weight_scale=tiny_bundle.layer_params["conv2"].weight_scale)
+    assert loaded.tables["conv2"] == build_threshold_table(p, tiny_bundle.net)
+    assert loaded.tables["conv2"] != tiny_bundle.tables["conv2"]
+    assert loaded.tables["conv1"] == tiny_bundle.tables["conv1"]
+
+
+def test_alpha_without_a_table_fails_to_load_naming_the_layer(tmp_path, tiny_bundle):
+    root = save_bundle(tiny_bundle, tmp_path / "b")
+    mf = json.loads((root / "manifest.json").read_text())
+    mf["layers"][2]["alpha"] = 1e9
+    (root / "manifest.json").write_text(json.dumps(mf))
+    with pytest.raises(ConstructionError, match="layer s2d_skip_conv: top code unreachable"):
         load_bundle(root)
+
+
+def test_save_refuses_a_table_its_parameters_do_not_build(tmp_path, tiny_bundle):
+    tables = dict(tiny_bundle.tables, conv2=ThresholdTable(tuple(range(1, 16))))
+    b = dataclasses.replace(tiny_bundle, tables=tables)
+    with pytest.raises(BundleError, match="layer conv2: threshold table is not the one"):
+        save_bundle(b, tmp_path / "b")
+    assert not (tmp_path / "b").exists()
 
 
 # =========================================================================
@@ -240,6 +252,7 @@ def test_quantize_bundle_runs_and_round_trips(tmp_path, tiny_spec, quant_params)
     b = quantize_bundle(tiny_spec, quant_params, floats)
     b.validate()
     loaded = load_bundle(save_bundle(b, tmp_path / "q"))
+    assert loaded.tables == b.tables
     fm = random_input(tiny_spec, seed=51)
     np.testing.assert_array_equal(forward(b, fm).int_logits, forward(loaded, fm).int_logits)
 

@@ -7,12 +7,13 @@ import json
 import shutil
 import subprocess
 import sys
-import zlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from diracdelta import cli
+from diracdelta.accel.perf import CostModelParams
 from diracdelta.tensor import FeatureMap, write_tensor_blob
 
 
@@ -50,7 +51,7 @@ def test_build_prints_structure_and_writes_bundle(tmp_path, capsys):
     assert "total params 3274848, macs 330178560" in stdout
     assert "quant C_{4,4}, s=1.0, seed 1" in stdout
     assert (out / "manifest.json").is_file()
-    assert (out / "conv1.w").is_file() and (out / "conv1.t").is_file()
+    assert (out / "conv1.w").is_file() and not (out / "conv1.t").exists()
 
 
 def test_build_is_deterministic_per_seed(tmp_path):
@@ -84,17 +85,6 @@ def test_corrupt_blob_fails_validation_with_exit_1(tmp_path, capsys):
     assert "checksum mismatch" in capsys.readouterr().err
 
 
-def test_out_of_range_threshold_blob_fails_validation_with_exit_1(tmp_path, capsys):
-    out = tmp_path / "b"
-    assert cli.main(["build", "--out", str(out), "--seed", "2"]) == 0
-    # a valid checksum over thresholds up to 2**31 - 1, far beyond the accumulator range
-    payload = np.linspace(1, 2**31 - 1, 15).astype("<i4").tobytes()
-    (out / "conv2.t").write_bytes(payload + zlib.crc32(payload).to_bytes(4, "little"))
-    capsys.readouterr()
-    assert cli.main(["validate", "--bundle", str(out)]) == 1
-    assert "outside the accumulator range" in capsys.readouterr().err
-
-
 # Every manifest field `load_bundle` reads, with a value of the wrong JSON type
 MANIFEST_FIELDS = [
     (("format_version",), "1"),
@@ -112,21 +102,10 @@ MANIFEST_FIELDS = [
     (("quant", "k_a"), 4.5),
     (("layers",), {}),
     (("layers", 0, "name"), 1),
-    (("layers", 0, "in_channels"), "3"),
-    (("layers", 0, "out_channels"), [4]),
-    (("layers", 0, "spatial"), 16.0),
-    (("layers", 0, "pool"), "true"),
-    (("layers", 0, "shift"), 1),
-    (("layers", 0, "shuffle_with"), 0),
     (("layers", 0, "alpha"), "0.9"),
     (("layers", 0, "weight_scale"), False),
-    (("layers", 0, "weight_file"), ["conv1.w"]),
-    (("layers", 0, "table_file"), None),
     (("fc",), []),
-    (("fc", "in_features"), "32"),
-    (("fc", "out_features"), 10.0),
     (("fc", "scale"), "0.004"),
-    (("fc", "weight_file"), 7),
 ]
 
 
@@ -179,6 +158,51 @@ def test_malformed_manifest_field_fails_validation_naming_it(
     assert rc == 1
     assert err.startswith("error: ") and _field_path(keys) in err
     assert "Traceback" not in err
+
+
+def _key_paths(obj, path=""):
+    """Every key path in a parsed manifest, with list indices written as [0]."""
+    paths = set()
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            sub = f"{path}.{k}" if path else k
+            paths |= {sub} | _key_paths(v, sub)
+    elif isinstance(obj, list):
+        for v in obj:
+            paths |= _key_paths(v, f"{path}[0]")
+    return paths
+
+
+def test_manifest_holds_only_fields_the_loader_reads(tiny_bundle_dir):
+    manifest = json.loads((tiny_bundle_dir / "manifest.json").read_text())
+    assert _key_paths(manifest) == {_field_path(keys) for keys, _ in MANIFEST_FIELDS}
+
+
+@pytest.mark.parametrize("keys", [("fc", "scale"), ("quant", "s"), ("layers", 0, "alpha"),
+                                  ("layers", 0, "weight_scale")], ids=_field_path)
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+def test_non_finite_manifest_number_fails_validation(tiny_bundle_dir, tmp_path, capsys,
+                                                     keys, value):
+    rc, err = _validate_with_manifest(
+        tiny_bundle_dir, tmp_path, capsys, lambda mf: _set(mf, keys, value))
+    assert rc == 1
+    assert err.startswith("error: ") and "finite" in err
+    assert "Traceback" not in err
+
+
+def test_alpha_without_a_threshold_table_fails_validation(tiny_bundle_dir, tmp_path, capsys):
+    rc, err = _validate_with_manifest(
+        tiny_bundle_dir, tmp_path, capsys, lambda mf: _set(mf, ("layers", 0, "alpha"), 1e9))
+    assert rc == 1
+    assert err.startswith("error: layer conv1: top code unreachable")
+    assert "Traceback" not in err
+
+
+def test_version_1_manifest_fails_validation(tiny_bundle_dir, tmp_path, capsys):
+    rc, err = _validate_with_manifest(
+        tiny_bundle_dir, tmp_path, capsys, lambda mf: _set(mf, ("format_version",), 1))
+    assert rc == 1
+    assert err == "error: unsupported bundle format_version 1\n"
 
 
 @pytest.mark.parametrize("edit,fragment", [
@@ -377,6 +401,22 @@ def test_report_bad_cost_config_key(tmp_path, capsys):
     rc = cli.main(["report", "--cost-config", str(cfg)])
     assert rc == 1
     assert "unknown cost parameter 'warp'" in capsys.readouterr().err
+
+
+FLOAT_COST_KEYS = [k for k, v in asdict(CostModelParams()).items() if isinstance(v, float)]
+
+
+@pytest.mark.parametrize("key", FLOAT_COST_KEYS)
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_report_rejects_a_non_finite_cost_config_value(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cost.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "r.json"
+    rc = cli.main(["report", "--cost-config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not out.exists()
 
 
 # =========================================================================

@@ -6,7 +6,9 @@ code i sits at the smallest integer accumulator acc with
 ``ceil(alpha * (2i - 1) / (2 * levels * f))`` computed in exact arithmetic.
 """
 import dataclasses
+import itertools
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -21,20 +23,22 @@ from diracdelta.errors import (
 from diracdelta.quant import (
     LayerQuantParams,
     NetworkQuantParams,
-    QuantConfig,
     ThresholdTable,
     accumulator_scale,
     build_threshold_table,
-    dequantize_weight_codes,
     pact_clip,
-    pact_clip_abs_form,
     quantize_activation,
     quantize_uniform,
     quantize_weights,
 )
 from diracdelta.tensor import ACC_LIMIT
 
-from oracles import searchsorted_apply
+from oracles import (
+    dequantize_weight_codes,
+    pact_clip_abs_form,
+    scalar_threshold_table,
+    searchsorted_apply,
+)
 
 # =========================================================================
 # uniform quantizer
@@ -196,6 +200,13 @@ def test_accumulator_scale():
 def test_param_validation():
     with pytest.raises(DomainError):
         NetworkQuantParams(s=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            NetworkQuantParams(s=bad)
+        with pytest.raises(DomainError, match="alpha must be positive and finite"):
+            LayerQuantParams(alpha=bad, weight_scale=1.0)
+        with pytest.raises(DomainError, match="weight_scale must be positive and finite"):
+            LayerQuantParams(alpha=1.0, weight_scale=bad)
     with pytest.raises(DomainError):
         NetworkQuantParams(s=1.0, k_a=0)
     with pytest.raises(DomainError):
@@ -255,6 +266,28 @@ def test_table_agrees_with_float_quantizer_on_a_sweep():
     np.testing.assert_array_equal(table.apply(accs), want.astype(np.uint8))
 
 
+def _built_or_error(build, p, net):
+    try:
+        return build(p, net).thresholds
+    except ConstructionError as e:
+        return type(e), str(e)
+
+
+def test_array_bisection_matches_the_scalar_oracle():
+    """Same thresholds, or the same error, over a grid that reaches both error kinds."""
+    alphas = (1e-3, 0.05, 0.3, 0.7549, 1.0, 1.3, 7.0, 30.0, 600.0, 1e9)
+    weight_scales = (1e-3, 0.05, 1 / 15, 0.5, 1.0, 3.0)
+    scales = (0.1, 0.37, 1.0, 2.5, 1e6)
+    outcomes = []
+    for alpha, ws, s in itertools.product(alphas, weight_scales, scales):
+        p, net = LayerQuantParams(alpha=alpha, weight_scale=ws), NetworkQuantParams(s=s)
+        got = _built_or_error(build_threshold_table, p, net)
+        assert got == _built_or_error(scalar_threshold_table, p, net), (alpha, ws, s)
+        outcomes.append(got[0] if got[0] is ConstructionError else "table")
+    assert len(outcomes) == 300
+    assert 50 < outcomes.count(ConstructionError) < 250
+
+
 def test_alpha_too_large_is_rejected():
     p = LayerQuantParams(alpha=600.0, weight_scale=1 / 15)
     with pytest.raises(ConstructionError, match="top code unreachable.*too large"):
@@ -279,11 +312,8 @@ def test_table_construction_guards():
 def test_lookup_semantics():
     table = ThresholdTable(tuple(range(1, 16)))
     assert table.levels == 15
-    assert table.lookup(-10) == 0
-    assert table.lookup(0) == 0
-    assert table.lookup(1) == 1  # thresholds are inclusive
-    assert table.lookup(15) == 15
-    assert table.lookup(ACC_LIMIT) == 15
+    # thresholds are inclusive: 1 reaches the first one
+    assert table.apply(np.array([-10, 0, 1, 15, ACC_LIMIT])).tolist() == [0, 0, 1, 15, 15]
 
 
 def test_apply_matches_scalar_lookup():
@@ -292,7 +322,7 @@ def test_apply_matches_scalar_lookup():
     accs = rng.integers(-500, 5000, size=300)
     out = table.apply(accs)
     assert out.dtype == np.uint8
-    assert out.tolist() == [table.lookup(int(a)) for a in accs]
+    assert out.tolist() == [bisect_right(table.thresholds, int(a)) for a in accs]
 
 
 def _lookup_oracle_tables():
@@ -342,7 +372,7 @@ def test_apply_keeps_the_input_shape_and_casts_narrow_integers():
     for dtype in (np.int8, np.int16, np.uint8, np.uint16, np.uint32):
         small = np.arange(0, 12, dtype=dtype)
         np.testing.assert_array_equal(table.apply(small), searchsorted_apply(table, small))
-    assert int(table.apply(np.int32(3))) == table.lookup(3)
+    assert int(table.apply(np.int32(3))) == int(searchsorted_apply(table, 3)) == 11
     with pytest.raises(ValidationError, match="accumulators must be integers"):
         table.apply(np.array([0.5, 1.5]))
 
@@ -362,9 +392,9 @@ def test_table_rejects_thresholds_outside_the_accumulator_range():
 # =========================================================================
 
 def test_quant_config_tag_and_lineage():
-    assert QuantConfig(4, 4).tag == "C_{4,4}"
-    assert QuantConfig(32, 32).tag == "C_{32,32}"
-    # a config is its two widths, with no chain of parent configs
-    assert [f.name for f in dataclasses.fields(QuantConfig)] == ["w_bits", "a_bits"]
+    assert NetworkQuantParams(s=1.0).tag == "C_{4,4}"
+    assert NetworkQuantParams(s=1.0, k_w=32, k_a=2).tag == "C_{32,2}"
+    # the widths sit next to the shared scale, with no chain of parent configs
+    assert [f.name for f in dataclasses.fields(NetworkQuantParams)] == ["s", "k_w", "k_a"]
     with pytest.raises(DomainError):
-        QuantConfig(0, 4)
+        NetworkQuantParams(s=1.0, k_w=0)
