@@ -10,9 +10,12 @@ comparators, optionally pool and shift on the way out, and store the result
 (optionally shuffled with a skip tensor) back to DRAM.
 
 The stages are independent processes joined by bounded FIFOs carrying whole
-rows, so the computed bytes are identical under any scheduler; what the
-simulator adds over the reference operators is the traffic and occupancy
-accounting of a real run.
+rows (one item per row and input channel block on the loader edge), so the
+computed bytes are identical under any scheduler; what the simulator adds
+over the reference operators is the traffic and occupancy accounting of a
+real run. Each stage works on a whole row at once: the conv stage runs one
+GEMM per input block, and the pool and shift lanes take rows while reporting
+the occupancy of the pixel-serial line buffers the hardware would build.
 """
 from __future__ import annotations
 
@@ -20,12 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ShapeError, ValidationError
 from ..net import ConvStep, ModelBundle
 from ..ops import IDENTITY, default_shift_directions
 from ..quant import ThresholdTable
 from ..tensor import (
     ACC_DTYPE,
+    CODE_MAX,
     DEFAULT_BLOCK,
     WeightMatrix,
     blocked_channel_count,
@@ -71,23 +75,23 @@ class SubgraphResult:
     stats: SubgraphStats
 
 
-def _weight_tiles(weights: WeightMatrix, schedule: TileSchedule):
-    """Pad weights to whole tiles; returns (tiles, n_oc, n_ic, padded bytes).
+def _weight_blocks(weights: WeightMatrix, schedule: TileSchedule):
+    """Transposed signed weights, zero padded to whole tiles, one per input block.
 
-    tiles[ob, ib] is the (oc, ic) block of signed effective weights. Padding
-    rows and columns carry code 0; padded input channels are harmless since
-    the corresponding activation codes are zero, and padded output channels
-    are trimmed at the store stage.
+    Returns ``(blocks, padded bytes)``: blocks[ib] is the (ic, oc_pad) float32
+    slab that input block ib multiplies, every output tile side by side. The
+    padding is zero, so padded input channels (whose codes are zero anyway)
+    add nothing and padded output channels, trimmed at the store stage,
+    accumulate nothing. The byte count is the tiled codes' DRAM footprint.
+    The slab lives for one call: caching it, or `WeightMatrix.effective_f32`,
+    would keep a float32 copy of every layer's weights resident.
     """
     oc_pad = blocked_channel_count(weights.out_channels, schedule.oc)
     ic_pad = blocked_channel_count(weights.in_channels, schedule.ic)
-    codes = np.zeros((oc_pad, ic_pad), dtype=np.uint8)
-    codes[: weights.out_channels, : weights.in_channels] = weights.codes
-    eff = (2 * codes.astype(ACC_DTYPE)) - 15
-    n_oc = oc_pad // schedule.oc
-    n_ic = ic_pad // schedule.ic
-    tiles = eff.reshape(n_oc, schedule.oc, n_ic, schedule.ic).transpose(0, 2, 1, 3)
-    return tiles, n_oc, n_ic, oc_pad * ic_pad // 2
+    slab = np.zeros((ic_pad, oc_pad), dtype=np.float32)
+    slab[: weights.in_channels, : weights.out_channels] = weights.effective().T
+    blocks = slab.reshape(ic_pad // schedule.ic, schedule.ic, oc_pad)
+    return blocks, oc_pad * ic_pad // 2
 
 
 def _loader_stage(blocked: np.ndarray, out_fifo: FifoChannel):
@@ -98,25 +102,26 @@ def _loader_stage(blocked: np.ndarray, out_fifo: FifoChannel):
             yield ("put", out_fifo, blocked[b, y])
 
 
-def _conv_stage(tiles, n_ic, n_oc, height, width, oc_tile, real_oc, stats,
+def _conv_stage(blocks, height, width, real_oc, stats,
                 in_fifo: FifoChannel, out_fifo: FifoChannel):
     """Output-stationary MACs: every pixel keeps all its output partials.
 
     The register file holds one row of pixels with the full padded output
     channel range each; input channel blocks arrive one after another and
-    each one updates every output tile before the next block is consumed.
+    each one updates every output tile, in one GEMM, before the next block
+    is consumed. The float32 GEMM is exact: each product is an integer of
+    magnitude at most 15 * 15 = 225, so every partial sum within a block is
+    an integer below 225 * ic < 2**24 (`run_subgraph` refuses wider tiles),
+    which float32 represents, in whatever order the BLAS sums. Blocks
+    accumulate in the int32 register file.
     """
+    n_ic, _, oc_pad = blocks.shape
     for _y in range(height):
-        reg = np.zeros((width, n_oc * oc_tile), dtype=ACC_DTYPE)
+        reg = np.zeros((width, oc_pad), dtype=ACC_DTYPE)
         for ib in range(n_ic):
             row = yield ("get", in_fifo)
-            acts = row.astype(np.float64)
-            for ob in range(n_oc):
-                prod = acts @ tiles[ob, ib].astype(np.float64).T
-                reg[:, ob * oc_tile : (ob + 1) * oc_tile] += prod.astype(ACC_DTYPE)
-        real = reg[:, :real_oc]
-        check_accumulators(real)
-        peak = int(np.abs(real).max()) if real.size else 0
+            reg += (row.astype(np.float32) @ blocks[ib]).astype(ACC_DTYPE)
+        peak = check_accumulators(reg[:, :real_oc])
         if peak > stats.max_abs_acc:
             stats.max_abs_acc = peak
         yield ("put", out_fifo, reg)
@@ -177,12 +182,17 @@ def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
         )
     if pool and (h % 2 or w % 2):
         raise ShapeError(f"pooling needs even spatial dims, got {h}x{w}")
+    if CODE_MAX * CODE_MAX * schedule.ic >= 2**24:
+        raise ValidationError(
+            f"input tile of {schedule.ic} channels: partial sums could reach 2**24, "
+            "beyond what a float32 GEMM sums exactly"
+        )
     stats = SubgraphStats()
     blocked = blocked_layout(x, schedule.ic)
-    tiles, n_oc, n_ic, weight_bytes = _weight_tiles(weights, schedule)
+    blocks, weight_bytes = _weight_blocks(weights, schedule)
     stats.weight_bytes = weight_bytes
     stats.dram_read_bytes = blocked.size // 2 + weight_bytes
-    oc_pad = n_oc * schedule.oc
+    oc_pad = blocks.shape[2]
     real_oc = weights.out_channels
     out_h, out_w = (h // 2, w // 2) if pool else (h, w)
 
@@ -192,7 +202,7 @@ def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
     fifos = [f_in, f_acc]
     stages = [
         _loader_stage(blocked, f_in),
-        _conv_stage(tiles, n_ic, n_oc, h, w, schedule.oc, real_oc, stats, f_in, f_acc),
+        _conv_stage(blocks, h, w, real_oc, stats, f_in, f_acc),
     ]
     pool_lane = PoolLane(w, oc_pad) if pool else None
     shift_lane = None

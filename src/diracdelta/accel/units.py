@@ -5,32 +5,39 @@ live with the test oracles.
 Every unit takes and returns uint8 code arrays, as the engines carry them;
 nothing here packs nibbles.
 
-The lanes here are pixel-serial: they consume a raster stream one pixel at a
-time and buffer only what the hardware would, so tests can pin their peak
-occupancy against the sizes the RTL would need (width + 1 rows of pixels for
-the pooler, two padded rows plus a little slack for the shifter).
+The lanes take whole raster rows and compute each output row with a few
+array operations, but they report the peak occupancy of the pixel-serial
+line buffer the hardware would build: a closed form over the pixels fed so
+far, so tests can pin it against the sizes the RTL would need (width + 1
+pixels for the pooler, two padded rows plus one pixel for the shifter). The
+pixel-serial lanes themselves are the test oracles these must equal.
 """
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
 from ..errors import ShapeError
-from ..ops import ShiftDirection
+from ..ops import ShiftDirection, _channel_groups
+
+
+def _check_row(arr: np.ndarray, width: int, channels: int) -> None:
+    if arr.shape != (width, channels):
+        raise ShapeError(
+            f"row has shape {arr.shape}, lane expects ({width}, {channels})"
+        )
 
 
 # =========================================================================
-# pixel-serial pooling
+# pooling
 # =========================================================================
 
 class PoolLane:
-    """2x2 stride-2 max pooling over a raster pixel stream.
+    """2x2 stride-2 max pooling over a raster row stream.
 
-    Keeps at most width + 1 pixels: the previous row plus the pixel to the
-    left. A result comes out on every odd row, odd column arrival, built
-    from the stored neighbors at offsets -(width+1), -width, -1 and the
-    arriving pixel.
+    Keeps the previous even row; each odd row completes one output row, the
+    max over the row pair and then over column pairs. The pixel-serial line
+    buffer holds the previous row plus the pixel to the left, so its
+    occupancy after ``fed`` pixels is ``min(fed, width + 1)``.
     """
 
     def __init__(self, width: int, channels: int):
@@ -38,57 +45,42 @@ class PoolLane:
             raise ShapeError(f"pool lane width must be even and >= 2, got {width}")
         self.width = width
         self.channels = channels
-        self.max_occupancy = 0
-        self._buf = deque(maxlen=width + 1)
-        self._x = 0
-        self._y = 0
+        self._fed = 0
+        self._upper = None
 
-    def feed(self, pixel):
-        """Push one pixel; returns the pooled pixel when a window completes."""
-        px = np.asarray(pixel)
-        if px.shape != (self.channels,):
-            raise ShapeError(f"pixel has shape {px.shape}, lane expects ({self.channels},)")
-        out = None
-        if self._y % 2 and self._x % 2:
-            up_left = self._buf[-(self.width + 1)]
-            up = self._buf[-self.width]
-            left = self._buf[-1]
-            out = np.maximum(np.maximum(up_left, up), np.maximum(left, px))
-        self._buf.append(px)
-        if len(self._buf) > self.max_occupancy:
-            self.max_occupancy = len(self._buf)
-        self._x += 1
-        if self._x == self.width:
-            self._x = 0
-            self._y += 1
-        return out
+    @property
+    def max_occupancy(self) -> int:
+        return min(self._fed, self.width + 1)
 
     def feed_row(self, row) -> list:
         """Push a whole row; returns the completed output row, if any."""
         arr = np.asarray(row)
-        if arr.shape != (self.width, self.channels):
-            raise ShapeError(
-                f"row has shape {arr.shape}, lane expects ({self.width}, {self.channels})"
-            )
-        outs = [p for p in (self.feed(px) for px in arr) if p is not None]
-        if not outs:
+        _check_row(arr, self.width, self.channels)
+        self._fed += self.width
+        if self._upper is None:
+            self._upper = arr
             return []
-        return [np.stack(outs)]
+        pair = np.maximum(self._upper, arr)
+        self._upper = None
+        return [np.maximum(pair[0::2], pair[1::2])]
 
 
 # =========================================================================
-# pixel-serial shifting
+# shifting
 # =========================================================================
 
 class ShiftLane:
-    """Per-channel spatial shift over a raster stream via a line buffer.
+    """Per-channel spatial shift over a raster row stream via a line buffer.
 
-    Works on the zero-padded image (width + 2 wide, one pixel ring). The
-    output pixel at padded position p draws its value from one of the taps
-    p-D, p-1, p, p+1, p+D (D is the padded width), so a position resolves as
-    soon as p+D has arrived and the buffer never holds more than 2D+1 pixels,
-    inside the 2*(width+2)+2 budget the hardware reserves. Outputs are
-    assembled into full rows of the original width.
+    Works on the zero-padded image (width + 2 wide, one pixel ring) and keeps
+    a window of three padded rows: output row y draws every channel from the
+    padded row above, at or below it, one column left, at or right, so it
+    is complete once padded row y + 1 has arrived; the last row waits for
+    the bottom ring, pushed by `finish`. The pixel-serial line buffer
+    resolves a position as soon as its tap one padded row below arrives, so
+    it never holds more than 2D+1 pixels (D = width + 2), inside the
+    2*(width+2)+2 budget the hardware reserves; its occupancy after ``fed``
+    padded pixels, the top ring included, is ``min(fed, 2D + 1)``.
     """
 
     def __init__(self, width: int, channels: int, directions):
@@ -101,93 +93,42 @@ class ShiftLane:
                 raise ShapeError("directions must be ShiftDirection values")
         self.width = width
         self.channels = channels
-        self.max_occupancy = 0
-        # tap index per channel into [identity, up, down, left, right]
-        self._tap = np.array(
-            [{(0, 0): 0, (1, 0): 1, (-1, 0): 2, (0, 1): 3, (0, -1): 4}[(d.dy, d.dx)]
-             for d in directions],
-            dtype=np.intp,
-        )
-        self._chan = np.arange(channels)
+        self._groups = _channel_groups(tuple(directions))
         self._pad_w = width + 2
-        self._buf = deque()     # padded pixels with indices [_base, _fed)
-        self._base = 0
         self._fed = 0
-        self._center = 0        # next padded position to resolve
-        self._rows_in = 0
-        self._pending = []
-        self._dtype = None
+        self._window = []       # padded rows above and at the next output row
 
-    def _push(self, px) -> list:
-        self._buf.append(px)
-        self._fed += 1
-        if len(self._buf) > self.max_occupancy:
-            self.max_occupancy = len(self._buf)
-        done = []
-        while self._center + self._pad_w < self._fed:
-            done.extend(self._resolve(self._center))
-            self._center += 1
-            floor = self._center - self._pad_w
-            while self._base < floor:
-                self._buf.popleft()
-                self._base += 1
-        return done
+    @property
+    def max_occupancy(self) -> int:
+        return min(self._fed, 2 * self._pad_w + 1)
 
-    def _resolve(self, p: int) -> list:
-        d = self._pad_w
-        y, x = divmod(p, d)
-        if y == 0 or x == 0 or x == d - 1:
+    def _push(self, padded: np.ndarray) -> list:
+        self._fed += self._pad_w
+        self._window.append(padded)
+        if len(self._window) < 3:
             return []
-
-        def at(i):
-            return self._buf[i - self._base]
-
-        candidates = np.stack(
-            [
-                at(p),       # identity: in[y][x]
-                at(p + d),   # up: takes from the row below
-                at(p - d),   # down: takes from the row above
-                at(p + 1),   # left: takes from the right neighbor
-                at(p - 1),   # right: takes from the left neighbor
-            ]
-        )
-        out_px = candidates[self._tap, self._chan]
-        self._pending.append(out_px)
-        if len(self._pending) == self.width:
-            row = np.stack(self._pending)
-            self._pending = []
-            return [row]
-        return []
-
-    def _feed_padded_row(self, pixels) -> list:
-        done = []
-        for px in pixels:
-            done.extend(self._push(px))
-        return done
+        out = np.empty((self.width, self.channels), dtype=padded.dtype)
+        for d, chans in self._groups:
+            src = self._window[1 + d.dy]
+            out[:, chans] = src[1 + d.dx : 1 + d.dx + self.width, chans]
+        del self._window[0]
+        return [out]
 
     def feed_row(self, row) -> list:
         """Push one image row; returns any output rows completed by it."""
         arr = np.asarray(row)
-        if arr.shape != (self.width, self.channels):
-            raise ShapeError(
-                f"row has shape {arr.shape}, lane expects ({self.width}, {self.channels})"
-            )
-        if self._dtype is None:
-            self._dtype = arr.dtype
-        zero = np.zeros(self.channels, dtype=arr.dtype)
-        done = []
-        if self._rows_in == 0:
-            done.extend(self._feed_padded_row([zero] * self._pad_w))
-        done.extend(self._feed_padded_row([zero, *arr, zero]))
-        self._rows_in += 1
-        return done
+        _check_row(arr, self.width, self.channels)
+        padded = np.zeros((self._pad_w, self.channels), dtype=arr.dtype)
+        padded[1:-1] = arr
+        if self._fed == 0:
+            self._push(np.zeros_like(padded))
+        return self._push(padded)
 
     def finish(self) -> list:
         """Push the bottom zero ring, which flushes the last output row."""
-        if self._dtype is None:
+        if not self._window:
             return []
-        zero = np.zeros(self.channels, dtype=self._dtype)
-        return self._feed_padded_row([zero] * self._pad_w)
+        return self._push(np.zeros_like(self._window[-1]))
 
 
 # =========================================================================

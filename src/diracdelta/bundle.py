@@ -23,7 +23,10 @@ shape requires.
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import struct
+import uuid
 import zlib
 from pathlib import Path
 
@@ -76,7 +79,12 @@ def save_bundle(bundle: ModelBundle, path) -> Path:
     """Write the bundle directory; returns the directory path.
 
     Tables are stored as the parameters they are built from, so a bundle
-    whose tables differ from what its parameters build is refused.
+    whose tables differ from what its parameters build is refused. The
+    bundle is written into a fresh directory next to the target and renamed
+    into place, so a save that fails part-way leaves any previous bundle
+    there as it was, and a save over a bundle leaves none of its files
+    behind. A non-empty target directory that holds no manifest is not a
+    bundle and is refused untouched.
     """
     bundle.validate()
     for name, table in _tables(bundle.layer_params, bundle.net).items():
@@ -86,7 +94,11 @@ def save_bundle(bundle: ModelBundle, path) -> Path:
                 "weight_scale build, and a bundle stores only those"
             )
     root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
+    if root.is_dir() and any(root.iterdir()) and not (root / "manifest.json").is_file():
+        raise BundleError(
+            f"{root} is a non-empty directory without manifest.json, not a bundle "
+            "to replace"
+        )
     spec = bundle.spec
     steps = conv_steps(spec)
     manifest = {
@@ -111,13 +123,42 @@ def save_bundle(bundle: ModelBundle, path) -> Path:
         },
         "quant": {"k_a": bundle.net.k_a, "k_w": bundle.net.k_w, "s": bundle.net.s},
     }
-    (root / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
-    for step in steps:
-        (root / f"{step.name}.w").write_bytes(_frame(bundle.weights[step.name].packed()))
-    (root / "fc.w").write_bytes(_frame(bundle.fc_weights.packed()))
+    root.parent.mkdir(parents=True, exist_ok=True)
+    target = root.resolve()  # a symlinked bundle is replaced where it lives
+    tmp = target.with_name(f".{target.name}.{uuid.uuid4().hex}")
+    tmp.mkdir()
+    try:
+        (tmp / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        )
+        for step in steps:
+            (tmp / f"{step.name}.w").write_bytes(_frame(bundle.weights[step.name].packed()))
+        (tmp / "fc.w").write_bytes(_frame(bundle.fc_weights.packed()))
+        _replace_dir(tmp, target)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
     return root
+
+
+def _replace_dir(src: Path, dst: Path) -> None:
+    """Rename directory ``src`` to ``dst``, deleting what ``dst`` held.
+
+    A directory cannot be renamed over a non-empty one, so an existing
+    ``dst`` is first moved aside (and moved back if the second rename
+    fails), then deleted.
+    """
+    if not dst.is_dir():
+        os.replace(src, dst)
+        return
+    old = src.with_name(src.name + ".old")
+    os.replace(dst, old)
+    try:
+        os.replace(src, dst)
+    except BaseException:
+        os.replace(old, dst)
+        raise
+    shutil.rmtree(old)
 
 
 def _is_int(v) -> bool:

@@ -52,7 +52,8 @@ def quantize_uniform(x, k: int):
     if not 1 <= k <= 32:
         raise DomainError(f"bit width {k} outside [1, 32]")
     xs = np.asarray(x, dtype=np.float64)
-    if np.any(xs < 0.0) or np.any(xs > 1.0):
+    # written so that NaN, which fails every comparison, is refused too
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise DomainError("input to the uniform quantizer must lie in [0, 1]")
     levels = (1 << k) - 1
     codes = np.floor(xs * levels + 0.5).astype(np.int64)

@@ -206,11 +206,15 @@ def read_tensor_blob(path) -> FeatureMap:
     return FeatureMap(h, w, c, payload)
 
 
-def check_accumulators(acc, limit: int = ACC_LIMIT) -> None:
-    """Assert the documented accumulator magnitude bound."""
+def check_accumulators(acc, limit: int = ACC_LIMIT) -> int:
+    """Assert the documented accumulator magnitude bound; returns the peak |acc|.
+
+    The peak of an empty array is 0.
+    """
     arr = np.asarray(acc)
     if arr.size == 0:
-        return
+        return 0
     peak = max(int(arr.max()), -int(arr.min()))
     if peak > limit:
         raise ValidationError(f"accumulator magnitude {peak} exceeds bound {limit}")
+    return peak

@@ -5,12 +5,14 @@ a binary search instead of the threshold lookup array, per-element
 comparator banks instead of the lookup array, one scalar bisection per code
 instead of the array bisection that builds a threshold table, an int64
 matmul instead of the float32 GEMM, exact rationals instead of the integer
-head, and an operator-by-operator composition that stores every intermediate
+head, an operator-by-operator composition that stores every intermediate
 as a packed `FeatureMap` instead of the engines' step interpreter over uint8
-arrays. The clip and weight-grid identities the package does not use are
+arrays, and pixel-serial line buffers instead of the simulator's row lanes.
+The clip and weight-grid identities the package does not use are
 here too, as statements the tests check.
 """
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -195,3 +197,144 @@ def composed_forward(bundle, fm: FeatureMap) -> np.ndarray:
             codes = documented_head_codes(bufs[step.src].to_array(), bundle.net, step.spatial)
             return fc_bit_serial(codes, bundle.fc_weights)
     raise AssertionError("network has no head step")
+
+
+class PixelPoolLane:
+    """2x2 stride-2 max pooling over a raster stream, one pixel at a time.
+
+    Keeps at most width + 1 pixels: the previous row plus the pixel to the
+    left. A result comes out on every odd row, odd column arrival, built
+    from the stored neighbors at offsets -(width+1), -width, -1 and the
+    arriving pixel.
+    """
+
+    def __init__(self, width: int, channels: int):
+        if width < 2 or width % 2:
+            raise ShapeError(f"pool lane width must be even and >= 2, got {width}")
+        self.width = width
+        self.channels = channels
+        self.max_occupancy = 0
+        self._buf = deque(maxlen=width + 1)
+        self._x = 0
+        self._y = 0
+
+    def feed(self, pixel):
+        """Push one pixel; returns the pooled pixel when a window completes."""
+        px = np.asarray(pixel)
+        if px.shape != (self.channels,):
+            raise ShapeError(f"pixel has shape {px.shape}, lane expects ({self.channels},)")
+        out = None
+        if self._y % 2 and self._x % 2:
+            up_left = self._buf[-(self.width + 1)]
+            up = self._buf[-self.width]
+            left = self._buf[-1]
+            out = np.maximum(np.maximum(up_left, up), np.maximum(left, px))
+        self._buf.append(px)
+        if len(self._buf) > self.max_occupancy:
+            self.max_occupancy = len(self._buf)
+        self._x += 1
+        if self._x == self.width:
+            self._x = 0
+            self._y += 1
+        return out
+
+    def feed_row(self, row) -> list:
+        """Push a whole row pixel by pixel; returns the completed output row, if any."""
+        outs = [p for p in (self.feed(px) for px in np.asarray(row)) if p is not None]
+        return [np.stack(outs)] if outs else []
+
+
+class PixelShiftLane:
+    """Per-channel spatial shift over a raster stream, one pixel at a time.
+
+    Works on the zero-padded image (width + 2 wide, one pixel ring). The
+    output pixel at padded position p draws its value from one of the taps
+    p-D, p-1, p, p+1, p+D (D is the padded width), so a position resolves as
+    soon as p+D has arrived and the buffer never holds more than 2D+1
+    pixels. Outputs are assembled into full rows of the original width.
+    """
+
+    def __init__(self, width: int, channels: int, directions):
+        if len(directions) != channels:
+            raise ShapeError(f"{len(directions)} directions for {channels} channels")
+        self.width = width
+        self.channels = channels
+        self.max_occupancy = 0
+        # tap index per channel into [identity, up, down, left, right]
+        self._tap = np.array(
+            [{(0, 0): 0, (1, 0): 1, (-1, 0): 2, (0, 1): 3, (0, -1): 4}[(d.dy, d.dx)]
+             for d in directions],
+            dtype=np.intp,
+        )
+        self._chan = np.arange(channels)
+        self._pad_w = width + 2
+        self._buf = deque()     # padded pixels with indices [_base, _fed)
+        self._base = 0
+        self._fed = 0
+        self._center = 0        # next padded position to resolve
+        self._pending = []
+        self._dtype = None
+
+    def _push(self, px) -> list:
+        self._buf.append(px)
+        self._fed += 1
+        if len(self._buf) > self.max_occupancy:
+            self.max_occupancy = len(self._buf)
+        done = []
+        while self._center + self._pad_w < self._fed:
+            done.extend(self._resolve(self._center))
+            self._center += 1
+            floor = self._center - self._pad_w
+            while self._base < floor:
+                self._buf.popleft()
+                self._base += 1
+        return done
+
+    def _resolve(self, p: int) -> list:
+        d = self._pad_w
+        y, x = divmod(p, d)
+        if y == 0 or x == 0 or x == d - 1:
+            return []
+
+        def at(i):
+            return self._buf[i - self._base]
+
+        candidates = np.stack(
+            [
+                at(p),       # identity: in[y][x]
+                at(p + d),   # up: takes from the row below
+                at(p - d),   # down: takes from the row above
+                at(p + 1),   # left: takes from the right neighbor
+                at(p - 1),   # right: takes from the left neighbor
+            ]
+        )
+        self._pending.append(candidates[self._tap, self._chan])
+        if len(self._pending) == self.width:
+            row = np.stack(self._pending)
+            self._pending = []
+            return [row]
+        return []
+
+    def _feed_padded_row(self, pixels) -> list:
+        done = []
+        for px in pixels:
+            done.extend(self._push(px))
+        return done
+
+    def feed_row(self, row) -> list:
+        """Push one image row; returns any output rows completed by it."""
+        arr = np.asarray(row)
+        zero = np.zeros(self.channels, dtype=arr.dtype)
+        done = []
+        if self._dtype is None:
+            self._dtype = arr.dtype
+            done.extend(self._feed_padded_row([zero] * self._pad_w))
+        done.extend(self._feed_padded_row([zero, *arr, zero]))
+        return done
+
+    def finish(self) -> list:
+        """Push the bottom zero ring, which flushes the last output row."""
+        if self._dtype is None:
+            return []
+        zero = np.zeros(self.channels, dtype=self._dtype)
+        return self._feed_padded_row([zero] * self._pad_w)

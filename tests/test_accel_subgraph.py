@@ -18,7 +18,7 @@ from diracdelta.accel.subgraph import (
 )
 from diracdelta import tensor
 from diracdelta.bundle import random_bundle
-from diracdelta.errors import ShapeError
+from diracdelta.errors import ShapeError, ValidationError
 from diracdelta.net import ReferenceExecutor, forward
 from diracdelta.ops import (
     concat_shuffle,
@@ -117,6 +117,25 @@ def test_small_tiles_and_unit_fifo_capacity_still_bit_exact():
     got = run_subgraph(fm, wm, table, schedule)
     assert _same(got.output, _reference(fm, wm, table))
     assert all(d <= 1 for d in got.stats.fifo_depths.values())
+
+
+def test_half_tiles_with_pool_and_shift_match_reference():
+    fm, wm, table = _random_case(33, 6, 8, 20, 24)
+    schedule = TileSchedule(ic=16, oc=16, fifo_capacity=1)
+    dirs = default_shift_directions(24)
+    got = run_subgraph(fm, wm, table, schedule, pool=True, shift_dirs=dirs)
+    assert _same(got.output, _reference(fm, wm, table, pool=True, shift_dirs=dirs))
+    assert all(d <= 1 for d in got.stats.fifo_depths.values())
+    assert got.stats.pool_occupancy == 8 + 1
+    assert got.stats.shift_occupancy == 2 * (4 + 2) + 1  # at the pooled width
+
+
+def test_input_tiles_too_wide_for_an_exact_float32_gemm_are_refused():
+    fm, wm, table = _random_case(35, 1, 1, 4, 4)
+    ic = -(-2**24 // 225)  # the narrowest tile with 225 * ic >= 2**24
+    with pytest.raises(ValidationError, match="beyond what a float32 GEMM sums exactly"):
+        run_subgraph(fm, wm, table, TileSchedule(ic=ic))
+    run_subgraph(fm, wm, table, TileSchedule(ic=ic - 1))
 
 
 # =========================================================================

@@ -1,4 +1,5 @@
-"""Pixel-serial lane models, the conversion unit oracles, shuffle writeback, and FIFOs."""
+"""Row lanes against their pixel-serial oracles, the conversion unit oracles,
+shuffle writeback, and FIFOs."""
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ from diracdelta.errors import (
     ShapeError,
 )
 from diracdelta.ops import (
+    DIRECTION_CYCLE,
     DOWN,
     IDENTITY,
     LEFT,
@@ -23,7 +25,13 @@ from diracdelta.ops import (
 )
 from diracdelta.quant import LayerQuantParams, NetworkQuantParams, ThresholdTable, build_threshold_table
 
-from oracles import conversion_linear, conversion_tree, conversion_unit
+from oracles import (
+    PixelPoolLane,
+    PixelShiftLane,
+    conversion_linear,
+    conversion_tree,
+    conversion_unit,
+)
 
 # =========================================================================
 # conversion unit
@@ -104,7 +112,7 @@ def test_pool_lane_occupancy_is_one_row_plus_one_pixel():
 
 
 def test_pool_lane_emits_only_on_odd_row_odd_column():
-    lane = PoolLane(4, 2)
+    lane = PixelPoolLane(4, 2)
     arr = np.arange(32, dtype=np.uint8).reshape(4, 4, 2) % 16
     emitted = []
     for y in range(4):
@@ -115,14 +123,23 @@ def test_pool_lane_emits_only_on_odd_row_odd_column():
     assert emitted == [(1, 1), (1, 3), (3, 1), (3, 3)]
 
 
+def test_pool_lane_emits_one_row_on_odd_rows_only():
+    lane = PoolLane(6, 3)
+    arr = np.arange(72, dtype=np.uint8).reshape(4, 6, 3) % 16
+    for y in range(4):
+        out = lane.feed_row(arr[y])
+        if y % 2:
+            assert len(out) == 1 and out[0].shape == (3, 3)
+        else:
+            assert out == []
+
+
 def test_pool_lane_guards():
     with pytest.raises(ShapeError, match="even and >= 2, got 5"):
         PoolLane(5, 3)
     with pytest.raises(ShapeError, match="even and >= 2, got 0"):
         PoolLane(0, 3)
     lane = PoolLane(4, 3)
-    with pytest.raises(ShapeError, match="lane expects"):
-        lane.feed(np.zeros(2, dtype=np.uint8))
     with pytest.raises(ShapeError, match="lane expects"):
         lane.feed_row(np.zeros((3, 3), dtype=np.uint8))
 
@@ -189,6 +206,42 @@ def test_shift_lane_guards():
     lane = ShiftLane(4, 2, (UP, DOWN))
     with pytest.raises(ShapeError, match="lane expects"):
         lane.feed_row(np.zeros((5, 2), dtype=np.uint8))
+
+
+# =========================================================================
+# row lanes against the pixel-serial oracles
+# =========================================================================
+
+def _same_calls(row_lane, pixel_lane, call, *args):
+    got, want = getattr(row_lane, call)(*args), getattr(pixel_lane, call)(*args)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+    assert row_lane.max_occupancy == pixel_lane.max_occupancy
+    return got
+
+
+def _drive_both(row_lane, pixel_lane, fm):
+    """Feed both lanes the same rows; outputs and occupancy must match after every call."""
+    for row in fm:
+        _same_calls(row_lane, pixel_lane, "feed_row", row)
+
+
+@pytest.mark.parametrize("c", [1, 5, 7])
+@pytest.mark.parametrize("w", [1, 2, 3, 6])
+@pytest.mark.parametrize("h", [1, 2, 3, 4, 7])
+def test_row_lanes_equal_the_pixel_serial_oracles(h, w, c):
+    rng = np.random.default_rng(h * 100 + w * 10 + c)
+    fm = rng.integers(0, 16, size=(h, w, c), dtype=np.uint8)
+    if h % 2 == 0 and w % 2 == 0:
+        _drive_both(PoolLane(w, c), PixelPoolLane(w, c), fm)
+    dirs = tuple(DIRECTION_CYCLE[i] for i in rng.integers(0, 5, size=c))
+    row_lane, pixel_lane = ShiftLane(w, c, dirs), PixelShiftLane(w, c, dirs)
+    _drive_both(row_lane, pixel_lane, fm)
+    assert len(_same_calls(row_lane, pixel_lane, "finish")) == 1
+    # the zero rings count as fed pixels, so even one image row reaches 2D+1
+    assert row_lane.max_occupancy == 2 * (w + 2) + 1
 
 
 # =========================================================================

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import make_tiny_spec, random_input
 
+from diracdelta import bundle as bundle_module
 from diracdelta.bundle import (
     load_bundle,
     quantize_bundle,
@@ -99,6 +100,64 @@ def test_bundle_directory_holds_the_manifest_and_weight_blobs_only(tmp_path, tin
     root = save_bundle(tiny_bundle, tmp_path / "b")
     want = {"manifest.json", "fc.w"} | {f"{s.name}.w" for s in conv_steps(tiny_bundle.spec)}
     assert {p.name for p in root.iterdir()} == want
+
+
+def test_saving_over_a_bundle_leaves_no_stale_blobs(tmp_path, tiny_spec, quant_params):
+    root = save_bundle(random_bundle(tiny_spec, quant_params, seed=3), tmp_path / "b")
+    (root / "conv1.t").write_bytes(b"a threshold blob of an older format")
+    newer = random_bundle(tiny_spec, quant_params, seed=4)
+    save_bundle(newer, root)
+    fresh = save_bundle(newer, tmp_path / "fresh")
+    assert _tree_bytes(root) == _tree_bytes(fresh)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b", "fresh"]
+
+
+def test_saving_through_a_symlink_replaces_the_linked_bundle(tmp_path, tiny_spec,
+                                                              quant_params):
+    real = save_bundle(random_bundle(tiny_spec, quant_params, seed=3), tmp_path / "real")
+    link = tmp_path / "link"
+    link.symlink_to(real, target_is_directory=True)
+    newer = random_bundle(tiny_spec, quant_params, seed=4)
+    assert save_bundle(newer, link) == link
+    assert link.is_symlink()
+    assert _tree_bytes(real) == _tree_bytes(save_bundle(newer, tmp_path / "fresh"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "link", "real"]
+
+
+def test_a_failed_save_leaves_the_previous_bundle_in_place(tmp_path, tiny_spec,
+                                                           quant_params, monkeypatch):
+    root = save_bundle(random_bundle(tiny_spec, quant_params, seed=3), tmp_path / "b")
+    before = _tree_bytes(root)
+    frame = bundle_module._frame
+    calls = []
+
+    def failing_frame(payload):
+        calls.append(payload)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return frame(payload)
+
+    monkeypatch.setattr("diracdelta.bundle._frame", failing_frame)
+    with pytest.raises(OSError, match="disk full"):
+        save_bundle(random_bundle(tiny_spec, quant_params, seed=4), root)
+    monkeypatch.undo()
+    assert len(calls) == 3
+    assert _tree_bytes(root) == before
+    assert [p.name for p in tmp_path.iterdir()] == ["b"]
+    load_bundle(root)
+
+
+def test_save_refuses_a_non_empty_directory_without_a_manifest(tmp_path, tiny_bundle):
+    root = tmp_path / "notes"
+    root.mkdir()
+    (root / "todo.txt").write_text("keep me")
+    with pytest.raises(BundleError, match="non-empty directory without manifest.json"):
+        save_bundle(tiny_bundle, root)
+    assert _tree_bytes(root) == {"todo.txt": b"keep me"}
+    assert [p.name for p in tmp_path.iterdir()] == ["notes"]
+    # an empty directory is a fine target
+    (root / "todo.txt").unlink()
+    load_bundle(save_bundle(tiny_bundle, root))
 
 
 # =========================================================================

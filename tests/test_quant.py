@@ -86,6 +86,13 @@ def test_quantize_uniform_types_and_domain():
         quantize_uniform(np.array([0.5, 1.01]), 4)
 
 
+def test_quantize_uniform_refuses_nan():
+    with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+        quantize_uniform(float("nan"), 4)
+    with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+        quantize_uniform(np.array([0.5, np.nan]), 4)
+
+
 # =========================================================================
 # weight quantizer
 # =========================================================================
@@ -181,6 +188,15 @@ def test_quantize_activation_spots():
     code, value = quantize_activation(0.5, p, net)
     assert code == 8
     assert value == pytest.approx(8 / 15)
+
+
+def test_quantize_activation_refuses_nan():
+    p = LayerQuantParams(alpha=1.0, weight_scale=1.0)
+    net = NetworkQuantParams(s=1.0)
+    with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+        quantize_activation(float("nan"), p, net)
+    with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+        quantize_activation(np.array([0.2, np.nan]), p, net)
 
 
 def test_quantize_activation_rescales_by_shared_s():
