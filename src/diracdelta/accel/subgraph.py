@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ShapeError, ValidationError
-from ..net import ConvStep, ModelBundle
+from ..net import ConvStep
 from ..ops import IDENTITY, default_shift_directions
 from ..quant import ThresholdTable
 from ..tensor import (
@@ -296,8 +296,7 @@ class SimulatorExecutor:
         self.scheduler = scheduler
         self.log = []
 
-    def conv_subgraph(self, x: np.ndarray, step: ConvStep, bundle: ModelBundle,
-                      skip) -> np.ndarray:
+    def conv_subgraph(self, x: np.ndarray, step: ConvStep, bundle, skip) -> np.ndarray:
         dirs = default_shift_directions(step.out_channels) if step.shift else None
         result = run_subgraph(
             x,

@@ -125,10 +125,16 @@ class ShiftLane:
         return self._push(padded)
 
     def finish(self) -> list:
-        """Push the bottom zero ring, which flushes the last output row."""
+        """Push the bottom zero ring, which flushes the last output row.
+
+        The flush empties the window, so a second call returns nothing and
+        changes nothing.
+        """
         if not self._window:
             return []
-        return self._push(np.zeros_like(self._window[-1]))
+        rows = self._push(np.zeros_like(self._window[-1]))
+        self._window = []
+        return rows
 
 
 # =========================================================================

@@ -1,6 +1,12 @@
-"""Model bundles on disk: a manifest plus checksummed weight blobs.
+"""Model bundles: the `ModelBundle` the engines run, and its directory on disk.
 
-A bundle is a directory:
+A `ModelBundle` holds the network spec, the shared quantization params, and
+per conv layer its weight codes and its ``alpha``/``weight_scale``. Its
+threshold tables are derived state, built by the constructor from each
+layer's parameters with `build_threshold_table`; they are neither a
+constructor argument nor stored on disk.
+
+On disk a bundle is a directory:
 
     manifest.json       network shape, quantization params, per-layer rows
     <layer>.w           packed 4-bit weight codes, trailing CRC32 (LE u32)
@@ -10,9 +16,9 @@ The manifest holds only what the graph cannot supply: the format version,
 the network dimensions, the shared scale and bit widths, one ``{name,
 alpha, weight_scale}`` row per conv step in `compile_steps` order, and the
 classifier's ``scale``. Layer shapes, fused post-ops and blob names follow
-from the graph that the network dimensions compile to, and each threshold
-table is rebuilt from its layer's alpha and weight scale by
-`build_threshold_table`, so no stored value can disagree with another.
+from the graph that the network dimensions compile to, and the tables are
+rebuilt when the loaded bundle is constructed, so no stored value can
+disagree with another.
 
 `manifest.json` is written with sorted keys and a fixed layout so that the
 same bundle saves byte-identically every time. A manifest field that is
@@ -23,17 +29,19 @@ shape requires.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import struct
 import uuid
 import zlib
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BundleError, ChecksumError, ConstructionError, DomainError, GraphError
-from .net import ModelBundle, NetworkSpec, conv_steps
+from .net import NetworkSpec, conv_steps
 from .quant import (
     LayerQuantParams,
     NetworkQuantParams,
@@ -43,6 +51,61 @@ from .quant import (
 from .tensor import WeightMatrix
 
 FORMAT_VERSION = 2
+
+
+@dataclass
+class ModelBundle:
+    """Everything needed to run the quantized network.
+
+    Keyed by conv step name: weight codes and the layer quantization
+    parameters. Each threshold table is built from its layer's parameters
+    when the bundle is constructed, so ``tables`` is not a constructor
+    argument and cannot disagree with ``layer_params``. Treated as immutable
+    once constructed.
+    """
+
+    spec: NetworkSpec
+    net: NetworkQuantParams
+    weights: dict
+    tables: dict = field(init=False)
+    layer_params: dict
+    fc_weights: WeightMatrix
+    fc_scale: float
+
+    def __post_init__(self):
+        self.tables = {}
+        for name, p in self.layer_params.items():
+            try:
+                self.tables[name] = build_threshold_table(p, self.net)
+            except ConstructionError as e:
+                raise ConstructionError(f"layer {name}: {e}") from None
+
+    def validate(self) -> None:
+        """Walk the graph and check every shape against it."""
+        for step in conv_steps(self.spec):
+            w = self.weights.get(step.name)
+            if w is None:
+                raise GraphError(f"layer {step.name}: weights missing from bundle")
+            if (w.out_channels, w.in_channels) != (step.out_channels, step.in_channels):
+                raise GraphError(
+                    f"layer {step.name}: weight shape ({w.out_channels}, {w.in_channels}) "
+                    f"does not match graph ({step.out_channels}, {step.in_channels})"
+                )
+            if step.name not in self.layer_params:
+                raise GraphError(f"layer {step.name}: quantization params missing from bundle")
+        extra = set(self.weights) - {s.name for s in conv_steps(self.spec)}
+        if extra:
+            raise GraphError(f"bundle carries weights for unknown layers: {sorted(extra)}")
+        fcw = self.fc_weights
+        expected = (self.spec.num_classes, self.spec.conv5_channels)
+        if (fcw.out_channels, fcw.in_channels) != expected:
+            raise GraphError(
+                f"layer fc: weight shape ({fcw.out_channels}, {fcw.in_channels}) "
+                f"does not match graph {expected}"
+            )
+        if not 0 < self.fc_scale < math.inf:
+            raise GraphError(f"fc_scale must be positive and finite, got {self.fc_scale}")
+
 
 _CRC = struct.Struct("<I")
 
@@ -64,35 +127,17 @@ def _unframe(buf: bytes, what: str) -> bytes:
     return payload
 
 
-def _tables(layer_params: dict, net: NetworkQuantParams) -> dict:
-    """Every layer's threshold table, built from its alpha and weight scale."""
-    tables = {}
-    for name, p in layer_params.items():
-        try:
-            tables[name] = build_threshold_table(p, net)
-        except ConstructionError as e:
-            raise ConstructionError(f"layer {name}: {e}") from None
-    return tables
-
-
 def save_bundle(bundle: ModelBundle, path) -> Path:
     """Write the bundle directory; returns the directory path.
 
-    Tables are stored as the parameters they are built from, so a bundle
-    whose tables differ from what its parameters build is refused. The
-    bundle is written into a fresh directory next to the target and renamed
-    into place, so a save that fails part-way leaves any previous bundle
-    there as it was, and a save over a bundle leaves none of its files
-    behind. A non-empty target directory that holds no manifest is not a
-    bundle and is refused untouched.
+    Tables are stored as the parameters they are built from. The bundle is
+    written into a fresh directory next to the target and renamed into
+    place, so a save that fails part-way leaves any previous bundle there
+    as it was, and a save over a bundle leaves none of its files behind. A
+    non-empty target directory that holds no manifest is not a bundle and
+    is refused untouched.
     """
     bundle.validate()
-    for name, table in _tables(bundle.layer_params, bundle.net).items():
-        if bundle.tables.get(name) != table:
-            raise BundleError(
-                f"layer {name}: threshold table is not the one its alpha and "
-                "weight_scale build, and a bundle stores only those"
-            )
     root = Path(path)
     if root.is_dir() and any(root.iterdir()) and not (root / "manifest.json").is_file():
         raise BundleError(
@@ -255,7 +300,6 @@ def load_bundle(path) -> ModelBundle:
         spec=spec,
         net=net,
         weights=weights,
-        tables=_tables(layer_params, net),
         layer_params=layer_params,
         fc_weights=_read_weights(root, "fc", spec.num_classes, spec.conv5_channels,
                                  "fc weights"),
@@ -305,7 +349,6 @@ def random_bundle(spec: NetworkSpec, net: NetworkQuantParams, seed: int) -> Mode
         spec=spec,
         net=net,
         weights=weights,
-        tables=_tables(layer_params, net),
         layer_params=layer_params,
         fc_weights=fc_weights,
         fc_scale=fc_scale,
@@ -355,7 +398,6 @@ def quantize_bundle(spec: NetworkSpec, net: NetworkQuantParams, float_weights: d
         spec=spec,
         net=net,
         weights=weights,
-        tables=_tables(layer_params, net),
         layer_params=layer_params,
         fc_weights=fc_weights,
         fc_scale=fc_w_scale * net.s / net.act_levels,

@@ -57,10 +57,6 @@ class RunConfig:
     def __post_init__(self):
         if any(b < 1 for b in self.batch):
             raise ValidationError(f"batch sizes must be >= 1, got {self.batch}")
-        if self.engine not in ("reference", "simulator"):
-            raise ValidationError(f"unknown engine {self.engine!r}")
-        if self.scheduler not in SCHEDULERS:
-            raise ValidationError(f"unknown scheduler {self.scheduler!r}")
         for name in ("bundle", "input", "cost_config"):
             p = getattr(self, name)
             if p is not None and not Path(p).exists():

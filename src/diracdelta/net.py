@@ -1,4 +1,4 @@
-"""DiracDeltaNet graph structure, compiled execution steps, and forward passes.
+"""DiracDeltaNet graph structure, compiled execution steps, and the forward interpreter.
 
 The network is four stride-8-to-stride-32 stages over a two-conv stem:
 
@@ -19,15 +19,15 @@ named buffers. It is the only description of the graph: the forward
 interpreter, the accelerator engine, and the cost model all walk the same
 step list.
 
-`forward` and `float_forward` share one interpreter loop, `_run_steps`.
-Inside it every buffer is a ``(height, width, channels)`` array: uint8 codes
-in `forward`, which unpacks its `FeatureMap` argument once and never packs,
-and floats in `float_forward`. The two differ only in their conv and head;
-pool, shift, split and shuffle are the same `ops` functions.
+`forward` is the one interpreter of that program. It unpacks its
+`FeatureMap` argument once; every buffer is then a uint8 ``(height, width,
+channels)`` code array, and nothing is packed again. An executor runs the
+conv subgraphs and the standalone pool and shift passes: `ReferenceExecutor`
+with the plain `ops` operators, or the pipeline simulator in `accel`. The
+`ModelBundle` it runs lives in `bundle`.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -44,8 +44,7 @@ from .ops import (
     maxpool2x2,
     shift,
 )
-from .quant import NetworkQuantParams, pact_clip
-from .tensor import FeatureMap, WeightMatrix
+from .tensor import MAX_CHANNELS, FeatureMap
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,12 @@ class NetworkSpec:
             raise GraphError("channel widths must be positive")
         if any(c % 4 for c in self.stage_channels):
             raise GraphError("stage widths must be divisible by 4 for the channel shuffle")
+        for step in conv_steps(self):
+            if step.in_channels > MAX_CHANNELS:
+                raise GraphError(
+                    f"layer {step.name}: {step.in_channels} input channels exceed "
+                    f"{MAX_CHANNELS}, the widest dot product the accumulator bound covers"
+                )
 
     @property
     def stem_spatial(self) -> int:
@@ -269,112 +274,32 @@ def count_params_macs(spec: NetworkSpec) -> CountReport:
 
 
 # =========================================================================
-# bundles and the forward interpreters
+# the forward interpreter
 # =========================================================================
-
-@dataclass
-class ModelBundle:
-    """Everything needed to run the quantized network.
-
-    Keyed by conv step name: weight codes, threshold table, and the layer
-    quantization parameters the table was derived from. Treated as immutable
-    once constructed.
-    """
-
-    spec: NetworkSpec
-    net: NetworkQuantParams
-    weights: dict
-    tables: dict
-    layer_params: dict
-    fc_weights: WeightMatrix
-    fc_scale: float
-
-    def validate(self) -> None:
-        """Walk the graph and check every shape and table against it."""
-        for step in conv_steps(self.spec):
-            w = self.weights.get(step.name)
-            if w is None:
-                raise GraphError(f"layer {step.name}: weights missing from bundle")
-            if (w.out_channels, w.in_channels) != (step.out_channels, step.in_channels):
-                raise GraphError(
-                    f"layer {step.name}: weight shape ({w.out_channels}, {w.in_channels}) "
-                    f"does not match graph ({step.out_channels}, {step.in_channels})"
-                )
-            t = self.tables.get(step.name)
-            if t is None:
-                raise GraphError(f"layer {step.name}: threshold table missing from bundle")
-            if t.levels != self.net.act_levels:
-                raise GraphError(
-                    f"layer {step.name}: table has {t.levels} thresholds, "
-                    f"k_a={self.net.k_a} requires {self.net.act_levels}"
-                )
-            if step.name not in self.layer_params:
-                raise GraphError(f"layer {step.name}: quantization params missing from bundle")
-        extra = set(self.weights) - {s.name for s in conv_steps(self.spec)}
-        if extra:
-            raise GraphError(f"bundle carries weights for unknown layers: {sorted(extra)}")
-        fcw = self.fc_weights
-        expected = (self.spec.num_classes, self.spec.conv5_channels)
-        if (fcw.out_channels, fcw.in_channels) != expected:
-            raise GraphError(
-                f"layer fc: weight shape ({fcw.out_channels}, {fcw.in_channels}) "
-                f"does not match graph {expected}"
-            )
-        if not 0 < self.fc_scale < math.inf:
-            raise GraphError(f"fc_scale must be positive and finite, got {self.fc_scale}")
-
-
-def _default_shift(x: np.ndarray) -> np.ndarray:
-    return shift(x, default_shift_directions(x.shape[2]))
-
-
-def _post_ops(out: np.ndarray, step: ConvStep, skip) -> np.ndarray:
-    """Pool, shift and shuffle a conv's output, as the step fuses them."""
-    if step.pool:
-        out = maxpool2x2(out)
-    if step.shift:
-        out = _default_shift(out)
-    if skip is not None:
-        out = concat_shuffle(skip, out)
-    return out
-
 
 class ReferenceExecutor:
     """Runs the engine steps with the plain reference operators on uint8 code arrays."""
 
-    def conv_subgraph(self, x: np.ndarray, step: ConvStep, bundle: ModelBundle,
+    def conv_subgraph(self, x: np.ndarray, step: ConvStep, bundle,
                       skip: Optional[np.ndarray]) -> np.ndarray:
-        acc = conv1x1(x, bundle.weights[step.name])
-        return _post_ops(bundle.tables[step.name].apply(acc), step, skip)
+        """A conv step: conv, re-quantize, then the pool, shift and shuffle it fuses."""
+        # Row blocks keep every temporary under the 4 MiB at which numpy asks for huge pages.
+        table, rows = bundle.tables[step.name], max(1, 2**18 // (x.shape[1] * step.out_channels))
+        out = np.concatenate([table.apply(conv1x1(x[y : y + rows], bundle.weights[step.name]))
+                              for y in range(0, len(x), rows)])
+        if step.pool:
+            out = maxpool2x2(out)
+        if step.shift:
+            out = self.shift_pass(out)
+        if skip is not None:
+            out = concat_shuffle(skip, out)
+        return out
 
     def pool_pass(self, x: np.ndarray) -> np.ndarray:
         return maxpool2x2(x)
 
     def shift_pass(self, x: np.ndarray) -> np.ndarray:
-        return _default_shift(x)
-
-
-def _run_steps(spec: NetworkSpec, x, conv, pool, shift_pass, head):
-    """Interpret the compiled steps over named buffers; returns what `head` returns.
-
-    ``conv(x, step, skip)`` runs a conv step with its fused post-ops,
-    ``pool(x)`` and ``shift_pass(x)`` the standalone passes, and
-    ``head(x, step)`` the head. Splits are channel slices.
-    """
-    bufs = {"input": x}
-    for step in compile_steps(spec):
-        if isinstance(step, ConvStep):
-            skip = bufs[step.shuffle_with] if step.shuffle_with else None
-            bufs[step.dst] = conv(bufs[step.src], step, skip)
-        elif isinstance(step, PoolStep):
-            bufs[step.dst] = pool(bufs[step.src])
-        elif isinstance(step, ShiftStep):
-            bufs[step.dst] = shift_pass(bufs[step.src])
-        elif isinstance(step, SplitStep):
-            bufs[step.dst_skip], bufs[step.dst_residual] = channel_split(bufs[step.src])
-        else:  # HeadStep
-            return head(bufs[step.src], step)
-    raise GraphError("network has no head step")
+        return shift(x, default_shift_directions(x.shape[2]))
 
 
 @dataclass(frozen=True)
@@ -384,14 +309,15 @@ class ForwardResult:
     class_index: int
 
 
-def forward(bundle: ModelBundle, fm: FeatureMap, executor=None) -> ForwardResult:
-    """Run the quantized network; a pure function of (bundle, input).
+def forward(bundle, fm: FeatureMap, executor=None) -> ForwardResult:
+    """Run the quantized `ModelBundle`; a pure function of (bundle, input).
 
-    The input is unpacked once; every step then passes uint8 code arrays.
-    The executor runs the conv subgraphs and the standalone pool and shift
-    passes. The head (global average pool rounded onto the code grid in
-    integers, bit-serial FC) is host-side arithmetic and is common to every
-    executor. Ties in the class argmax resolve to the lowest index.
+    The input is unpacked once; every step then passes uint8 code arrays
+    between named buffers. The executor runs the conv subgraphs and the
+    standalone pool and shift passes; splits are channel slices. The head
+    (global average pool rounded onto the code grid in integers, bit-serial
+    FC) is host-side arithmetic and is common to every executor. Ties in the
+    class argmax resolve to the lowest index.
     """
     spec = bundle.spec
     if (fm.height, fm.width) != (spec.input_size, spec.input_size):
@@ -404,51 +330,21 @@ def forward(bundle: ModelBundle, fm: FeatureMap, executor=None) -> ForwardResult
             f"input has {fm.channels} channels, network expects {spec.input_channels}"
         )
     ex = executor if executor is not None else ReferenceExecutor()
-
-    def conv(x, step, skip):
-        return ex.conv_subgraph(x, step, bundle, skip)
-
-    def head(x, step):
-        int_logits = fc_bit_serial(global_avgpool_codes(x, step.spatial), bundle.fc_weights)
-        logits = int_logits * bundle.fc_scale
-        return ForwardResult(logits=logits, int_logits=int_logits,
-                             class_index=int(np.argmax(logits)))
-
-    return _run_steps(spec, fm.to_array(), conv, ex.pool_pass, ex.shift_pass, head)
-
-
-def float_forward(spec: NetworkSpec, weights: dict, net: NetworkQuantParams,
-                  alphas, x: np.ndarray) -> np.ndarray:
-    """Float twin of `forward`: same graph, real arithmetic, no rounding.
-
-    ``weights`` maps conv step names (plus "fc") to float (out, in) arrays.
-    After every conv the activation is clipped to [0, alpha] and rescaled by
-    s / alpha, which is the quantizer with the rounding removed. ``alphas``
-    is a mapping from layer name to clip bound, or a single float for all.
-    """
-    def alpha_of(name: str) -> float:
-        if isinstance(alphas, dict):
-            return alphas[name]
-        return float(alphas)
-
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.shape != (spec.input_size, spec.input_size, spec.input_channels):
-        raise ShapeError(
-            f"input shape {arr.shape} does not match "
-            f"({spec.input_size}, {spec.input_size}, {spec.input_channels})"
-        )
-
-    def conv(v, step, skip):
-        w = np.asarray(weights[step.name], dtype=np.float64)
-        if w.shape != (step.out_channels, step.in_channels):
-            raise ShapeError(
-                f"layer {step.name}: float weights {w.shape} do not match "
-                f"({step.out_channels}, {step.in_channels})"
-            )
-        a = alpha_of(step.name)
-        return _post_ops(pact_clip(v @ w.T, a) * (net.s / a), step, skip)
-
-    def head(v, step):
-        return v.mean(axis=(0, 1)) @ np.asarray(weights["fc"], dtype=np.float64).T
-
-    return _run_steps(spec, arr, conv, maxpool2x2, _default_shift, head)
+    bufs = {"input": fm.to_array()}
+    for step in compile_steps(spec):
+        if isinstance(step, ConvStep):
+            skip = bufs[step.shuffle_with] if step.shuffle_with else None
+            bufs[step.dst] = ex.conv_subgraph(bufs[step.src], step, bundle, skip)
+        elif isinstance(step, PoolStep):
+            bufs[step.dst] = ex.pool_pass(bufs[step.src])
+        elif isinstance(step, ShiftStep):
+            bufs[step.dst] = ex.shift_pass(bufs[step.src])
+        elif isinstance(step, SplitStep):
+            bufs[step.dst_skip], bufs[step.dst_residual] = channel_split(bufs[step.src])
+        else:  # HeadStep
+            codes = global_avgpool_codes(bufs[step.src], step.spatial)
+            int_logits = fc_bit_serial(codes, bundle.fc_weights)
+            logits = int_logits * bundle.fc_scale
+            return ForwardResult(logits=logits, int_logits=int_logits,
+                                 class_index=int(np.argmax(logits)))
+    raise GraphError("network has no head step")

@@ -4,10 +4,10 @@ These are deliberately schedule-free: plain array math, one function per
 operator, exact integer accumulators. The pipeline model is required to match
 each of them bit for bit, so they double as oracles for the accelerator
 tests. Every operator takes and returns ``(height, width, channels)`` arrays:
-uint8 codes in the reference engine, floats in the float graph, which shares
-the pool, shift, shuffle and split operators. There is no ``_array`` twin of
-any operator; nibble packing happens only at the file and API edges
-(`FeatureMap`).
+uint8 codes in the reference engine, floats in the float graph of the test
+oracles (`tests/oracles.py`), which shares the pool, shift, shuffle and split
+operators. There is no ``_array`` twin of any operator; nibble packing
+happens only at the file and API edges (`FeatureMap`).
 """
 from __future__ import annotations
 

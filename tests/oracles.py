@@ -8,8 +8,9 @@ matmul instead of the float32 GEMM, exact rationals instead of the integer
 head, an operator-by-operator composition that stores every intermediate
 as a packed `FeatureMap` instead of the engines' step interpreter over uint8
 arrays, and pixel-serial line buffers instead of the simulator's row lanes.
-The clip and weight-grid identities the package does not use are
-here too, as statements the tests check.
+The float graph (`float_forward`, the quantized network with its rounding
+removed) and the clip and weight-grid identities the package does not use
+are here too, as statements the tests check.
 """
 import math
 from collections import deque
@@ -32,6 +33,7 @@ from diracdelta.quant import (
     NetworkQuantParams,
     ThresholdTable,
     accumulator_scale,
+    pact_clip,
     quantize_activation,
 )
 from diracdelta.tensor import ACC_DTYPE, ACC_LIMIT, FeatureMap, WeightMatrix, check_accumulators
@@ -199,6 +201,56 @@ def composed_forward(bundle, fm: FeatureMap) -> np.ndarray:
     raise AssertionError("network has no head step")
 
 
+def float_forward(spec, weights: dict, net: NetworkQuantParams, alphas,
+                  x: np.ndarray) -> np.ndarray:
+    """Float twin of `forward`: same graph, real arithmetic, no rounding.
+
+    ``weights`` maps conv step names (plus "fc") to float (out, in) arrays.
+    After every conv the activation is clipped to [0, alpha] and rescaled by
+    s / alpha, which is the quantizer with the rounding removed. ``alphas``
+    is a mapping from layer name to clip bound, or a single float for all.
+    Pool, shift, split and shuffle are the engines' `ops` functions on floats.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.shape != (spec.input_size, spec.input_size, spec.input_channels):
+        raise ShapeError(
+            f"input shape {arr.shape} does not match "
+            f"({spec.input_size}, {spec.input_size}, {spec.input_channels})"
+        )
+
+    def shifted(v):
+        return shift(v, default_shift_directions(v.shape[2]))
+
+    bufs = {"input": arr}
+    for step in compile_steps(spec):
+        if isinstance(step, ConvStep):
+            w = np.asarray(weights[step.name], dtype=np.float64)
+            if w.shape != (step.out_channels, step.in_channels):
+                raise ShapeError(
+                    f"layer {step.name}: float weights {w.shape} do not match "
+                    f"({step.out_channels}, {step.in_channels})"
+                )
+            a = alphas[step.name] if isinstance(alphas, dict) else float(alphas)
+            out = pact_clip(bufs[step.src] @ w.T, a) * (net.s / a)
+            if step.pool:
+                out = maxpool2x2(out)
+            if step.shift:
+                out = shifted(out)
+            if step.shuffle_with:
+                out = concat_shuffle(bufs[step.shuffle_with], out)
+            bufs[step.dst] = out
+        elif isinstance(step, PoolStep):
+            bufs[step.dst] = maxpool2x2(bufs[step.src])
+        elif isinstance(step, ShiftStep):
+            bufs[step.dst] = shifted(bufs[step.src])
+        elif isinstance(step, SplitStep):
+            bufs[step.dst_skip], bufs[step.dst_residual] = channel_split(bufs[step.src])
+        else:
+            fc = np.asarray(weights["fc"], dtype=np.float64)
+            return bufs[step.src].mean(axis=(0, 1)) @ fc.T
+    raise AssertionError("network has no head step")
+
+
 class PixelPoolLane:
     """2x2 stride-2 max pooling over a raster stream, one pixel at a time.
 
@@ -274,6 +326,7 @@ class PixelShiftLane:
         self._center = 0        # next padded position to resolve
         self._pending = []
         self._dtype = None
+        self._finished = False
 
     def _push(self, px) -> list:
         self._buf.append(px)
@@ -333,8 +386,9 @@ class PixelShiftLane:
         return done
 
     def finish(self) -> list:
-        """Push the bottom zero ring, which flushes the last output row."""
-        if self._dtype is None:
+        """Push the bottom zero ring once, which flushes the last output row."""
+        if self._dtype is None or self._finished:
             return []
+        self._finished = True
         zero = np.zeros(self.channels, dtype=self._dtype)
         return self._feed_padded_row([zero] * self._pad_w)

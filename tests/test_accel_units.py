@@ -1,5 +1,7 @@
 """Row lanes against their pixel-serial oracles, the conversion unit oracles,
 shuffle writeback, and FIFOs."""
+import pickle
+
 import numpy as np
 import pytest
 
@@ -176,14 +178,23 @@ def test_shift_lane_single_direction(direction):
 
 def test_shift_lane_needs_finish_to_flush():
     rng = np.random.default_rng(78)
-    fm = rng.integers(0, 16, size=(3, 3, 2), dtype=np.uint8)
-    lane = ShiftLane(3, 2, default_shift_directions(2))
-    rows = []
-    for row in fm:
-        rows.extend(lane.feed_row(row))
-    assert len(rows) == 2  # the last row waits for the bottom padding
-    rows.extend(lane.finish())
-    assert len(rows) == 3
+    for lane_type in (ShiftLane, PixelShiftLane):
+        for height in (1, 2, 3):
+            fm = rng.integers(0, 16, size=(height, 3, 2), dtype=np.uint8)
+            lane = lane_type(3, 2, default_shift_directions(2))
+            rows = []
+            for row in fm:
+                rows.extend(lane.feed_row(row))
+            assert len(rows) == height - 1  # the last row waits for the bottom padding
+            rows.extend(lane.finish())
+            assert len(rows) == height
+            np.testing.assert_array_equal(np.stack(rows),
+                                          shift(fm, default_shift_directions(2)))
+            occupancy = lane.max_occupancy
+            state = pickle.dumps(vars(lane))
+            assert lane.finish() == []  # the flush happens once
+            assert lane.max_occupancy == occupancy
+            assert pickle.dumps(vars(lane)) == state
 
 
 def test_shift_lane_occupancy_stays_in_the_two_row_budget():

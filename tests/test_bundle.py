@@ -1,5 +1,4 @@
 """Bundle serialization: manifests, checksummed blobs, and float weight import."""
-import dataclasses
 import json
 import struct
 import zlib
@@ -22,7 +21,6 @@ from diracdelta.net import conv_steps, forward
 from diracdelta.quant import (
     LayerQuantParams,
     NetworkQuantParams,
-    ThresholdTable,
     build_threshold_table,
 )
 
@@ -280,14 +278,6 @@ def test_alpha_without_a_table_fails_to_load_naming_the_layer(tmp_path, tiny_bun
     (root / "manifest.json").write_text(json.dumps(mf))
     with pytest.raises(ConstructionError, match="layer s2d_skip_conv: top code unreachable"):
         load_bundle(root)
-
-
-def test_save_refuses_a_table_its_parameters_do_not_build(tmp_path, tiny_bundle):
-    tables = dict(tiny_bundle.tables, conv2=ThresholdTable(tuple(range(1, 16))))
-    b = dataclasses.replace(tiny_bundle, tables=tables)
-    with pytest.raises(BundleError, match="layer conv2: threshold table is not the one"):
-        save_bundle(b, tmp_path / "b")
-    assert not (tmp_path / "b").exists()
 
 
 # =========================================================================

@@ -1,13 +1,15 @@
 """End-to-end command-line flows: build, validate, infer, quantize, simulate, report.
 
 Commands run in-process through `main` so exit codes and printed lines are
-asserted exactly; one subprocess test checks the module entry point.
+asserted exactly; two subprocess tests check the module entry point.
 """
 import json
+import os
 import shutil
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,12 +211,15 @@ def test_version_1_manifest_fails_validation(tiny_bundle_dir, tmp_path, capsys):
     (lambda mf: mf["layers"], "manifest.json must hold an object, got list"),
     (lambda mf: _set(mf, ("layers", 1), [1, 2]), "field layers[1] must be an object, got list"),
     (lambda mf: _set(mf, ("network", "stem_channels"), [8]), "stem_channels must hold"),
+    (lambda mf: _set(mf, ("network", "input_channels"), 600),
+     "layer conv1: 600 input channels exceed 512"),
 ])
 def test_manifest_of_the_wrong_shape_fails_validation(
         tiny_bundle_dir, tmp_path, capsys, edit, fragment):
     rc, err = _validate_with_manifest(tiny_bundle_dir, tmp_path, capsys, edit)
     assert rc == 1
     assert err.startswith("error: ") and fragment in err
+    assert "Traceback" not in err
 
 
 # =========================================================================
@@ -423,21 +428,23 @@ def test_report_rejects_a_non_finite_cost_config_value(tmp_path, capsys, key, va
 # module entry point
 # =========================================================================
 
+def _run_module(*args):
+    """``python -m diracdelta`` in a child that imports the package these tests import."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "diracdelta", *args],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
 def test_module_entry_point_help():
-    proc = subprocess.run(
-        [sys.executable, "-m", "diracdelta", "--help"],
-        capture_output=True, text=True,
-    )
+    proc = _run_module("--help")
     assert proc.returncode == 0
     for command in ("build", "quantize", "infer", "simulate", "report", "validate"):
         assert command in proc.stdout
 
 
 def test_argparse_rejects_unknown_engine_choice():
-    proc = subprocess.run(
-        [sys.executable, "-m", "diracdelta", "infer", "--bundle", "x",
-         "--engine", "gpu"],
-        capture_output=True, text=True,
-    )
+    proc = _run_module("infer", "--bundle", "x", "--engine", "gpu")
     assert proc.returncode == 2
     assert "invalid choice" in proc.stderr

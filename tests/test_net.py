@@ -1,21 +1,21 @@
-"""Graph structure, parameter accounting, and the forward interpreters.
+"""Graph structure, parameter accounting, bundle validation, and `forward`.
 
-The forward test re-wires the tiny one-stage network by hand, step by step,
+The forward tests re-wire the tiny one-stage network by hand, step by step,
 so a wiring mistake in the compiled step list cannot hide behind the step
-list itself.
+list itself. The float graph, `float_forward`, is a test oracle in
+`oracles.py`; it is checked against the same kind of hand wiring here.
 """
 import numpy as np
 import pytest
 
 from conftest import make_tiny_spec, make_two_stage_spec, random_input
-from oracles import composed_forward, documented_head_codes
+from oracles import composed_forward, documented_head_codes, float_forward
 
-from diracdelta.bundle import random_bundle
-from diracdelta.errors import GraphError, ShapeError
+from diracdelta.bundle import ModelBundle, random_bundle
+from diracdelta.errors import ConstructionError, GraphError, ShapeError
 from diracdelta.net import (
     ConvStep,
     HeadStep,
-    ModelBundle,
     NetworkSpec,
     PoolStep,
     ShiftStep,
@@ -24,7 +24,6 @@ from diracdelta.net import (
     compile_steps,
     conv_steps,
     count_params_macs,
-    float_forward,
     forward,
 )
 from diracdelta.ops import (
@@ -36,7 +35,7 @@ from diracdelta.ops import (
     maxpool2x2,
     shift,
 )
-from diracdelta.quant import NetworkQuantParams
+from diracdelta.quant import LayerQuantParams, NetworkQuantParams
 from diracdelta.tensor import FeatureMap
 
 # =========================================================================
@@ -68,6 +67,11 @@ def test_spec_rejects_inconsistent_shapes():
         make_tiny_spec(stem_channels=(4, 9), stage_channels=(18,))
     with pytest.raises(GraphError, match="non-negative"):
         make_tiny_spec(stage_repeats=(-1,))
+    with pytest.raises(GraphError, match="layer conv1: 600 input channels exceed 512"):
+        NetworkSpec(16, 600, (4, 8), (16,), (1,), 32, 10)
+    with pytest.raises(GraphError, match="layer s5d_res_conv2: 1024 input channels exceed"):
+        NetworkSpec(input_size=256, stage_channels=(128, 256, 512, 1024),
+                    stage_repeats=(1, 1, 1, 1))
 
 
 def _blocks(spec):
@@ -194,7 +198,7 @@ def test_count_report_layer_rows():
 
 def _copy_bundle(b):
     return ModelBundle(
-        spec=b.spec, net=b.net, weights=dict(b.weights), tables=dict(b.tables),
+        spec=b.spec, net=b.net, weights=dict(b.weights),
         layer_params=dict(b.layer_params), fc_weights=b.fc_weights, fc_scale=b.fc_scale,
     )
 
@@ -213,8 +217,8 @@ def test_bundle_validate_passes_and_names_offenders(tiny_bundle):
         b.validate()
 
     b = _copy_bundle(tiny_bundle)
-    del b.tables["conv5"]
-    with pytest.raises(GraphError, match="layer conv5: threshold table missing"):
+    del b.layer_params["conv5"]
+    with pytest.raises(GraphError, match="layer conv5: quantization params missing"):
         b.validate()
 
     b = _copy_bundle(tiny_bundle)
@@ -226,6 +230,21 @@ def test_bundle_validate_passes_and_names_offenders(tiny_bundle):
     b.fc_scale = 0.0
     with pytest.raises(GraphError, match="fc_scale must be positive"):
         b.validate()
+
+
+def test_bundle_builds_its_tables_and_names_a_layer_that_cannot_have_one(tiny_bundle):
+    b = _copy_bundle(tiny_bundle)
+    assert b.tables == tiny_bundle.tables
+    assert set(b.tables) == set(b.layer_params)
+    with pytest.raises(TypeError):
+        ModelBundle(spec=b.spec, net=b.net, weights=b.weights, tables=b.tables,
+                    layer_params=b.layer_params, fc_weights=b.fc_weights,
+                    fc_scale=b.fc_scale)
+    params = dict(b.layer_params)
+    params["s2d_skip_conv"] = LayerQuantParams(alpha=1e9, weight_scale=1 / 15)
+    with pytest.raises(ConstructionError, match="layer s2d_skip_conv: top code unreachable"):
+        ModelBundle(spec=b.spec, net=b.net, weights=b.weights, layer_params=params,
+                    fc_weights=b.fc_weights, fc_scale=b.fc_scale)
 
 
 def test_bundle_validate_checks_fc_shape(tiny_bundle):
