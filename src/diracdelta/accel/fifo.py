@@ -3,25 +3,31 @@
 A stage is a generator that yields effects instead of touching channels
 directly:
 
-    ("put", channel, item)   block until the channel accepts the item
-    ("get", channel)         block until an item arrives; it is sent back in
+    ("put", channel, item)   wait until the channel accepts the item
+    ("get", channel)         wait until an item arrives; it is sent back in
 
-Because stages only communicate through blocking FIFOs, the network computes
-the same values under any scheduling, so the simple round-robin scheduler and
-the genuinely concurrent threaded one are interchangeable. The round-robin
-run doubles as a deadlock checker: if no stage can advance it names exactly
-who is stuck on what.
+A channel is a plain bounded deque with no synchronisation of its own; the
+scheduler completes every effect through one step, `_attempt`, and decides
+what a stage that cannot advance does. Because stages only communicate
+through bounded FIFOs, the network computes the same values under any
+scheduling, so the round-robin scheduler and the threaded one are
+interchangeable. The round-robin run doubles as a deadlock checker: if no
+stage can advance it names exactly who is stuck on what. The threaded run
+completes effects under one lock and runs stage bodies outside it.
 """
 from __future__ import annotations
 
-import threading
 from collections import deque
 
 from ..errors import ConfigurationError, DeadlockError
 
+# Longest a threaded stage waits on one channel before the run is declared
+# deadlocked: a backstop, since a cycle of waiting threads cannot wake itself.
+WAIT_BACKSTOP_S = 30.0
+
 
 class FifoChannel:
-    """Bounded FIFO with non-blocking and blocking endpoints.
+    """Bounded FIFO with non-blocking endpoints.
 
     Tracks its high-water mark (`max_depth`) and the number of items ever
     enqueued (`put_count`) so pipeline runs can report buffer pressure.
@@ -35,56 +41,43 @@ class FifoChannel:
         self.max_depth = 0
         self.put_count = 0
         self._items = deque()
-        self._lock = threading.Lock()
-        self._not_full = threading.Condition(self._lock)
-        self._not_empty = threading.Condition(self._lock)
 
     def __len__(self) -> int:
         return len(self._items)
 
-    def _enqueue(self, item) -> None:
-        self._items.append(item)
-        self.put_count += 1
-        if len(self._items) > self.max_depth:
-            self.max_depth = len(self._items)
-
     def try_put(self, item) -> bool:
-        with self._lock:
-            if len(self._items) >= self.capacity:
-                return False
-            self._enqueue(item)
-            self._not_empty.notify()
-            return True
+        items = self._items
+        if len(items) >= self.capacity:
+            return False
+        items.append(item)
+        self.put_count += 1
+        if len(items) > self.max_depth:
+            self.max_depth = len(items)
+        return True
 
     def try_get(self):
         """Returns (True, item) or (False, None) without blocking."""
-        with self._lock:
-            if not self._items:
-                return False, None
-            item = self._items.popleft()
-            self._not_full.notify()
-            return True, item
-
-    def put(self, item, timeout=None) -> None:
-        with self._not_full:
-            while len(self._items) >= self.capacity:
-                if not self._not_full.wait(timeout):
-                    raise DeadlockError(f"timed out putting to fifo {self.name!r}")
-            self._enqueue(item)
-            self._not_empty.notify()
-
-    def get(self, timeout=None):
-        with self._not_empty:
-            while not self._items:
-                if not self._not_empty.wait(timeout):
-                    raise DeadlockError(f"timed out getting from fifo {self.name!r}")
-            item = self._items.popleft()
-            self._not_full.notify()
-            return item
+        if not self._items:
+            return False, None
+        return True, self._items.popleft()
 
 
 def _stage_name(gen) -> str:
     return getattr(gen, "__name__", None) or "stage"
+
+
+def _attempt(gen, effect):
+    """Complete `effect` of stage `gen` if its channel allows: (done, value)."""
+    if effect[0] == "put":
+        return effect[1].try_put(effect[2]), None
+    if effect[0] == "get":
+        return effect[1].try_get()
+    raise ConfigurationError(f"stage {_stage_name(gen)!r} yielded unknown effect {effect[0]!r}")
+
+
+def _waiting(name: str, effect) -> str:
+    to = "to" if effect[0] == "put" else "from"
+    return f"{name} waiting to {effect[0]} {to} {effect[1].name!r}"
 
 
 def run_round_robin(stages) -> None:
@@ -105,15 +98,8 @@ def run_round_robin(stages) -> None:
         progressed = False
         still = []
         for entry in live:
-            name, gen, effect = entry
-            value = None
-            ready = False
-            if effect[0] == "put":
-                ready = effect[1].try_put(effect[2])
-            elif effect[0] == "get":
-                ready, value = effect[1].try_get()
-            else:
-                raise ConfigurationError(f"stage {name!r} yielded unknown effect {effect[0]!r}")
+            gen = entry[1]
+            ready, value = _attempt(gen, entry[2])
             if ready:
                 progressed = True
                 try:
@@ -125,41 +111,53 @@ def run_round_robin(stages) -> None:
                 still.append(entry)
         live = still
         if live and not progressed:
-            stuck = ", ".join(
-                f"{name} waiting to {eff[0]} "
-                f"{'to' if eff[0] == 'put' else 'from'} {eff[1].name!r}"
-                for name, _, eff in live
-            )
+            stuck = ", ".join(_waiting(name, eff) for name, _, eff in live)
             raise DeadlockError(f"no stage can advance: {stuck}")
 
 
-def run_threaded(stages, timeout: float = 30.0) -> None:
-    """Drive the stages on real threads with blocking channel endpoints.
+def run_threaded(stages) -> None:
+    """Drive the stages on real threads that share one lock.
 
-    Channel waits use a timeout as a deadlock backstop; the first failure
-    from any stage is re-raised on the caller's thread after all workers
-    stop.
+    Effects complete under the lock and stage bodies run outside it. A stage
+    that cannot advance waits on its channel's condition until the stage at
+    the other end completes an effect there; a wait longer than
+    `WAIT_BACKSTOP_S` raises `DeadlockError`. The first failure from any
+    stage wakes every waiter, and is re-raised on the caller's thread once
+    all workers have stopped.
     """
+    import threading  # the only scheduler that needs it
+
+    lock = threading.Lock()
+    conditions = {}  # channel -> Condition on `lock`, made at first use
     failures = []
 
     def drive(gen):
         try:
             effect = next(gen)
             while True:
-                if effect[0] == "put":
-                    effect[1].put(effect[2], timeout=timeout)
-                    value = None
-                elif effect[0] == "get":
-                    value = effect[1].get(timeout=timeout)
-                else:
-                    raise ConfigurationError(
-                        f"stage {_stage_name(gen)!r} yielded unknown effect {effect[0]!r}"
-                    )
+                with lock:
+                    while True:
+                        if failures:
+                            return
+                        done, value = _attempt(gen, effect)
+                        channel = effect[1]
+                        cond = conditions.get(channel)
+                        if cond is None:
+                            cond = conditions[channel] = threading.Condition(lock)
+                        if done:
+                            break
+                        if not cond.wait(WAIT_BACKSTOP_S) and not failures:
+                            stuck = _waiting(_stage_name(gen), effect)
+                            raise DeadlockError(f"{stuck} for {WAIT_BACKSTOP_S} s")
+                    cond.notify_all()
                 effect = gen.send(value)
         except StopIteration:
             pass
         except BaseException as e:  # noqa: BLE001 - reported to the caller
-            failures.append(e)
+            with lock:
+                failures.append(e)
+                for cond in conditions.values():
+                    cond.notify_all()
 
     threads = [threading.Thread(target=drive, args=(g,), daemon=True) for g in stages]
     for t in threads:

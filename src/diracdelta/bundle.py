@@ -355,6 +355,19 @@ def random_bundle(spec: NetworkSpec, net: NetworkQuantParams, seed: int) -> Mode
     )
 
 
+def _quantize_layer(float_weights: dict, name: str, shape: tuple, k_w: int):
+    """One layer's float (out, in) weights as (`WeightMatrix`, weight scale)."""
+    if name not in float_weights:
+        raise BundleError(f"no float weights supplied for layer {name}")
+    w = np.asarray(float_weights[name], dtype=np.float64)
+    if w.shape != shape:
+        raise BundleError(f"layer {name}: float weights have shape {w.shape}, expected {shape}")
+    if not np.all(np.isfinite(w)):
+        raise BundleError(f"layer {name}: float weights must be finite")
+    codes, w_scale = quantize_weights(w, k_w)
+    return WeightMatrix(shape[0], shape[1], codes.astype(np.uint8)), w_scale
+
+
 def quantize_bundle(spec: NetworkSpec, net: NetworkQuantParams, float_weights: dict,
                     alphas=None) -> ModelBundle:
     """Quantize float weights into a runnable bundle.
@@ -368,32 +381,15 @@ def quantize_bundle(spec: NetworkSpec, net: NetworkQuantParams, float_weights: d
     weights = {}
     layer_params = {}
     for step in conv_steps(spec):
-        if step.name not in float_weights:
-            raise BundleError(f"no float weights supplied for layer {step.name}")
-        w = np.asarray(float_weights[step.name], dtype=np.float64)
-        if w.shape != (step.out_channels, step.in_channels):
-            raise BundleError(
-                f"layer {step.name}: float weights have shape {w.shape}, "
-                f"expected ({step.out_channels}, {step.in_channels})"
-            )
-        codes, w_scale = quantize_weights(w, net.k_w)
-        weights[step.name] = WeightMatrix(
-            step.out_channels, step.in_channels, codes.astype(np.uint8)
+        weights[step.name], w_scale = _quantize_layer(
+            float_weights, step.name, (step.out_channels, step.in_channels), net.k_w
         )
         layer_params[step.name] = LayerQuantParams(
             alpha=float(alphas.get(step.name, net.s)), weight_scale=w_scale
         )
-    if "fc" not in float_weights:
-        raise BundleError("no float weights supplied for layer fc")
-    fw = np.asarray(float_weights["fc"], dtype=np.float64)
-    if fw.shape != (spec.num_classes, spec.conv5_channels):
-        raise BundleError(
-            f"layer fc: float weights have shape {fw.shape}, "
-            f"expected ({spec.num_classes}, {spec.conv5_channels})"
-        )
-    fc_codes, fc_w_scale = quantize_weights(fw, net.k_w)
-    fc_weights = WeightMatrix(spec.num_classes, spec.conv5_channels,
-                              fc_codes.astype(np.uint8))
+    fc_weights, fc_w_scale = _quantize_layer(
+        float_weights, "fc", (spec.num_classes, spec.conv5_channels), net.k_w
+    )
     return ModelBundle(
         spec=spec,
         net=net,

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -37,31 +35,6 @@ from .net import build_diracdeltanet, count_params_macs, forward
 from .quant import NetworkQuantParams
 from .tensor import FeatureMap, read_tensor_blob
 
-DEFAULT_BATCHES = (1, 2, 4, 8, 16)
-
-
-@dataclass
-class RunConfig:
-    """Validated settings for one command invocation."""
-
-    command: str
-    bundle: Optional[Path] = None
-    input: Optional[Path] = None
-    batch: tuple = DEFAULT_BATCHES
-    engine: str = "reference"
-    seed: int = 0
-    cost_config: Optional[Path] = None
-    out: Optional[Path] = None
-    scheduler: str = "single-thread"
-
-    def __post_init__(self):
-        if any(b < 1 for b in self.batch):
-            raise ValidationError(f"batch sizes must be >= 1, got {self.batch}")
-        for name in ("bundle", "input", "cost_config"):
-            p = getattr(self, name)
-            if p is not None and not Path(p).exists():
-                raise OSError(f"{name.replace('_', '-')} path does not exist: {p}")
-
 
 def _parse_batches(text: str) -> tuple:
     try:
@@ -70,10 +43,10 @@ def _parse_batches(text: str) -> tuple:
         raise ValidationError(f"--batch wants comma-separated integers, got {text!r}") from None
 
 
-def _load_input(cfg: RunConfig, spec) -> FeatureMap:
-    if cfg.input is not None:
-        return read_tensor_blob(cfg.input)
-    rng = np.random.default_rng(cfg.seed)
+def _load_input(args: argparse.Namespace, spec) -> FeatureMap:
+    if args.input is not None:
+        return read_tensor_blob(args.input)
+    rng = np.random.default_rng(args.seed)
     size = (spec.input_size, spec.input_size, spec.input_channels)
     return FeatureMap.from_array(rng.integers(0, 16, size=size, dtype=np.uint8))
 
@@ -85,20 +58,19 @@ def _print_structure(spec) -> None:
     print(f"total params {counts.total_params}, macs {counts.total_macs}")
 
 
-def cmd_build(cfg: RunConfig, s: float) -> int:
+def cmd_build(args: argparse.Namespace) -> int:
     spec = build_diracdeltanet()
-    net = NetworkQuantParams(s=s)
-    bundle = random_bundle(spec, net, cfg.seed)
-    path = save_bundle(bundle, cfg.out)
+    net = NetworkQuantParams(s=args.s)
+    bundle = random_bundle(spec, net, args.seed)
+    path = save_bundle(bundle, args.out)
     print(f"bundle written to {path}")
     _print_structure(spec)
-    print(f"quant {net.tag}, s={net.s}, seed {cfg.seed}")
+    print(f"quant {net.tag}, s={net.s}, seed {args.seed}")
     return 0
 
 
-def cmd_quantize(cfg: RunConfig, weights_dir: Path, s: float, w_bits: int,
-                 a_bits: int) -> int:
-    for name, bits in (("weight", w_bits), ("activation", a_bits)):
+def cmd_quantize(args: argparse.Namespace) -> int:
+    for name, bits in (("weight", args.w_bits), ("activation", args.a_bits)):
         if bits > 8:
             raise UnsupportedWidthError(
                 f"{bits}-bit {name} codes are not storable; the bundle format "
@@ -109,34 +81,34 @@ def cmd_quantize(cfg: RunConfig, weights_dir: Path, s: float, w_bits: int,
                 f"{bits}-bit {name} codes cannot run on the 4-bit engine pipeline"
             )
     spec = build_diracdeltanet()
-    net = NetworkQuantParams(s=s, k_w=w_bits, k_a=a_bits)
-    floats = read_float_weights(weights_dir, spec)
+    net = NetworkQuantParams(s=args.s, k_w=args.w_bits, k_a=args.a_bits)
+    floats = read_float_weights(args.weights, spec)
     bundle = quantize_bundle(spec, net, floats)
-    path = save_bundle(bundle, cfg.out)
+    path = save_bundle(bundle, args.out)
     print(f"bundle written to {path}")
-    print(f"quantized as {net.tag}, s={s}")
+    print(f"quantized as {net.tag}, s={args.s}")
     return 0
 
 
-def cmd_infer(cfg: RunConfig) -> int:
-    bundle = load_bundle(cfg.bundle)
-    fm = _load_input(cfg, bundle.spec)
+def cmd_infer(args: argparse.Namespace) -> int:
+    bundle = load_bundle(args.bundle)
+    fm = _load_input(args, bundle.spec)
     executor = None
-    if cfg.engine == "simulator":
-        executor = SimulatorExecutor(scheduler=cfg.scheduler)
+    if args.engine == "simulator":
+        executor = SimulatorExecutor(scheduler=args.scheduler)
     result = forward(bundle, fm, executor=executor)
-    if cfg.out is not None:
-        Path(cfg.out).write_bytes(result.logits.astype("<f8").tobytes())
-        print(f"logits written to {cfg.out}")
+    if args.out is not None:
+        args.out.write_bytes(result.logits.astype("<f8").tobytes())
+        print(f"logits written to {args.out}")
     top = result.class_index
-    print(f"class {top} logit {result.logits[top]:.6f} ({cfg.engine} engine)")
+    print(f"class {top} logit {result.logits[top]:.6f} ({args.engine} engine)")
     return 0
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    bundle = load_bundle(cfg.bundle)
-    fm = _load_input(cfg, bundle.spec)
-    sim = SimulatorExecutor(scheduler=cfg.scheduler)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    bundle = load_bundle(args.bundle)
+    fm = _load_input(args, bundle.spec)
+    sim = SimulatorExecutor(scheduler=args.scheduler)
     result = forward(bundle, fm, executor=sim)
     lines = [
         f"{'step':16s} {'dram R':>9s} {'dram W':>9s} {'weights':>8s} "
@@ -150,37 +122,34 @@ def cmd_simulate(cfg: RunConfig) -> int:
             f"{st.pool_occupancy:4d} {st.shift_occupancy:5d} {depth:4d}"
         )
     table = "\n".join(lines) + "\n"
-    if cfg.out is not None:
-        Path(cfg.out).write_text(table)
-        print(f"stats written to {cfg.out}")
+    if args.out is not None:
+        args.out.write_text(table)
+        print(f"stats written to {args.out}")
     else:
         print(table, end="")
     peak = max(st.max_abs_acc for _, st in sim.log)
     print(f"peak |accumulator| {peak}")
-    print(f"class {result.class_index} ({cfg.scheduler} scheduler)")
+    print(f"class {result.class_index} ({args.scheduler} scheduler)")
     return 0
 
 
-def cmd_report(cfg: RunConfig) -> int:
-    spec = load_bundle(cfg.bundle).spec if cfg.bundle else build_diracdeltanet()
+def cmd_report(args: argparse.Namespace) -> int:
+    batches = _parse_batches(args.batch)
+    spec = load_bundle(args.bundle).spec if args.bundle is not None else build_diracdeltanet()
     params = CostModelParams()
-    if cfg.cost_config is not None:
-        params = load_cost_config(cfg.cost_config, params)
-    report = build_report(spec, params, batches=cfg.batch)
-    if cfg.out is not None:
-        out = Path(cfg.out)
-        if out.suffix == ".json":
-            out.write_text(report.to_json())
-        else:
-            out.write_text(report.to_text())
-        print(f"report written to {out}")
+    if args.cost_config is not None:
+        params = load_cost_config(args.cost_config, params)
+    report = build_report(spec, params, batches=batches)
+    if args.out is not None:
+        args.out.write_text(report.to_json() if args.out.suffix == ".json" else report.to_text())
+        print(f"report written to {args.out}")
     else:
         print(report.to_text(), end="")
     return 0
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    bundle = load_bundle(cfg.bundle)
+def cmd_validate(args: argparse.Namespace) -> int:
+    bundle = load_bundle(args.bundle)
     counts = count_params_macs(bundle.spec)
     print(
         f"bundle OK: {len(bundle.weights)} conv layers, {bundle.net.tag}, "
@@ -197,74 +166,58 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="write a seeded random-weight bundle")
-    p.add_argument("--out", required=True, help="bundle directory to create")
+    p.set_defaults(run=cmd_build)
+    p.add_argument("--out", type=Path, required=True, help="bundle directory to create")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--s", type=float, default=1.0, help="shared activation scale")
 
     p = sub.add_parser("quantize", help="quantize raw float32 weights into a bundle")
-    p.add_argument("--weights", required=True, help="directory of <layer>.bin float32 files")
-    p.add_argument("--out", required=True)
+    p.set_defaults(run=cmd_quantize)
+    p.add_argument("--weights", type=Path, required=True,
+                   help="directory of <layer>.bin float32 files")
+    p.add_argument("--out", type=Path, required=True)
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--w-bits", type=int, default=4)
     p.add_argument("--a-bits", type=int, default=4)
 
     p = sub.add_parser("infer", help="classify one input tensor")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--input", help="input tensor blob; omitted means seeded random")
+    p.set_defaults(run=cmd_infer)
+    p.add_argument("--bundle", type=Path, required=True)
+    p.add_argument("--input", type=Path, help="input tensor blob; omitted means seeded random")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--engine", choices=("reference", "simulator"), default="reference")
     p.add_argument("--scheduler", choices=sorted(SCHEDULERS), default="single-thread")
-    p.add_argument("--out", help="write logits as little-endian float64")
+    p.add_argument("--out", type=Path, help="write logits as little-endian float64")
 
     p = sub.add_parser("simulate", help="run the pipeline engine with statistics")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--input")
+    p.set_defaults(run=cmd_simulate)
+    p.add_argument("--bundle", type=Path, required=True)
+    p.add_argument("--input", type=Path)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scheduler", choices=sorted(SCHEDULERS), default="single-thread")
-    p.add_argument("--out", help="write the statistics table to a file")
+    p.add_argument("--out", type=Path, help="write the statistics table to a file")
 
     p = sub.add_parser("report", help="cost-model report: roofline, batches, ablation")
-    p.add_argument("--bundle", help="take the network shape from this bundle")
+    p.set_defaults(run=cmd_report)
+    p.add_argument("--bundle", type=Path, help="take the network shape from this bundle")
     p.add_argument("--batch", default="1,2,4,8,16", help="comma-separated batch sizes")
-    p.add_argument("--cost-config", help="key = value overrides for the cost model")
-    p.add_argument("--out", help=".json for machine-readable, else text")
+    p.add_argument("--cost-config", type=Path, help="key = value overrides for the cost model")
+    p.add_argument("--out", type=Path, help=".json for machine-readable, else text")
 
     p = sub.add_parser("validate", help="verify a bundle's checksums and graph")
-    p.add_argument("--bundle", required=True)
+    p.set_defaults(run=cmd_validate)
+    p.add_argument("--bundle", type=Path, required=True)
     return parser
-
-
-def _to_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        bundle=Path(args.bundle) if getattr(args, "bundle", None) else None,
-        input=Path(args.input) if getattr(args, "input", None) else None,
-        batch=_parse_batches(args.batch) if getattr(args, "batch", None) else DEFAULT_BATCHES,
-        engine=getattr(args, "engine", "reference"),
-        seed=getattr(args, "seed", 0),
-        cost_config=Path(args.cost_config) if getattr(args, "cost_config", None) else None,
-        out=Path(args.out) if getattr(args, "out", None) else None,
-        scheduler=getattr(args, "scheduler", "single-thread"),
-    )
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _to_config(args)
-        if args.command == "build":
-            return cmd_build(cfg, args.s)
-        if args.command == "quantize":
-            return cmd_quantize(cfg, Path(args.weights), args.s, args.w_bits, args.a_bits)
-        if args.command == "infer":
-            return cmd_infer(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "report":
-            return cmd_report(cfg)
-        if args.command == "validate":
-            return cmd_validate(cfg)
-        raise ValidationError(f"unknown command {args.command!r}")
+        for name in ("bundle", "input", "cost_config"):
+            p = getattr(args, name, None)
+            if p is not None and not p.exists():
+                raise OSError(f"{name.replace('_', '-')} path does not exist: {p}")
+        return args.run(args)
     except DiracDeltaError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

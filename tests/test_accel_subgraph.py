@@ -4,6 +4,8 @@ Every configuration the network uses (bare conv, conv+pool+shift, conv+shift,
 conv+shuffle) must produce byte-identical tensors under both schedulers, with
 traffic counters that match closed-form expectations.
 """
+import time
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,18 @@ def test_schedulers_agree_on_stats_too():
     assert a.stats.dram_read_bytes == b.stats.dram_read_bytes
     assert a.stats.dram_write_bytes == b.stats.dram_write_bytes
     assert a.stats.max_abs_acc == b.stats.max_abs_acc
+
+
+@pytest.mark.parametrize("scheduler", ["single-thread", "concurrent"])
+def test_a_stage_failure_is_re_raised_promptly(scheduler):
+    # 600 all-15 inputs against all-15 weights overflow the accumulator
+    # bound in the conv stage while the loader still has rows to put.
+    fm = np.full((4, 4, 600), 15, dtype=np.uint8)
+    wm = WeightMatrix(8, 600, np.full((8, 600), 15, dtype=np.uint8))
+    t0 = time.perf_counter()
+    with pytest.raises(ValidationError, match="accumulator magnitude 135000 exceeds bound"):
+        run_subgraph(fm, wm, _table(1), scheduler=scheduler)
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_small_tiles_and_unit_fifo_capacity_still_bit_exact():

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from diracdelta.accel import fifo
 from diracdelta.accel.fifo import FifoChannel, run_network, run_round_robin, run_threaded
 from diracdelta.accel.units import PoolLane, ShiftLane, shuffle_writeback
 from diracdelta.errors import (
@@ -329,15 +330,6 @@ def test_fifo_capacity_validation():
         FifoChannel("t", capacity=0)
 
 
-def test_fifo_blocking_endpoints_time_out():
-    ch = FifoChannel("t", capacity=1)
-    with pytest.raises(DeadlockError, match="timed out getting from fifo 't'"):
-        ch.get(timeout=0.01)
-    ch.put(1)
-    with pytest.raises(DeadlockError, match="timed out putting to fifo 't'"):
-        ch.put(2, timeout=0.01)
-
-
 def _pipeline(n, scheduler):
     a = FifoChannel("a", capacity=2)
     b = FifoChannel("b", capacity=2)
@@ -397,14 +389,33 @@ def test_round_robin_reports_full_cycle_deadlock():
         run_round_robin([left(), right()])
 
 
+def test_threaded_scheduler_reports_a_full_cycle_deadlock(monkeypatch):
+    monkeypatch.setattr(fifo, "WAIT_BACKSTOP_S", 0.05)
+    a = FifoChannel("a", capacity=1)
+    b = FifoChannel("b", capacity=1)
+
+    def left():
+        yield ("get", a)
+        yield ("put", b, 1)
+
+    def right():
+        yield ("get", b)
+        yield ("put", a, 1)
+
+    with pytest.raises(DeadlockError, match=r"(left|right) waiting to get from '[ab]' for 0.05 s"):
+        run_threaded([left(), right()])
+
+
 def test_unknown_effect_is_rejected():
     ch = FifoChannel("x", capacity=1)
 
     def bad():
         yield ("peek", ch)
 
-    with pytest.raises(ConfigurationError, match="unknown effect 'peek'"):
-        run_round_robin([bad()])
+    message = "^stage 'bad' yielded unknown effect 'peek'$"
+    for runner in (run_round_robin, run_threaded):
+        with pytest.raises(ConfigurationError, match=message):
+            runner([bad()])
 
 
 def test_threaded_scheduler_propagates_stage_failures():

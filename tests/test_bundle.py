@@ -326,6 +326,9 @@ def test_quantize_bundle_input_errors(tiny_spec, quant_params):
     floats["conv5"] = np.zeros((2, 2))
     with pytest.raises(BundleError, match="layer conv5: float weights have shape"):
         quantize_bundle(tiny_spec, quant_params, floats)
+    floats["conv2"][0, 0] = np.inf
+    with pytest.raises(BundleError, match="layer conv2: float weights must be finite"):
+        quantize_bundle(tiny_spec, quant_params, floats)
 
 
 def test_read_float_weights(tmp_path, tiny_spec):

@@ -337,6 +337,19 @@ def test_quantize_missing_weight_files(tmp_path, capsys):
     assert "missing weight file conv1.bin" in capsys.readouterr().err
 
 
+def test_quantize_refuses_nan_weights_naming_the_layer(tmp_path, capsys):
+    weights = tmp_path / "weights"
+    _write_float_weights(weights, seed=7)
+    fc = np.frombuffer((weights / "fc.bin").read_bytes(), dtype="<f4").copy()
+    fc[5] = np.nan
+    (weights / "fc.bin").write_bytes(fc.tobytes())
+    rc = cli.main(["quantize", "--weights", str(weights), "--out", str(tmp_path / "q")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: layer fc: float weights must be finite\n"
+    assert not (tmp_path / "q").exists()
+
+
 # =========================================================================
 # simulate
 # =========================================================================
@@ -392,6 +405,18 @@ def test_report_rejects_bad_batch_list(capsys):
     rc = cli.main(["report", "--batch", "1,x"])
     assert rc == 1
     assert "--batch wants comma-separated integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("batch,fragment", [
+    ("", "--batch wants comma-separated integers, got ''"),
+    ("0", "batch must be >= 1, got 0"),
+])
+def test_report_rejects_an_empty_or_zero_batch(capsys, batch, fragment):
+    rc = cli.main(["report", "--batch", batch])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert fragment in out.err
 
 
 def test_report_missing_cost_config(tmp_path, capsys):
