@@ -21,10 +21,6 @@ from collections import deque
 
 from ..errors import ConfigurationError, DeadlockError
 
-# Longest a threaded stage waits on one channel before the run is declared
-# deadlocked: a backstop, since a cycle of waiting threads cannot wake itself.
-WAIT_BACKSTOP_S = 30.0
-
 
 class FifoChannel:
     """Bounded FIFO with non-blocking endpoints.
@@ -120,16 +116,29 @@ def run_threaded(stages) -> None:
 
     Effects complete under the lock and stage bodies run outside it. A stage
     that cannot advance waits on its channel's condition until the stage at
-    the other end completes an effect there; a wait longer than
-    `WAIT_BACKSTOP_S` raises `DeadlockError`. The first failure from any
-    stage wakes every waiter, and is re-raised on the caller's thread once
-    all workers have stopped.
+    the other end completes an effect there. When the last running stage
+    waits, or finishes while others wait, no stage can advance: the run
+    raises `DeadlockError` at once, naming every stuck stage. The first
+    failure from any stage wakes every waiter, and is re-raised on the
+    caller's thread once all workers have stopped.
     """
     import threading  # the only scheduler that needs it
 
+    stages = list(stages)
     lock = threading.Lock()
     conditions = {}  # channel -> Condition on `lock`, made at first use
-    failures = []
+    stuck = {}  # stage -> the effect it waits for, until its channel moves
+    finished, failures = [], []
+
+    def fail(error):  # under the lock
+        failures.append(error)
+        for cond in conditions.values():
+            cond.notify_all()
+
+    def check_progress():  # under the lock
+        if stuck and len(stuck) + len(finished) == len(stages):
+            names = ", ".join(_waiting(_stage_name(g), e) for g, e in stuck.items())
+            fail(DeadlockError(f"no stage can advance: {names}"))
 
     def drive(gen):
         try:
@@ -141,23 +150,25 @@ def run_threaded(stages) -> None:
                             return
                         done, value = _attempt(gen, effect)
                         channel = effect[1]
-                        cond = conditions.get(channel)
-                        if cond is None:
-                            cond = conditions[channel] = threading.Condition(lock)
+                        cond = conditions.get(channel) or conditions.setdefault(
+                            channel, threading.Condition(lock))
                         if done:
                             break
-                        if not cond.wait(WAIT_BACKSTOP_S) and not failures:
-                            stuck = _waiting(_stage_name(gen), effect)
-                            raise DeadlockError(f"{stuck} for {WAIT_BACKSTOP_S} s")
+                        stuck[gen] = effect
+                        check_progress()
+                        if not failures:
+                            cond.wait()
+                    for g in [g for g, e in stuck.items() if e[1] is channel]:
+                        del stuck[g]  # about to be woken; it counts as running
                     cond.notify_all()
                 effect = gen.send(value)
         except StopIteration:
-            pass
+            with lock:
+                finished.append(gen)
+                check_progress()
         except BaseException as e:  # noqa: BLE001 - reported to the caller
             with lock:
-                failures.append(e)
-                for cond in conditions.values():
-                    cond.notify_all()
+                fail(e)
 
     threads = [threading.Thread(target=drive, args=(g,), daemon=True) for g in stages]
     for t in threads:

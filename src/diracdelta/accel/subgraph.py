@@ -14,8 +14,10 @@ rows (one item per row and input channel block on the loader edge), so the
 computed bytes are identical under any scheduler; what the simulator adds
 over the reference operators is the traffic and occupancy accounting of a
 real run. Each stage works on a whole row at once: the conv stage runs one
-GEMM per input block, and the pool and shift lanes take rows while reporting
-the occupancy of the pixel-serial line buffers the hardware would build.
+GEMM per row once all its input blocks are in, and the pool and shift lanes
+take rows while reporting the occupancy of the pixel-serial line buffers the
+hardware would build. Unlike the reference engine, the simulator converts
+before it pools, in the hardware's order: the line buffer holds 4-bit codes.
 """
 from __future__ import annotations
 
@@ -23,18 +25,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ShapeError, ValidationError
+from ..errors import ShapeError
 from ..net import ConvStep
 from ..ops import IDENTITY, default_shift_directions
 from ..quant import ThresholdTable
 from ..tensor import (
     ACC_DTYPE,
-    CODE_MAX,
     DEFAULT_BLOCK,
     WeightMatrix,
     blocked_channel_count,
     blocked_layout,
     check_accumulators,
+    check_f32_exact,
 )
 from .fifo import FifoChannel, run_network
 from .units import PoolLane, ShiftLane, shuffle_writeback
@@ -75,52 +77,45 @@ class SubgraphResult:
     stats: SubgraphStats
 
 
-def _weight_blocks(weights: WeightMatrix, schedule: TileSchedule):
-    """Transposed signed weights, zero padded to whole tiles, one per input block.
+def _weight_slab(weights: WeightMatrix, schedule: TileSchedule):
+    """Transposed signed weights, zero padded to whole tiles.
 
-    Returns ``(blocks, padded bytes)``: blocks[ib] is the (ic, oc_pad) float32
-    slab that input block ib multiplies, every output tile side by side. The
-    padding is zero, so padded input channels (whose codes are zero anyway)
-    add nothing and padded output channels, trimmed at the store stage,
-    accumulate nothing. The byte count is the tiled codes' DRAM footprint.
-    The slab lives for one call: caching it, or `WeightMatrix.effective_f32`,
-    would keep a float32 copy of every layer's weights resident.
+    Returns ``(slab, padded bytes)``: the (ic_pad, oc_pad) float32 slab that
+    a padded input row multiplies. The zero padding adds nothing to any
+    output, and padded outputs are trimmed at the store stage. The byte count
+    is the tiled codes' DRAM footprint. The slab lives for one call: caching
+    it, or `WeightMatrix.effective_f32`, would keep a float32 copy of every
+    layer's weights resident.
     """
     oc_pad = blocked_channel_count(weights.out_channels, schedule.oc)
     ic_pad = blocked_channel_count(weights.in_channels, schedule.ic)
     slab = np.zeros((ic_pad, oc_pad), dtype=np.float32)
     slab[: weights.in_channels, : weights.out_channels] = weights.effective().T
-    blocks = slab.reshape(ic_pad // schedule.ic, schedule.ic, oc_pad)
-    return blocks, oc_pad * ic_pad // 2
+    return slab, oc_pad * ic_pad // 2
 
 
 def _loader_stage(blocked: np.ndarray, out_fifo: FifoChannel):
     """Stream the input row by row, revisiting every channel block per row."""
-    nb, h = blocked.shape[0], blocked.shape[1]
-    for y in range(h):
-        for b in range(nb):
+    for y in range(blocked.shape[1]):
+        for b in range(blocked.shape[0]):
             yield ("put", out_fifo, blocked[b, y])
 
 
-def _conv_stage(blocks, height, width, real_oc, stats,
+def _conv_stage(slab, n_ic, height, real_oc, stats,
                 in_fifo: FifoChannel, out_fifo: FifoChannel):
     """Output-stationary MACs: every pixel keeps all its output partials.
 
     The register file holds one row of pixels with the full padded output
-    channel range each; input channel blocks arrive one after another and
-    each one updates every output tile, in one GEMM, before the next block
-    is consumed. The float32 GEMM is exact: each product is an integer of
-    magnitude at most 15 * 15 = 225, so every partial sum within a block is
-    an integer below 225 * ic < 2**24 (`run_subgraph` refuses wider tiles),
-    which float32 represents, in whatever order the BLAS sums. Blocks
-    accumulate in the int32 register file.
+    channel range each. Once all the row's input channel blocks are in, one
+    GEMM of the whole padded row against the slab updates every output tile;
+    it is exact because `run_subgraph` checks the padded input width.
     """
-    n_ic, _, oc_pad = blocks.shape
     for _y in range(height):
-        reg = np.zeros((width, oc_pad), dtype=ACC_DTYPE)
-        for ib in range(n_ic):
-            row = yield ("get", in_fifo)
-            reg += (row.astype(np.float32) @ blocks[ib]).astype(ACC_DTYPE)
+        blocks = []
+        for _ib in range(n_ic):
+            blocks.append((yield ("get", in_fifo)))
+        row = np.concatenate(blocks, axis=1, dtype=np.float32)
+        reg = (row @ slab).astype(ACC_DTYPE)
         peak = check_accumulators(reg[:, :real_oc])
         if peak > stats.max_abs_acc:
             stats.max_abs_acc = peak
@@ -182,17 +177,14 @@ def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
         )
     if pool and (h % 2 or w % 2):
         raise ShapeError(f"pooling needs even spatial dims, got {h}x{w}")
-    if CODE_MAX * CODE_MAX * schedule.ic >= 2**24:
-        raise ValidationError(
-            f"input tile of {schedule.ic} channels: partial sums could reach 2**24, "
-            "beyond what a float32 GEMM sums exactly"
-        )
+    ic_pad = blocked_channel_count(c, schedule.ic)
+    check_f32_exact(ic_pad, f"padded input width of {ic_pad} channels")
     stats = SubgraphStats()
     blocked = blocked_layout(x, schedule.ic)
-    blocks, weight_bytes = _weight_blocks(weights, schedule)
+    slab, weight_bytes = _weight_slab(weights, schedule)
     stats.weight_bytes = weight_bytes
     stats.dram_read_bytes = blocked.size // 2 + weight_bytes
-    oc_pad = blocks.shape[2]
+    oc_pad = slab.shape[1]
     real_oc = weights.out_channels
     out_h, out_w = (h // 2, w // 2) if pool else (h, w)
 
@@ -202,7 +194,7 @@ def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
     fifos = [f_in, f_acc]
     stages = [
         _loader_stage(blocked, f_in),
-        _conv_stage(blocks, h, w, real_oc, stats, f_in, f_acc),
+        _conv_stage(slab, ic_pad // schedule.ic, h, real_oc, stats, f_in, f_acc),
     ]
     pool_lane = PoolLane(w, oc_pad) if pool else None
     shift_lane = None
@@ -298,16 +290,9 @@ class SimulatorExecutor:
 
     def conv_subgraph(self, x: np.ndarray, step: ConvStep, bundle, skip) -> np.ndarray:
         dirs = default_shift_directions(step.out_channels) if step.shift else None
-        result = run_subgraph(
-            x,
-            bundle.weights[step.name],
-            bundle.tables[step.name],
-            self.schedule,
-            pool=step.pool,
-            shift_dirs=dirs,
-            shuffle_with=skip,
-            scheduler=self.scheduler,
-        )
+        result = run_subgraph(x, bundle.weights[step.name], bundle.tables[step.name],
+                              self.schedule, pool=step.pool, shift_dirs=dirs,
+                              shuffle_with=skip, scheduler=self.scheduler)
         self.log.append((step.name, result.stats))
         return result.output
 

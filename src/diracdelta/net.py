@@ -23,8 +23,9 @@ step list.
 `FeatureMap` argument once; every buffer is then a uint8 ``(height, width,
 channels)`` code array, and nothing is packed again. An executor runs the
 conv subgraphs and the standalone pool and shift passes: `ReferenceExecutor`
-with the plain `ops` operators, or the pipeline simulator in `accel`. The
-`ModelBundle` it runs lives in `bundle`.
+with the plain `ops` operators, pooling accumulators before their lookup, or
+the pipeline simulator in `accel`. The head's FC is one float32 GEMV over the
+weight codes. The `ModelBundle` it runs lives in `bundle`.
 """
 from __future__ import annotations
 
@@ -39,12 +40,12 @@ from .ops import (
     concat_shuffle,
     conv1x1,
     default_shift_directions,
-    fc_bit_serial,
+    fully_connected,
     global_avgpool_codes,
     maxpool2x2,
     shift,
 )
-from .tensor import MAX_CHANNELS, FeatureMap
+from .tensor import MAX_CHANNELS, MAX_F32_TERMS, FeatureMap
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,9 @@ class NetworkSpec:
             raise GraphError("channel widths must be positive")
         if any(c % 4 for c in self.stage_channels):
             raise GraphError("stage widths must be divisible by 4 for the channel shuffle")
+        if self.conv5_channels > MAX_F32_TERMS:
+            raise GraphError(f"layer fc: {self.conv5_channels} inputs exceed {MAX_F32_TERMS}, "
+                             "the widest dot product a float32 GEMV sums exactly")
         for step in conv_steps(self):
             if step.in_channels > MAX_CHANNELS:
                 raise GraphError(
@@ -283,12 +287,14 @@ class ReferenceExecutor:
     def conv_subgraph(self, x: np.ndarray, step: ConvStep, bundle,
                       skip: Optional[np.ndarray]) -> np.ndarray:
         """A conv step: conv, re-quantize, then the pool, shift and shuffle it fuses."""
-        # Row blocks keep every temporary under the 4 MiB at which numpy asks for huge pages.
-        table, rows = bundle.tables[step.name], max(1, 2**18 // (x.shape[1] * step.out_channels))
-        out = np.concatenate([table.apply(conv1x1(x[y : y + rows], bundle.weights[step.name]))
+        # Row blocks keep every temporary under the 4 MiB at which numpy asks for
+        # huge pages; an even count pools on its own. The lookup never decreases
+        # as acc grows, so lut(maxpool(acc)) == maxpool(lut(acc)): pool, then look up.
+        table, weights = bundle.tables[step.name], bundle.weights[step.name]
+        rows = max(2, 2**18 // (x.shape[1] * step.out_channels)) & ~1
+        pool = maxpool2x2 if step.pool else np.asarray
+        out = np.concatenate([table.apply(pool(conv1x1(x[y : y + rows], weights)))
                               for y in range(0, len(x), rows)])
-        if step.pool:
-            out = maxpool2x2(out)
         if step.shift:
             out = self.shift_pass(out)
         if skip is not None:
@@ -315,9 +321,10 @@ def forward(bundle, fm: FeatureMap, executor=None) -> ForwardResult:
     The input is unpacked once; every step then passes uint8 code arrays
     between named buffers. The executor runs the conv subgraphs and the
     standalone pool and shift passes; splits are channel slices. The head
-    (global average pool rounded onto the code grid in integers, bit-serial
-    FC) is host-side arithmetic and is common to every executor. Ties in the
-    class argmax resolve to the lowest index.
+    (global average pool rounded onto the code grid in integers, then the FC
+    as one exact float32 GEMV over the weight codes) is host-side arithmetic
+    and is common to every executor. Ties in the class argmax resolve to the
+    lowest index.
     """
     spec = bundle.spec
     if (fm.height, fm.width) != (spec.input_size, spec.input_size):
@@ -343,7 +350,7 @@ def forward(bundle, fm: FeatureMap, executor=None) -> ForwardResult:
             bufs[step.dst_skip], bufs[step.dst_residual] = channel_split(bufs[step.src])
         else:  # HeadStep
             codes = global_avgpool_codes(bufs[step.src], step.spatial)
-            int_logits = fc_bit_serial(codes, bundle.fc_weights)
+            int_logits = fully_connected(codes, bundle.fc_weights)
             logits = int_logits * bundle.fc_scale
             return ForwardResult(logits=logits, int_logits=int_logits,
                                  class_index=int(np.argmax(logits)))

@@ -4,34 +4,34 @@ These are deliberately schedule-free: plain array math, one function per
 operator, exact integer accumulators. The pipeline model is required to match
 each of them bit for bit, so they double as oracles for the accelerator
 tests. Every operator takes and returns ``(height, width, channels)`` arrays:
-uint8 codes in the reference engine, floats in the float graph of the test
-oracles (`tests/oracles.py`), which shares the pool, shift, shuffle and split
-operators. There is no ``_array`` twin of any operator; nibble packing
+uint8 codes in the reference engine (and int32 accumulators for the pool
+before a lookup), floats in the float graph of the test oracles
+(`tests/oracles.py`), which shares the pool, shift, shuffle and split
+operators. The conv and the FC are exact float32 GEMMs. Nibble packing
 happens only at the file and API edges (`FeatureMap`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .tensor import ACC_DTYPE, CODE_MAX, WeightMatrix, check_accumulators
+from .tensor import ACC_DTYPE, CODE_MAX, WeightMatrix, check_accumulators, check_f32_exact
 
 
-@dataclass(frozen=True)
-class ShiftDirection:
-    """One of the five per-channel copy directions, as (dy, dx) into the input."""
+class ShiftDirection(namedtuple("ShiftDirection", "dy dx")):
+    """One of the five per-channel copy directions, as (dy, dx); a tuple, so it hashes in C."""
 
-    dy: int
-    dx: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dy not in (-1, 0, 1) or self.dx not in (-1, 0, 1):
-            raise ValidationError(f"shift offsets must be -1, 0, or 1, got ({self.dy}, {self.dx})")
-        if abs(self.dy) + abs(self.dx) > 1:
+    def __new__(cls, dy: int, dx: int):
+        if dy not in (-1, 0, 1) or dx not in (-1, 0, 1):
+            raise ValidationError(f"shift offsets must be -1, 0, or 1, got ({dy}, {dx})")
+        if abs(dy) + abs(dx) > 1:
             raise ValidationError("diagonal shifts are not part of the operator set")
+        return super().__new__(cls, dy, dx)
 
 
 IDENTITY = ShiftDirection(0, 0)
@@ -78,17 +78,7 @@ def conv1x1(x: np.ndarray, weights: WeightMatrix) -> np.ndarray:
         raise ShapeError(
             f"feature map has {c} channels, weights expect {weights.in_channels}"
         )
-    # The float32 GEMM is exact. Every product a * (2w - 15) is an integer of
-    # magnitude at most 15 * 15 = 225, so every partial sum of any subset of
-    # a dot product's terms is an integer of magnitude at most
-    # 225 * in_channels. Below 2**24 each such integer is a float32, so every
-    # addition (or fused multiply-add) is exact, in whatever order the BLAS
-    # sums. Wider inputs could round, so they are refused, not computed.
-    if CODE_MAX * CODE_MAX * weights.in_channels >= 2**24:
-        raise ValidationError(
-            f"{weights.in_channels} input channels: partial sums could reach 2**24, "
-            "beyond what a float32 GEMM sums exactly"
-        )
+    check_f32_exact(weights.in_channels, f"{weights.in_channels} input channels")
     acts = x.astype(np.float32).reshape(-1, c)
     acc = acts @ weights.effective_f32.T
     out = acc.reshape(h, w, weights.out_channels).astype(ACC_DTYPE)
@@ -168,31 +158,20 @@ def global_avgpool_codes(x: np.ndarray, size: int) -> np.ndarray:
     return ((2 * sums + n) // (2 * n)).astype(np.uint8)
 
 
-def fc_bit_serial(codes, weights: WeightMatrix) -> np.ndarray:
-    """Fully connected layer evaluated one weight bit plane at a time.
+def fully_connected(codes, weights: WeightMatrix) -> np.ndarray:
+    """Fully connected layer as one float32 GEMV over the raw weight codes.
 
-    With d_b[o] = sum_i bit_b(w[o, i]) * a[i], the result is
-    ``2 * sum_b 2^b * d_b - 15 * sum_i a[i]``, which equals the direct
-    integer dot product with effective weights 2*w - 15.
+    With d[o] = sum_i w[o, i] * a[i], the result is ``2 * d - 15 * sum_i a[i]``,
+    the integer dot product with effective weights 2*w - 15. The float32 copy
+    of the codes lives for one call, so none stays resident.
     """
     a = np.asarray(codes)
     if a.ndim != 1 or a.shape[0] != weights.in_channels:
         raise ShapeError(
             f"activation vector of length {a.shape} does not match {weights.in_channels} inputs"
         )
-    if a.size and (a.min() < 0 or a.max() > 15):
+    if a.size and (a.min() < 0 or a.max() > CODE_MAX):
         raise ValidationError("activation codes outside [0, 15]")
-    # d_b sums at most in_channels codes of at most 15, exact in float32
-    # below 2**24 (see conv1x1)
-    if CODE_MAX * weights.in_channels >= 2**24:
-        raise ValidationError(
-            f"{weights.in_channels} inputs: bit-plane sums could reach 2**24, "
-            "beyond what a float32 GEMM sums exactly"
-        )
-    a32 = a.astype(np.float32)
-    wc = weights.codes
-    total = np.zeros(weights.out_channels, dtype=np.int64)
-    for b in range(4):
-        plane = ((wc >> b) & 1).astype(np.float32)
-        total += (1 << b) * (plane @ a32).astype(np.int64)
-    return 2 * total - 15 * int(a.astype(np.int64).sum())
+    check_f32_exact(weights.in_channels, f"{weights.in_channels} inputs")
+    d = weights.codes.astype(np.float32) @ a.astype(np.float32)
+    return 2 * d.astype(np.int64) - CODE_MAX * int(a.sum(dtype=np.int64))

@@ -20,8 +20,9 @@ At run time a table is not searched. Construction also lays out a uint8
 lookup array over the accumulator window [t_first - 1, t_last], one code per
 integer: code 0 at t_first - 1, code i over the gap [t_i, t_(i+1)), and the
 top code at t_last. `ThresholdTable.apply` saturates an accumulator into that
-window (all below it has code 0, all above it the top code), subtracts
-t_first - 1 and indexes the array. Thresholds are confined to
+window (all below it has code 0, all above it the top code) as an intp
+index, subtracts t_first - 1 and indexes the array. The lookup never
+decreases as acc grows, so it commutes with max pooling. Thresholds lie in
 [-ACC_LIMIT, ACC_LIMIT + 1], which bounds the array at 2 * ACC_LIMIT + 3
 bytes (about 225 KB); the tables of a real layer span a few hundred bytes.
 
@@ -204,14 +205,15 @@ class ThresholdTable:
         arr = np.asarray(acc)
         if arr.dtype.kind not in "iu":
             raise ValidationError(f"accumulators must be integers, got dtype {arr.dtype}")
-        if arr.dtype not in (np.int32, np.int64):
-            arr = arr.astype(np.int64)
-        base = self.thresholds[0] - 1
-        # Saturate before offsetting: the window lies inside int32, so no
-        # input can wrap around.
-        idx = np.clip(arr, base, self.thresholds[-1])
+        base, top = self.thresholds[0] - 1, self.thresholds[-1]
+        if arr.dtype.kind == "u" and arr.dtype.itemsize >= np.dtype(np.intp).itemsize:
+            arr = np.minimum(arr, max(top, 0))  # would wrap on the cast to intp
+        # Saturate into an intp index, then offset: the window lies inside int32.
+        idx = np.empty(arr.shape, dtype=np.intp)
+        np.maximum(arr, base, dtype=np.intp, out=idx)
+        np.minimum(idx, top, out=idx)
         idx -= base
-        return np.take(self._lut, idx)
+        return self._lut.take(idx)
 
 
 def build_threshold_table(

@@ -27,6 +27,7 @@ MAX_CHANNELS = 512
 ACC_LIMIT = CODE_MAX * CODE_MAX * MAX_CHANNELS  # 115200
 ACC_DTYPE = np.int32
 DEFAULT_BLOCK = 32
+MAX_F32_TERMS = (2**24 - 1) // (CODE_MAX * CODE_MAX)  # 74565
 
 _BLOB_HEADER = struct.Struct("<III")
 
@@ -218,3 +219,16 @@ def check_accumulators(acc, limit: int = ACC_LIMIT) -> int:
     if peak > limit:
         raise ValidationError(f"accumulator magnitude {peak} exceeds bound {limit}")
     return peak
+
+
+def check_f32_exact(terms: int, what: str) -> None:
+    """Refuse a float32 GEMM of code dot products longer than `MAX_F32_TERMS` terms.
+
+    Each product, a * (2w - 15) or a * w, is an integer of magnitude at most
+    225, so any partial sum of up to `MAX_F32_TERMS` of them is an integer
+    below 2**24: a float32, which makes every addition exact in any order.
+    """
+    if terms > MAX_F32_TERMS:
+        raise ValidationError(
+            f"{what}: partial sums could reach 2**24, beyond what a float32 GEMM sums exactly"
+        )

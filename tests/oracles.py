@@ -5,9 +5,11 @@ a binary search instead of the threshold lookup array, per-element
 comparator banks instead of the lookup array, one scalar bisection per code
 instead of the array bisection that builds a threshold table, an int64
 matmul instead of the float32 GEMM, exact rationals instead of the integer
-head, an operator-by-operator composition that stores every intermediate
-as a packed `FeatureMap` instead of the engines' step interpreter over uint8
-arrays, and pixel-serial line buffers instead of the simulator's row lanes.
+head pool, int64 bit planes instead of the one-GEMV FC head, an
+operator-by-operator composition that stores every intermediate as a packed
+`FeatureMap` (and looks accumulators up before it pools them) instead of the
+engines' step interpreter over uint8 arrays, and pixel-serial line buffers
+instead of the simulator's row lanes.
 The float graph (`float_forward`, the quantized network with its rounding
 removed) and the clip and weight-grid identities the package does not use
 are here too, as statements the tests check.
@@ -24,7 +26,6 @@ from diracdelta.ops import (
     channel_split,
     concat_shuffle,
     default_shift_directions,
-    fc_bit_serial,
     maxpool2x2,
     shift,
 )
@@ -134,6 +135,19 @@ def conv1x1_int64(x: np.ndarray, weights: WeightMatrix) -> np.ndarray:
     acc = acts @ weights.effective().astype(np.int64).T
     check_accumulators(acc)
     return acc.reshape(h, w, weights.out_channels).astype(ACC_DTYPE)
+
+
+def fc_bit_serial(codes, weights: WeightMatrix) -> np.ndarray:
+    """Fully connected layer evaluated one weight bit plane at a time, in int64.
+
+    With d_b[o] = sum_i bit_b(w[o, i]) * a[i], the result is
+    ``2 * sum_b 2^b * d_b - 15 * sum_i a[i]``, which equals the direct
+    integer dot product with effective weights 2*w - 15.
+    """
+    a = np.asarray(codes, dtype=np.int64)
+    planes = (((weights.codes >> b) & 1).astype(np.int64) for b in range(4))
+    total = sum((1 << b) * (plane @ a) for b, plane in enumerate(planes))
+    return 2 * total - 15 * int(a.sum())
 
 
 def global_avgpool(x: np.ndarray, net: NetworkQuantParams, size: int = 7) -> np.ndarray:

@@ -152,6 +152,16 @@ def test_input_tiles_too_wide_for_an_exact_float32_gemm_are_refused():
     run_subgraph(fm, wm, table, TileSchedule(ic=ic - 1))
 
 
+def test_padded_input_rows_too_wide_for_an_exact_float32_gemm_are_refused():
+    # one GEMM spans the whole padded row: 2 tiles of 40000 are 80000 terms
+    fm, wm, table = _random_case(36, 1, 1, 40001, 4)
+    with pytest.raises(ValidationError, match="^padded input width of 80000 channels: "):
+        run_subgraph(fm, wm, table, TileSchedule(ic=40000))
+    fm, wm, table = _random_case(36, 1, 1, 40000, 4)
+    assert _same(run_subgraph(fm, wm, table, TileSchedule(ic=40000)).output,
+                 _reference(fm, wm, table))
+
+
 # =========================================================================
 # traffic and pressure accounting
 # =========================================================================

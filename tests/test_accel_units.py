@@ -1,11 +1,12 @@
 """Row lanes against their pixel-serial oracles, the conversion unit oracles,
 shuffle writeback, and FIFOs."""
 import pickle
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from diracdelta.accel import fifo
 from diracdelta.accel.fifo import FifoChannel, run_network, run_round_robin, run_threaded
 from diracdelta.accel.units import PoolLane, ShiftLane, shuffle_writeback
 from diracdelta.errors import (
@@ -389,8 +390,7 @@ def test_round_robin_reports_full_cycle_deadlock():
         run_round_robin([left(), right()])
 
 
-def test_threaded_scheduler_reports_a_full_cycle_deadlock(monkeypatch):
-    monkeypatch.setattr(fifo, "WAIT_BACKSTOP_S", 0.05)
+def test_threaded_scheduler_reports_a_full_cycle_deadlock():
     a = FifoChannel("a", capacity=1)
     b = FifoChannel("b", capacity=1)
 
@@ -402,8 +402,39 @@ def test_threaded_scheduler_reports_a_full_cycle_deadlock(monkeypatch):
         yield ("get", b)
         yield ("put", a, 1)
 
-    with pytest.raises(DeadlockError, match=r"(left|right) waiting to get from '[ab]' for 0.05 s"):
+    with pytest.raises(DeadlockError, match="^no stage can advance: ") as caught:
         run_threaded([left(), right()])
+    # the last stage to wait names both, in whichever order they stopped
+    stuck = str(caught.value).split(": ", 1)[1].split(", ")
+    assert sorted(stuck) == ["left waiting to get from 'a'", "right waiting to get from 'b'"]
+
+
+@pytest.mark.parametrize("scheduler", ["single-thread", "concurrent"])
+def test_a_consumer_that_outlasts_its_producer_is_a_deadlock_at_once(scheduler):
+    short = FifoChannel("short", capacity=2)
+
+    def producer():
+        yield ("put", short, 1)
+        time.sleep(0.05)  # the consumer is waiting again before this stage finishes
+
+    def consumer():
+        for _ in range(2):
+            yield ("get", short)
+
+    raised = []
+
+    def run():
+        try:
+            run_network([producer(), consumer()], scheduler=scheduler)
+        except DeadlockError as e:
+            raised.append(str(e))
+
+    # a daemon thread, so that a scheduler that never names the deadlock fails here
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(1.0)
+    assert not worker.is_alive()
+    assert raised == ["no stage can advance: consumer waiting to get from 'short'"]
 
 
 def test_unknown_effect_is_rejected():

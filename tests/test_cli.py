@@ -213,6 +213,8 @@ def test_version_1_manifest_fails_validation(tiny_bundle_dir, tmp_path, capsys):
     (lambda mf: _set(mf, ("network", "stem_channels"), [8]), "stem_channels must hold"),
     (lambda mf: _set(mf, ("network", "input_channels"), 600),
      "layer conv1: 600 input channels exceed 512"),
+    (lambda mf: _set(mf, ("network", "conv5_channels"), 74566),
+     "layer fc: 74566 inputs exceed 74565"),
 ])
 def test_manifest_of_the_wrong_shape_fails_validation(
         tiny_bundle_dir, tmp_path, capsys, edit, fragment):

@@ -5,19 +5,30 @@ so a wiring mistake in the compiled step list cannot hide behind the step
 list itself. The float graph, `float_forward`, is a test oracle in
 `oracles.py`; it is checked against the same kind of hand wiring here.
 """
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from conftest import make_tiny_spec, make_two_stage_spec, random_input
-from oracles import composed_forward, documented_head_codes, float_forward
+from oracles import (
+    composed_forward,
+    conv1x1_int64,
+    documented_head_codes,
+    fc_bit_serial,
+    float_forward,
+    searchsorted_apply,
+)
 
 from diracdelta.bundle import ModelBundle, random_bundle
-from diracdelta.errors import ConstructionError, GraphError, ShapeError
+from diracdelta.accel.subgraph import SimulatorExecutor
+from diracdelta.errors import ConstructionError, GraphError, ShapeError, ValidationError
 from diracdelta.net import (
     ConvStep,
     HeadStep,
     NetworkSpec,
     PoolStep,
+    ReferenceExecutor,
     ShiftStep,
     SplitStep,
     build_diracdeltanet,
@@ -31,12 +42,11 @@ from diracdelta.ops import (
     concat_shuffle,
     conv1x1,
     default_shift_directions,
-    fc_bit_serial,
     maxpool2x2,
     shift,
 )
-from diracdelta.quant import LayerQuantParams, NetworkQuantParams
-from diracdelta.tensor import FeatureMap
+from diracdelta.quant import LayerQuantParams, NetworkQuantParams, ThresholdTable
+from diracdelta.tensor import FeatureMap, WeightMatrix
 
 # =========================================================================
 # spec validation and block structure
@@ -72,6 +82,13 @@ def test_spec_rejects_inconsistent_shapes():
     with pytest.raises(GraphError, match="layer s5d_res_conv2: 1024 input channels exceed"):
         NetworkSpec(input_size=256, stage_channels=(128, 256, 512, 1024),
                     stage_repeats=(1, 1, 1, 1))
+
+
+def test_spec_refuses_a_head_a_float32_gemv_cannot_sum_exactly():
+    # 225 * 74565 < 2**24 <= 225 * 74566: a wider head could round in forward
+    assert make_tiny_spec(conv5_channels=74565).conv5_channels == 74565
+    with pytest.raises(GraphError, match="^layer fc: 74566 inputs exceed 74565, "):
+        make_tiny_spec(conv5_channels=74566)
 
 
 def _blocks(spec):
@@ -353,6 +370,45 @@ def test_forward_equals_operator_composition_on_small_specs(make_spec):
         bundle = random_bundle(spec, NetworkQuantParams(s=s), seed=31)
         for seed in range(4):
             _assert_forward_equals_composition(bundle, random_input(spec, seed))
+
+
+@pytest.mark.parametrize("code", [0, 15])
+def test_engines_agree_on_the_default_net_at_the_code_extremes(default_bundle, code):
+    spec = default_bundle.spec
+    fm = FeatureMap.from_array(
+        np.full((spec.input_size, spec.input_size, spec.input_channels), code, dtype=np.uint8))
+    ref = forward(default_bundle, fm)
+    sim = forward(default_bundle, fm, executor=SimulatorExecutor())
+    assert ref.int_logits.tobytes() == sim.int_logits.tobytes()
+    assert ref.logits.tobytes() == sim.logits.tobytes()
+
+
+def test_pooled_reference_step_pools_within_even_row_blocks():
+    # 2**18 // (64 * 1100) = 3 rows would split a pooling pair across blocks
+    rng = np.random.default_rng(5)
+    weights = WeightMatrix(1100, 2, rng.integers(0, 16, size=(1100, 2), dtype=np.uint8))
+    table = ThresholdTable(tuple(range(-200, 250, 30)))
+    bundle = SimpleNamespace(tables={"c": table}, weights={"c": weights})
+    x = rng.integers(0, 16, size=(10, 64, 2), dtype=np.uint8)
+    got = ReferenceExecutor().conv_subgraph(x, ConvStep("c", "in", "out", 64, 2, 1100, pool=True),
+                                            bundle, None)
+    want = maxpool2x2(searchsorted_apply(table, conv1x1_int64(x, weights)))
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+
+def test_pooled_reference_step_checks_the_bound_before_the_pool():
+    # Effective weights are all -15, so the one all-15 pixel accumulates
+    # -15 * 15 * 600 = -135000, past the 115200 bound. Its 2x2 window's max is
+    # 0: a check after the pool would never see it.
+    weights = WeightMatrix(4, 600, np.zeros((4, 600), dtype=np.uint8))
+    bundle = SimpleNamespace(tables={"c": ThresholdTable(tuple(range(1, 16)))},
+                             weights={"c": weights})
+    step = ConvStep("c", "in", "out", 2, 600, 4, pool=True)
+    x = np.zeros((2, 2, 600), dtype=np.uint8)
+    assert ReferenceExecutor().conv_subgraph(x, step, bundle, None).tolist() == [[[0] * 4]]
+    x[1, 0] = 15
+    with pytest.raises(ValidationError, match="accumulator magnitude 135000 exceeds bound 115200"):
+        ReferenceExecutor().conv_subgraph(x, step, bundle, None)
 
 
 def test_forward_on_two_stage_network_runs(quant_params):

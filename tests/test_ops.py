@@ -16,7 +16,7 @@ from diracdelta.ops import (
     concat_shuffle,
     conv1x1,
     default_shift_directions,
-    fc_bit_serial,
+    fully_connected,
     global_avgpool_codes,
     maxpool2x2,
     shift,
@@ -24,7 +24,7 @@ from diracdelta.ops import (
 from diracdelta.quant import NetworkQuantParams, quantize_uniform
 from diracdelta.tensor import ACC_LIMIT, WeightMatrix
 
-from oracles import conv1x1_int64, documented_head_codes, global_avgpool
+from oracles import conv1x1_int64, documented_head_codes, fc_bit_serial, global_avgpool
 
 
 def _random_codes(rng, h, w, c):
@@ -362,15 +362,16 @@ def test_global_avgpool_codes_size_check():
 
 
 # =========================================================================
-# bit-serial fully connected
+# fully connected: the one-GEMV head against its bit-plane oracle
 # =========================================================================
 
 def test_fc_bit_serial_hand_case():
     w = WeightMatrix(1, 2, np.array([[7, 12]], dtype=np.uint8))
     # effective weights -1 and 9; 3 * -1 + 5 * 9 = 42
-    out = fc_bit_serial(np.array([3, 5], dtype=np.uint8), w)
-    assert out.dtype == np.int64
-    assert out.tolist() == [42]
+    for fc in (fully_connected, fc_bit_serial):
+        out = fc(np.array([3, 5], dtype=np.uint8), w)
+        assert out.dtype == np.int64
+        assert out.tolist() == [42]
 
 
 def test_fc_bit_serial_equals_effective_dot_product():
@@ -379,6 +380,7 @@ def test_fc_bit_serial_equals_effective_dot_product():
     a = rng.integers(0, 16, size=40, dtype=np.uint8)
     want = w.effective().astype(np.int64) @ a.astype(np.int64)
     np.testing.assert_array_equal(fc_bit_serial(a, w), want)
+    np.testing.assert_array_equal(fully_connected(a, w), want)
 
 
 def test_fc_bit_serial_agrees_with_conv_on_one_pixel():
@@ -387,11 +389,34 @@ def test_fc_bit_serial_agrees_with_conv_on_one_pixel():
     a = rng.integers(0, 16, size=12, dtype=np.uint8)
     via_conv = conv1x1(a.reshape(1, 1, 12), w)[0, 0]
     np.testing.assert_array_equal(fc_bit_serial(a, w), via_conv)
+    np.testing.assert_array_equal(fully_connected(a, w), via_conv)
+
+
+def test_fully_connected_equals_the_bit_plane_oracle_at_the_extremes():
+    n = 1024
+    a = np.full(n, 15, dtype=np.uint8)
+    for code, effective in ((15, 15), (0, -15)):
+        w = WeightMatrix(3, n, np.full((3, n), code, dtype=np.uint8))
+        got = fully_connected(a, w)
+        np.testing.assert_array_equal(got, fc_bit_serial(a, w))
+        assert got.tolist() == [effective * 15 * n] * 3  # +-230400, past the conv bound
+
+
+def test_fully_connected_refuses_inputs_a_float32_gemv_cannot_sum_exactly():
+    widest = 2**24 // 225  # 225 * widest < 2**24 <= 225 * (widest + 1)
+    for c, ok in ((widest, True), (widest + 1, False)):
+        a = np.full(c, 15, dtype=np.uint8)
+        w = WeightMatrix(1, c, np.full((1, c), 15, dtype=np.uint8))
+        if ok:
+            assert fully_connected(a, w).tolist() == [225 * c]
+        else:
+            with pytest.raises(ValidationError, match="could reach 2"):
+                fully_connected(a, w)
 
 
 def test_fc_bit_serial_guards():
     w = WeightMatrix(2, 3, np.zeros((2, 3), dtype=np.uint8))
     with pytest.raises(ShapeError, match="does not match 3 inputs"):
-        fc_bit_serial(np.array([1, 2], dtype=np.uint8), w)
+        fully_connected(np.array([1, 2], dtype=np.uint8), w)
     with pytest.raises(ValidationError, match=r"outside \[0, 15\]"):
-        fc_bit_serial(np.array([1, 2, 16], dtype=np.int64), w)
+        fully_connected(np.array([1, 2, 16], dtype=np.int64), w)

@@ -20,6 +20,7 @@ from diracdelta.errors import (
     DomainError,
     ValidationError,
 )
+from diracdelta.ops import maxpool2x2
 from diracdelta.quant import (
     LayerQuantParams,
     NetworkQuantParams,
@@ -379,6 +380,33 @@ def test_apply_saturates_integer_extremes_without_wrapping():
             np.testing.assert_array_equal(got, searchsorted_apply(table, accs))
             assert got.tolist()[:3] == [0, 0, 0]
             assert got.tolist()[3:] == [table.levels] * 3
+    # uint64 values at and above 2**63 would wrap negative on a cast to int64
+    accs = np.array([0, ACC_LIMIT + 2, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64)
+    for table in _lookup_oracle_tables():
+        got = table.apply(accs)
+        np.testing.assert_array_equal(got, searchsorted_apply(table, accs))
+        assert got.tolist()[1:] == [table.levels] * 5
+    assert ThresholdTable(tuple(range(-7, 8))).apply(accs[-2:]).tolist() == [15, 15]
+
+
+def test_max_pooling_commutes_with_the_lookup():
+    # lut(maxpool(acc)) == maxpool(lut(acc)) because the lookup never
+    # decreases as acc grows: the reference engine pools before it looks up
+    rng = np.random.default_rng(23)
+    window = np.arange(-ACC_LIMIT, ACC_LIMIT + 2)
+    tables = _lookup_oracle_tables() + [
+        ThresholdTable(tuple(sorted(rng.choice(window, size=15, replace=False))))
+        for _ in range(20)
+    ]
+    info = np.iinfo(np.int32)
+    # every accumulator in and just beyond the window, and both saturated ends
+    values = np.concatenate([np.arange(-ACC_LIMIT - 2, ACC_LIMIT + 3),
+                             [info.min, info.max, info.max]]).astype(np.int32)
+    for i, table in enumerate(tables):
+        accs = rng.permutation(values).reshape(4, 2, -1)
+        got = table.apply(maxpool2x2(accs))
+        np.testing.assert_array_equal(got, maxpool2x2(table.apply(accs)))
+        assert got.shape == (2, 1, values.size // 8)
 
 
 def test_apply_keeps_the_input_shape_and_casts_narrow_integers():
