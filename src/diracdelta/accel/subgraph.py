@@ -16,8 +16,11 @@ over the reference operators is the traffic and occupancy accounting of a
 real run. Each stage works on a whole row at once: the conv stage runs one
 GEMM per row once all its input blocks are in, and the pool and shift lanes
 take rows while reporting the occupancy of the pixel-serial line buffers the
-hardware would build. Unlike the reference engine, the simulator converts
-before it pools, in the hardware's order: the line buffer holds 4-bit codes.
+hardware would build. Input channels are padded to whole tiles, as the
+loader streams them; output tiles exist only in the weight byte count, so
+the conversion, pool, shift and store stages carry exactly the layer's
+output channels. Unlike the reference engine, the simulator converts before
+it pools, in the hardware's order: the line buffer holds 4-bit codes.
 """
 from __future__ import annotations
 
@@ -27,7 +30,6 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..net import ConvStep
-from ..ops import IDENTITY, default_shift_directions
 from ..quant import ThresholdTable
 from ..tensor import (
     ACC_DTYPE,
@@ -78,19 +80,20 @@ class SubgraphResult:
 
 
 def _weight_slab(weights: WeightMatrix, schedule: TileSchedule):
-    """Transposed signed weights, zero padded to whole tiles.
+    """Transposed signed weights, zero padded to whole input tiles.
 
-    Returns ``(slab, padded bytes)``: the (ic_pad, oc_pad) float32 slab that
-    a padded input row multiplies. The zero padding adds nothing to any
-    output, and padded outputs are trimmed at the store stage. The byte count
-    is the tiled codes' DRAM footprint. The slab lives for one call: caching
-    it, or `WeightMatrix.effective_f32`, would keep a float32 copy of every
-    layer's weights resident.
+    Returns ``(slab, tiled bytes)``: the (ic_pad, out_channels) float32 slab
+    that a padded input row multiplies. The zero rows add nothing to any
+    output. Padded output tiles would only produce columns no stage reads,
+    so the slab has none; the byte count is still the DRAM footprint of the
+    codes tiled on both sides, ``oc_pad * ic_pad / 2``. The slab lives for
+    one call: caching it, or `WeightMatrix.effective_f32`, would keep a
+    float32 copy of every layer's weights resident.
     """
     oc_pad = blocked_channel_count(weights.out_channels, schedule.oc)
     ic_pad = blocked_channel_count(weights.in_channels, schedule.ic)
-    slab = np.zeros((ic_pad, oc_pad), dtype=np.float32)
-    slab[: weights.in_channels, : weights.out_channels] = weights.effective().T
+    slab = np.zeros((ic_pad, weights.out_channels), dtype=np.float32)
+    slab[: weights.in_channels] = weights.effective().T
     return slab, oc_pad * ic_pad // 2
 
 
@@ -101,13 +104,13 @@ def _loader_stage(blocked: np.ndarray, out_fifo: FifoChannel):
             yield ("put", out_fifo, blocked[b, y])
 
 
-def _conv_stage(slab, n_ic, height, real_oc, stats,
+def _conv_stage(slab, n_ic, height, stats,
                 in_fifo: FifoChannel, out_fifo: FifoChannel):
     """Output-stationary MACs: every pixel keeps all its output partials.
 
-    The register file holds one row of pixels with the full padded output
-    channel range each. Once all the row's input channel blocks are in, one
-    GEMM of the whole padded row against the slab updates every output tile;
+    The register file holds one row of pixels with every output channel
+    each. Once all the row's input channel blocks are in, one GEMM of the
+    whole padded input row against the slab updates every output channel;
     it is exact because `run_subgraph` checks the padded input width.
     """
     for _y in range(height):
@@ -116,7 +119,7 @@ def _conv_stage(slab, n_ic, height, real_oc, stats,
             blocks.append((yield ("get", in_fifo)))
         row = np.concatenate(blocks, axis=1, dtype=np.float32)
         reg = (row @ slab).astype(ACC_DTYPE)
-        peak = check_accumulators(reg[:, :real_oc])
+        peak = check_accumulators(reg)
         if peak > stats.max_abs_acc:
             stats.max_abs_acc = peak
         yield ("put", out_fifo, reg)
@@ -151,21 +154,13 @@ def _store_stage(height, in_fifo: FifoChannel, sink: list):
         sink.append(row)
 
 
-def _padded_directions(real_channels: int, padded_channels: int, directions):
-    dirs = list(directions)
-    if len(dirs) != real_channels:
-        raise ShapeError(f"{len(dirs)} shift directions for {real_channels} channels")
-    dirs.extend([IDENTITY] * (padded_channels - real_channels))
-    return tuple(dirs)
-
-
 def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
                  schedule: TileSchedule = TileSchedule(), *,
-                 pool: bool = False, shift_dirs=None, shuffle_with: np.ndarray = None,
+                 pool: bool = False, shift: bool = False, shuffle_with: np.ndarray = None,
                  scheduler: str = "single-thread") -> SubgraphResult:
     """Run one conv subgraph of a (height, width, channels) code array.
 
-    ``shift_dirs`` enables the shift stage; ``shuffle_with`` supplies the
+    ``pool`` and ``shift`` enable those stages; ``shuffle_with`` supplies the
     skip half the output is concat-shuffled with at writeback. The output
     codes equal what the reference operator composition produces; the stats
     describe the run.
@@ -184,8 +179,7 @@ def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
     slab, weight_bytes = _weight_slab(weights, schedule)
     stats.weight_bytes = weight_bytes
     stats.dram_read_bytes = blocked.size // 2 + weight_bytes
-    oc_pad = slab.shape[1]
-    real_oc = weights.out_channels
+    oc = weights.out_channels
     out_h, out_w = (h // 2, w // 2) if pool else (h, w)
 
     cap = schedule.fifo_capacity
@@ -194,13 +188,10 @@ def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
     fifos = [f_in, f_acc]
     stages = [
         _loader_stage(blocked, f_in),
-        _conv_stage(slab, ic_pad // schedule.ic, h, real_oc, stats, f_in, f_acc),
+        _conv_stage(slab, ic_pad // schedule.ic, h, stats, f_in, f_acc),
     ]
-    pool_lane = PoolLane(w, oc_pad) if pool else None
-    shift_lane = None
-    if shift_dirs is not None:
-        shift_lane = ShiftLane(out_w, oc_pad,
-                               _padded_directions(real_oc, oc_pad, shift_dirs))
+    pool_lane = PoolLane(w, oc) if pool else None
+    shift_lane = ShiftLane(out_w, oc) if shift else None
 
     f_codes = FifoChannel("convert_to_next", cap)
     fifos.append(f_codes)
@@ -221,7 +212,7 @@ def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
 
     run_network(stages, scheduler)
 
-    output = np.stack(sink).reshape(out_h, out_w, oc_pad)[:, :, :real_oc]
+    output = np.stack(sink)
     if shuffle_with is not None:
         output, stats.memcpy_bytes = shuffle_writeback(output, shuffle_with)
     stats.dram_write_bytes = _blocked_bytes(output, schedule)
@@ -239,41 +230,33 @@ def _blocked_bytes(x: np.ndarray, schedule: TileSchedule) -> int:
     return blocked_channel_count(c, schedule.ic) * h * w // 2
 
 
+def _lane_pass(x: np.ndarray, lane, schedule: TileSchedule, occupancy: str):
+    """Stream a stored tensor through one lane and store the result.
+
+    ``occupancy`` names the `SubgraphStats` field that gets the lane's peak.
+    """
+    rows = [out for row in x for out in lane.feed_row(row)]
+    out = np.stack(rows + lane.finish())
+    stats = SubgraphStats(
+        dram_read_bytes=_blocked_bytes(x, schedule),
+        dram_write_bytes=_blocked_bytes(out, schedule),
+        **{occupancy: lane.max_occupancy},
+    )
+    return SubgraphResult(output=out, stats=stats)
+
+
 def pool_pass(x: np.ndarray, schedule: TileSchedule = TileSchedule()):
     """Standalone pooling of a stored tensor (the downsample skip path)."""
     h, w, c = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"pooling needs even spatial dims, got {h}x{w}")
-    lane = PoolLane(w, c)
-    rows = []
-    for row in x:
-        rows.extend(lane.feed_row(row))
-    out = np.stack(rows)
-    stats = SubgraphStats(
-        dram_read_bytes=_blocked_bytes(x, schedule),
-        dram_write_bytes=_blocked_bytes(out, schedule),
-        pool_occupancy=lane.max_occupancy,
-    )
-    return SubgraphResult(output=out, stats=stats)
+    return _lane_pass(x, PoolLane(w, c), schedule, "pool_occupancy")
 
 
-def shift_pass(x: np.ndarray, directions=None,
-               schedule: TileSchedule = TileSchedule()):
+def shift_pass(x: np.ndarray, schedule: TileSchedule = TileSchedule()):
     """Standalone shift of a stored tensor (the downsample skip path)."""
-    h, w, c = x.shape
-    dirs = directions if directions is not None else default_shift_directions(c)
-    lane = ShiftLane(w, c, tuple(dirs))
-    rows = []
-    for row in x:
-        rows.extend(lane.feed_row(row))
-    rows.extend(lane.finish())
-    out = np.stack(rows)
-    stats = SubgraphStats(
-        dram_read_bytes=_blocked_bytes(x, schedule),
-        dram_write_bytes=_blocked_bytes(out, schedule),
-        shift_occupancy=lane.max_occupancy,
-    )
-    return SubgraphResult(output=out, stats=stats)
+    _h, w, c = x.shape
+    return _lane_pass(x, ShiftLane(w, c), schedule, "shift_occupancy")
 
 
 class SimulatorExecutor:
@@ -289,9 +272,8 @@ class SimulatorExecutor:
         self.log = []
 
     def conv_subgraph(self, x: np.ndarray, step: ConvStep, bundle, skip) -> np.ndarray:
-        dirs = default_shift_directions(step.out_channels) if step.shift else None
         result = run_subgraph(x, bundle.weights[step.name], bundle.tables[step.name],
-                              self.schedule, pool=step.pool, shift_dirs=dirs,
+                              self.schedule, pool=step.pool, shift=step.shift,
                               shuffle_with=skip, scheduler=self.scheduler)
         self.log.append((step.name, result.stats))
         return result.output
@@ -302,6 +284,6 @@ class SimulatorExecutor:
         return result.output
 
     def shift_pass(self, x: np.ndarray) -> np.ndarray:
-        result = shift_pass(x, schedule=self.schedule)
+        result = shift_pass(x, self.schedule)
         self.log.append(("shift", result.stats))
         return result.output

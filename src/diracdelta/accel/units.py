@@ -10,14 +10,17 @@ array operations, but they report the peak occupancy of the pixel-serial
 line buffer the hardware would build: a closed form over the pixels fed so
 far, so tests can pin it against the sizes the RTL would need (width + 1
 pixels for the pooler, two padded rows plus one pixel for the shifter). The
-pixel-serial lanes themselves are the test oracles these must equal.
+pixel-serial lanes themselves are the test oracles these must equal. Both
+lanes are built from a row width and a channel count and driven the same
+way: `feed_row` per input row, then `finish` to flush. The shifter's taps
+are fixed by channel index, so neither lane takes any other parameter.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import ShapeError
-from ..ops import ShiftDirection, _channel_groups
+from ..ops import SHIFT_CYCLE
 
 
 def _check_row(arr: np.ndarray, width: int, channels: int) -> None:
@@ -64,36 +67,35 @@ class PoolLane:
         self._upper = None
         return [np.maximum(pair[0::2], pair[1::2])]
 
+    def finish(self) -> list:
+        """Nothing to flush: every output row completes on an odd input row."""
+        return []
+
 
 # =========================================================================
 # shifting
 # =========================================================================
 
 class ShiftLane:
-    """Per-channel spatial shift over a raster row stream via a line buffer.
+    """The fixed shift, `ops.shift`, over a raster row stream via a line buffer.
 
     Works on the zero-padded image (width + 2 wide, one pixel ring) and keeps
-    a window of three padded rows: output row y draws every channel from the
-    padded row above, at or below it, one column left, at or right, so it
-    is complete once padded row y + 1 has arrived; the last row waits for
-    the bottom ring, pushed by `finish`. The pixel-serial line buffer
-    resolves a position as soon as its tap one padded row below arrives, so
-    it never holds more than 2D+1 pixels (D = width + 2), inside the
-    2*(width+2)+2 budget the hardware reserves; its occupancy after ``fed``
-    padded pixels, the top ring included, is ``min(fed, 2D + 1)``.
+    a window of three padded rows: output row y draws channel c from the
+    padded row above, at or below it and one column left, at or right, as
+    ``SHIFT_CYCLE[c % 5]`` fixes, so it is complete once padded row y + 1
+    has arrived; the last row waits for the bottom ring, pushed by `finish`.
+    The pixel-serial line buffer resolves a position as soon as its tap one
+    padded row below arrives, so it never holds more than 2D+1 pixels
+    (D = width + 2), inside the 2*(width+2)+2 budget the hardware reserves;
+    its occupancy after ``fed`` padded pixels, the top ring included, is
+    ``min(fed, 2D + 1)``.
     """
 
-    def __init__(self, width: int, channels: int, directions):
+    def __init__(self, width: int, channels: int):
         if width < 1:
             raise ShapeError(f"shift lane width must be >= 1, got {width}")
-        if len(directions) != channels:
-            raise ShapeError(f"{len(directions)} directions for {channels} channels")
-        for d in directions:
-            if not isinstance(d, ShiftDirection):
-                raise ShapeError("directions must be ShiftDirection values")
         self.width = width
         self.channels = channels
-        self._groups = _channel_groups(tuple(directions))
         self._pad_w = width + 2
         self._fed = 0
         self._window = []       # padded rows above and at the next output row
@@ -108,9 +110,8 @@ class ShiftLane:
         if len(self._window) < 3:
             return []
         out = np.empty((self.width, self.channels), dtype=padded.dtype)
-        for d, chans in self._groups:
-            src = self._window[1 + d.dy]
-            out[:, chans] = src[1 + d.dx : 1 + d.dx + self.width, chans]
+        for k, (dy, dx) in enumerate(SHIFT_CYCLE):
+            out[:, k::5] = self._window[1 + dy][1 + dx : 1 + dx + self.width, k::5]
         del self._window[0]
         return [out]
 

@@ -39,7 +39,6 @@ from .ops import (
     channel_split,
     concat_shuffle,
     conv1x1,
-    default_shift_directions,
     fully_connected,
     global_avgpool_codes,
     maxpool2x2,
@@ -305,7 +304,7 @@ class ReferenceExecutor:
         return maxpool2x2(x)
 
     def shift_pass(self, x: np.ndarray) -> np.ndarray:
-        return shift(x, default_shift_directions(x.shape[2]))
+        return shift(x)
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,11 @@ tests. Every operator takes and returns ``(height, width, channels)`` arrays:
 uint8 codes in the reference engine (and int32 accumulators for the pool
 before a lookup), floats in the float graph of the test oracles
 (`tests/oracles.py`), which shares the pool, shift, shuffle and split
-operators. The conv and the FC are exact float32 GEMMs. Nibble packing
+operators. The conv and the FC are exact float32 GEMMs. The shift has no
+parameters: each channel's direction is fixed by its index. Nibble packing
 happens only at the file and API edges (`FeatureMap`).
 """
 from __future__ import annotations
-
-from collections import namedtuple
-from functools import lru_cache
 
 import numpy as np
 
@@ -21,50 +19,10 @@ from .errors import ShapeError, ValidationError
 from .tensor import ACC_DTYPE, CODE_MAX, WeightMatrix, check_accumulators, check_f32_exact
 
 
-class ShiftDirection(namedtuple("ShiftDirection", "dy dx")):
-    """One of the five per-channel copy directions, as (dy, dx); a tuple, so it hashes in C."""
-
-    __slots__ = ()
-
-    def __new__(cls, dy: int, dx: int):
-        if dy not in (-1, 0, 1) or dx not in (-1, 0, 1):
-            raise ValidationError(f"shift offsets must be -1, 0, or 1, got ({dy}, {dx})")
-        if abs(dy) + abs(dx) > 1:
-            raise ValidationError("diagonal shifts are not part of the operator set")
-        return super().__new__(cls, dy, dx)
-
-
-IDENTITY = ShiftDirection(0, 0)
-UP = ShiftDirection(1, 0)  # out[y, x] = in[y + 1, x]: content moves up
-DOWN = ShiftDirection(-1, 0)
-LEFT = ShiftDirection(0, 1)
-RIGHT = ShiftDirection(0, -1)
-DIRECTION_CYCLE = (IDENTITY, UP, DOWN, LEFT, RIGHT)
-
-
-@lru_cache(maxsize=256)
-def default_shift_directions(channels: int) -> tuple:
-    """Direction for channel c is DIRECTION_CYCLE[c % 5]."""
-    return tuple(DIRECTION_CYCLE[c % 5] for c in range(channels))
-
-
-@lru_cache(maxsize=256)
-def _channel_groups(directions: tuple) -> tuple:
-    """(direction, channel selector) per distinct direction.
-
-    A selector is a slice when its channels are evenly spaced, as they are
-    under the default cycle, and a read-only index array otherwise.
-    """
-    groups = []
-    for d in dict.fromkeys(directions):
-        chans = np.array([i for i, e in enumerate(directions) if e == d])
-        step = int(chans[1] - chans[0]) if chans.size > 1 else 1
-        if np.all(np.diff(chans) == step):
-            groups.append((d, slice(int(chans[0]), int(chans[-1]) + 1, step)))
-        else:
-            chans.flags.writeable = False
-            groups.append((d, chans))
-    return tuple(groups)
+# Channel c moves along SHIFT_CYCLE[c % 5], given as (dy, dx) with
+# out[y, x] = in[y + dy, x + dx]: identity, up, down, left, right. The operator
+# is fixed, so the hardware is a line buffer with fixed taps.
+SHIFT_CYCLE = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
 
 
 def conv1x1(x: np.ndarray, weights: WeightMatrix) -> np.ndarray:
@@ -93,18 +51,15 @@ def maxpool2x2(arr: np.ndarray) -> np.ndarray:
     return np.maximum(rows[:, 0 : 2 * w : 2], rows[:, 1 : 2 * w : 2])
 
 
-def shift(arr: np.ndarray, directions) -> np.ndarray:
-    """Per-channel spatial copy with zero fill at the vacated border."""
-    h, w, c = arr.shape
-    if len(directions) != c:
-        raise ShapeError(f"{len(directions)} directions for {c} channels")
+def shift(arr: np.ndarray) -> np.ndarray:
+    """Per-channel spatial copy along `SHIFT_CYCLE`, with zero fill at the vacated border."""
+    h, w, _ = arr.shape
     out = np.zeros_like(arr)
-    for d, chans in _channel_groups(tuple(directions)):
-        y0, y1 = max(0, -d.dy), min(h, h - d.dy)
-        x0, x1 = max(0, -d.dx), min(w, w - d.dx)
-        if y0 >= y1 or x0 >= x1:
-            continue
-        out[y0:y1, x0:x1, chans] = arr[y0 + d.dy : y1 + d.dy, x0 + d.dx : x1 + d.dx, chans]
+    for k, (dy, dx) in enumerate(SHIFT_CYCLE):
+        y0, y1 = max(0, -dy), min(h, h - dy)
+        x0, x1 = max(0, -dx), min(w, w - dx)
+        if y0 < y1 and x0 < x1:
+            out[y0:y1, x0:x1, k::5] = arr[y0 + dy : y1 + dy, x0 + dx : x1 + dx, k::5]
     return out
 
 

@@ -25,7 +25,6 @@ from diracdelta.net import ConvStep, PoolStep, ShiftStep, SplitStep, compile_ste
 from diracdelta.ops import (
     channel_split,
     concat_shuffle,
-    default_shift_directions,
     maxpool2x2,
     shift,
 )
@@ -184,11 +183,8 @@ def documented_head_codes(x: np.ndarray, net: NetworkQuantParams, size: int) -> 
 
 def composed_forward(bundle, fm: FeatureMap) -> np.ndarray:
     """Integer logits of the graph, one packed `FeatureMap` per operator."""
-    def packed(op, *maps, **kwargs):
-        return FeatureMap.from_array(op(*(m.to_array() for m in maps), **kwargs))
-
-    def shifted(m):
-        return packed(shift, m, directions=default_shift_directions(m.channels))
+    def packed(op, *maps):
+        return FeatureMap.from_array(op(*(m.to_array() for m in maps)))
 
     bufs = {"input": fm}
     for step in compile_steps(bundle.spec):
@@ -198,14 +194,14 @@ def composed_forward(bundle, fm: FeatureMap) -> np.ndarray:
             if step.pool:
                 out = packed(maxpool2x2, out)
             if step.shift:
-                out = shifted(out)
+                out = packed(shift, out)
             if step.shuffle_with:
                 out = packed(concat_shuffle, bufs[step.shuffle_with], out)
             bufs[step.dst] = out
         elif isinstance(step, PoolStep):
             bufs[step.dst] = packed(maxpool2x2, bufs[step.src])
         elif isinstance(step, ShiftStep):
-            bufs[step.dst] = shifted(bufs[step.src])
+            bufs[step.dst] = packed(shift, bufs[step.src])
         elif isinstance(step, SplitStep):
             halves = channel_split(bufs[step.src].to_array())
             bufs[step.dst_skip], bufs[step.dst_residual] = map(FeatureMap.from_array, halves)
@@ -232,9 +228,6 @@ def float_forward(spec, weights: dict, net: NetworkQuantParams, alphas,
             f"({spec.input_size}, {spec.input_size}, {spec.input_channels})"
         )
 
-    def shifted(v):
-        return shift(v, default_shift_directions(v.shape[2]))
-
     bufs = {"input": arr}
     for step in compile_steps(spec):
         if isinstance(step, ConvStep):
@@ -249,14 +242,14 @@ def float_forward(spec, weights: dict, net: NetworkQuantParams, alphas,
             if step.pool:
                 out = maxpool2x2(out)
             if step.shift:
-                out = shifted(out)
+                out = shift(out)
             if step.shuffle_with:
                 out = concat_shuffle(bufs[step.shuffle_with], out)
             bufs[step.dst] = out
         elif isinstance(step, PoolStep):
             bufs[step.dst] = maxpool2x2(bufs[step.src])
         elif isinstance(step, ShiftStep):
-            bufs[step.dst] = shifted(bufs[step.src])
+            bufs[step.dst] = shift(bufs[step.src])
         elif isinstance(step, SplitStep):
             bufs[step.dst_skip], bufs[step.dst_residual] = channel_split(bufs[step.src])
         else:
@@ -310,6 +303,19 @@ class PixelPoolLane:
         return [np.stack(outs)] if outs else []
 
 
+# A 3x3 map whose five channels all hold 1..9 in raster order, and what the
+# shift makes of each channel, worked by hand: out[y, x] = in[y + dy, x + dx]
+# with zero fill, for channels 0-4 = identity, up, down, left, right.
+SHIFT_BY_HAND_INPUT = np.repeat(np.arange(1, 10, dtype=np.uint8).reshape(3, 3, 1), 5, axis=2)
+SHIFT_BY_HAND = (
+    [[1, 2, 3], [4, 5, 6], [7, 8, 9]],  # identity
+    [[4, 5, 6], [7, 8, 9], [0, 0, 0]],  # up: content moves up one row
+    [[0, 0, 0], [1, 2, 3], [4, 5, 6]],  # down
+    [[2, 3, 0], [5, 6, 0], [8, 9, 0]],  # left: content moves left one column
+    [[0, 1, 2], [0, 4, 5], [0, 7, 8]],  # right
+)
+
+
 class PixelShiftLane:
     """Per-channel spatial shift over a raster stream, one pixel at a time.
 
@@ -317,21 +323,15 @@ class PixelShiftLane:
     output pixel at padded position p draws its value from one of the taps
     p-D, p-1, p, p+1, p+D (D is the padded width), so a position resolves as
     soon as p+D has arrived and the buffer never holds more than 2D+1
-    pixels. Outputs are assembled into full rows of the original width.
+    pixels. Channel c takes tap c % 5 of identity, up, down, left, right.
+    Outputs are assembled into full rows of the original width.
     """
 
-    def __init__(self, width: int, channels: int, directions):
-        if len(directions) != channels:
-            raise ShapeError(f"{len(directions)} directions for {channels} channels")
+    def __init__(self, width: int, channels: int):
         self.width = width
         self.channels = channels
         self.max_occupancy = 0
-        # tap index per channel into [identity, up, down, left, right]
-        self._tap = np.array(
-            [{(0, 0): 0, (1, 0): 1, (-1, 0): 2, (0, 1): 3, (0, -1): 4}[(d.dy, d.dx)]
-             for d in directions],
-            dtype=np.intp,
-        )
+        self._tap = np.arange(channels) % 5
         self._chan = np.arange(channels)
         self._pad_w = width + 2
         self._buf = deque()     # padded pixels with indices [_base, _fed)

@@ -25,7 +25,6 @@ from diracdelta.net import ReferenceExecutor, forward
 from diracdelta.ops import (
     concat_shuffle,
     conv1x1,
-    default_shift_directions,
     maxpool2x2,
     shift,
 )
@@ -53,12 +52,12 @@ def _same(got, want):
     return got.dtype == want.dtype == np.uint8 and np.array_equal(got, want)
 
 
-def _reference(fm, wm, table, pool=False, shift_dirs=None, shuffle_with=None):
+def _reference(fm, wm, table, pool=False, shifted=False, shuffle_with=None):
     out = table.apply(conv1x1(fm, wm))
     if pool:
         out = maxpool2x2(out)
-    if shift_dirs is not None:
-        out = shift(out, shift_dirs)
+    if shifted:
+        out = shift(out)
     if shuffle_with is not None:
         out = concat_shuffle(shuffle_with, out)
     return out
@@ -83,23 +82,21 @@ FUSED_CASES = [
 @pytest.mark.parametrize("h,w,ic,oc,pool,shifted,shuffled", FUSED_CASES)
 def test_pipeline_matches_reference_composition(h, w, ic, oc, pool, shifted, shuffled):
     fm, wm, table = _random_case(h * 1000 + w * 100 + ic, h, w, ic, oc)
-    dirs = default_shift_directions(oc) if shifted else None
     skip = None
     if shuffled:
         rng = np.random.default_rng(99)
         out_h, out_w = (h // 2, w // 2) if pool else (h, w)
         skip = rng.integers(0, 16, size=(out_h, out_w, oc), dtype=np.uint8)
-    got = run_subgraph(fm, wm, table, pool=pool, shift_dirs=dirs, shuffle_with=skip)
-    want = _reference(fm, wm, table, pool=pool, shift_dirs=dirs, shuffle_with=skip)
+    got = run_subgraph(fm, wm, table, pool=pool, shift=shifted, shuffle_with=skip)
+    want = _reference(fm, wm, table, pool=pool, shifted=shifted, shuffle_with=skip)
     assert _same(got.output, want)
 
 
 @pytest.mark.parametrize("scheduler", ["single-thread", "concurrent"])
 def test_both_schedulers_compute_identical_bytes(scheduler):
     fm, wm, table = _random_case(7, 8, 8, 5, 24)
-    dirs = default_shift_directions(24)
-    got = run_subgraph(fm, wm, table, pool=True, shift_dirs=dirs, scheduler=scheduler)
-    want = _reference(fm, wm, table, pool=True, shift_dirs=dirs)
+    got = run_subgraph(fm, wm, table, pool=True, shift=True, scheduler=scheduler)
+    want = _reference(fm, wm, table, pool=True, shifted=True)
     assert _same(got.output, want)
 
 
@@ -136,9 +133,8 @@ def test_small_tiles_and_unit_fifo_capacity_still_bit_exact():
 def test_half_tiles_with_pool_and_shift_match_reference():
     fm, wm, table = _random_case(33, 6, 8, 20, 24)
     schedule = TileSchedule(ic=16, oc=16, fifo_capacity=1)
-    dirs = default_shift_directions(24)
-    got = run_subgraph(fm, wm, table, schedule, pool=True, shift_dirs=dirs)
-    assert _same(got.output, _reference(fm, wm, table, pool=True, shift_dirs=dirs))
+    got = run_subgraph(fm, wm, table, schedule, pool=True, shift=True)
+    assert _same(got.output, _reference(fm, wm, table, pool=True, shifted=True))
     assert all(d <= 1 for d in got.stats.fifo_depths.values())
     assert got.stats.pool_occupancy == 8 + 1
     assert got.stats.shift_occupancy == 2 * (4 + 2) + 1  # at the pooled width
@@ -197,10 +193,9 @@ def test_accumulator_peak_matches_reference_and_respects_bound():
 
 def test_lane_occupancy_is_reported():
     fm, wm, table = _random_case(53, 8, 8, 3, 16)
-    res = run_subgraph(fm, wm, table, pool=True,
-                       shift_dirs=default_shift_directions(16))
+    res = run_subgraph(fm, wm, table, pool=True, shift=True)
     assert res.stats.pool_occupancy == 8 + 1
-    # shift runs at the pooled width, over the padded channel block
+    # shift runs at the pooled width
     assert res.stats.shift_occupancy <= 2 * (4 + 2) + 2
     assert set(res.stats.fifo_depths) == {
         "loader_to_conv", "conv_to_convert", "convert_to_next",
@@ -247,8 +242,6 @@ def test_shape_guards():
     odd = np.zeros((3, 4, 8), dtype=np.uint8)
     with pytest.raises(ShapeError, match="pooling needs even spatial dims"):
         run_subgraph(odd, wm, table, pool=True)
-    with pytest.raises(ShapeError, match="3 shift directions for 8 channels"):
-        run_subgraph(fm, wm, table, shift_dirs=default_shift_directions(3))
 
 
 # =========================================================================
@@ -271,7 +264,7 @@ def test_shift_pass_matches_reference_with_traffic():
     rng = np.random.default_rng(73)
     fm = rng.integers(0, 16, size=(5, 7, 11), dtype=np.uint8)
     res = shift_pass(fm)
-    assert _same(res.output, shift(fm, default_shift_directions(11)))
+    assert _same(res.output, shift(fm))
     assert res.stats.dram_read_bytes == res.stats.dram_write_bytes
     assert res.stats.shift_occupancy <= 2 * (7 + 2) + 2
 
@@ -281,7 +274,7 @@ def test_pool_and_shift_passes_count_bytes_in_the_schedule_input_tile():
     fm = rng.integers(0, 16, size=(6, 4, 12), dtype=np.uint8)
     passes = {
         "pool": (lambda sched: pool_pass(fm, sched), (3, 2)),
-        "shift": (lambda sched: shift_pass(fm, schedule=sched), (6, 4)),
+        "shift": (lambda sched: shift_pass(fm, sched), (6, 4)),
     }
     for run, (out_h, out_w) in passes.values():
         default, narrow = run(TileSchedule()), run(TileSchedule(ic=16))

@@ -15,21 +15,12 @@ from diracdelta.errors import (
     DeadlockError,
     ShapeError,
 )
-from diracdelta.ops import (
-    DIRECTION_CYCLE,
-    DOWN,
-    IDENTITY,
-    LEFT,
-    RIGHT,
-    UP,
-    concat_shuffle,
-    default_shift_directions,
-    maxpool2x2,
-    shift,
-)
+from diracdelta.ops import concat_shuffle, maxpool2x2, shift
 from diracdelta.quant import LayerQuantParams, NetworkQuantParams, ThresholdTable, build_threshold_table
 
 from oracles import (
+    SHIFT_BY_HAND,
+    SHIFT_BY_HAND_INPUT,
     PixelPoolLane,
     PixelShiftLane,
     conversion_linear,
@@ -152,8 +143,8 @@ def test_pool_lane_guards():
 # shift lane
 # =========================================================================
 
-def _drive_shift(fm, directions):
-    lane = ShiftLane(fm.shape[1], fm.shape[2], directions)
+def _drive_shift(fm):
+    lane = ShiftLane(fm.shape[1], fm.shape[2])
     rows = []
     for row in fm:
         rows.extend(lane.feed_row(row))
@@ -165,17 +156,15 @@ def _drive_shift(fm, directions):
 def test_shift_lane_matches_reference(h, w, c):
     rng = np.random.default_rng(h * 100 + w * 10 + c)
     fm = rng.integers(0, 16, size=(h, w, c), dtype=np.uint8)
-    dirs = default_shift_directions(c)
-    got, _ = _drive_shift(fm, dirs)
-    np.testing.assert_array_equal(got, shift(fm, dirs))
+    got, _ = _drive_shift(fm)
+    np.testing.assert_array_equal(got, shift(fm))
 
 
-@pytest.mark.parametrize("direction", [IDENTITY, UP, DOWN, LEFT, RIGHT])
+@pytest.mark.parametrize("direction", [pytest.param(k, id=f"direction{k}") for k in range(5)])
 def test_shift_lane_single_direction(direction):
-    rng = np.random.default_rng(77)
-    fm = rng.integers(0, 16, size=(5, 5, 1), dtype=np.uint8)
-    got, _ = _drive_shift(fm, (direction,))
-    np.testing.assert_array_equal(got, shift(fm, (direction,)))
+    """Channel ``direction`` of the hand-worked map moves as worked by hand."""
+    got, _ = _drive_shift(SHIFT_BY_HAND_INPUT)
+    assert got[:, :, direction].tolist() == SHIFT_BY_HAND[direction]
 
 
 def test_shift_lane_needs_finish_to_flush():
@@ -183,15 +172,14 @@ def test_shift_lane_needs_finish_to_flush():
     for lane_type in (ShiftLane, PixelShiftLane):
         for height in (1, 2, 3):
             fm = rng.integers(0, 16, size=(height, 3, 2), dtype=np.uint8)
-            lane = lane_type(3, 2, default_shift_directions(2))
+            lane = lane_type(3, 2)
             rows = []
             for row in fm:
                 rows.extend(lane.feed_row(row))
             assert len(rows) == height - 1  # the last row waits for the bottom padding
             rows.extend(lane.finish())
             assert len(rows) == height
-            np.testing.assert_array_equal(np.stack(rows),
-                                          shift(fm, default_shift_directions(2)))
+            np.testing.assert_array_equal(np.stack(rows), shift(fm))
             occupancy = lane.max_occupancy
             state = pickle.dumps(vars(lane))
             assert lane.finish() == []  # the flush happens once
@@ -203,7 +191,7 @@ def test_shift_lane_occupancy_stays_in_the_two_row_budget():
     rng = np.random.default_rng(79)
     width = 28
     fm = rng.integers(0, 16, size=(4, width, 8), dtype=np.uint8)
-    _, lane = _drive_shift(fm, default_shift_directions(8))
+    _, lane = _drive_shift(fm)
     budget = 2 * (width + 2) + 2
     assert lane.max_occupancy == 2 * (width + 2) + 1
     assert lane.max_occupancy <= budget
@@ -211,12 +199,8 @@ def test_shift_lane_occupancy_stays_in_the_two_row_budget():
 
 def test_shift_lane_guards():
     with pytest.raises(ShapeError, match="width must be >= 1"):
-        ShiftLane(0, 1, (IDENTITY,))
-    with pytest.raises(ShapeError, match="2 directions for 3 channels"):
-        ShiftLane(4, 3, (UP, DOWN))
-    with pytest.raises(ShapeError, match="must be ShiftDirection"):
-        ShiftLane(4, 1, ("up",))
-    lane = ShiftLane(4, 2, (UP, DOWN))
+        ShiftLane(0, 1)
+    lane = ShiftLane(4, 2)
     with pytest.raises(ShapeError, match="lane expects"):
         lane.feed_row(np.zeros((5, 2), dtype=np.uint8))
 
@@ -249,8 +233,7 @@ def test_row_lanes_equal_the_pixel_serial_oracles(h, w, c):
     fm = rng.integers(0, 16, size=(h, w, c), dtype=np.uint8)
     if h % 2 == 0 and w % 2 == 0:
         _drive_both(PoolLane(w, c), PixelPoolLane(w, c), fm)
-    dirs = tuple(DIRECTION_CYCLE[i] for i in rng.integers(0, 5, size=c))
-    row_lane, pixel_lane = ShiftLane(w, c, dirs), PixelShiftLane(w, c, dirs)
+    row_lane, pixel_lane = ShiftLane(w, c), PixelShiftLane(w, c)
     _drive_both(row_lane, pixel_lane, fm)
     assert len(_same_calls(row_lane, pixel_lane, "finish")) == 1
     # the zero rings count as fed pixels, so even one image row reaches 2D+1

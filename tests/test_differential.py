@@ -1,0 +1,74 @@
+"""Differential test over drawn networks and tile schedules.
+
+Hypothesis draws a small valid `NetworkSpec` (16-64 px, one to three stages,
+zero to two repeats per stage, an odd or even first stem width, one to three
+input channels), a quantization scale s, a bundle seed (which draws every
+layer's clip bound) and a `TileSchedule` with tiles of 1-64 channels. On a
+random frame and an all-15 frame, the reference and simulator logits must be
+byte-equal, and every simulator step must move exactly the bytes the cost
+model charges that step at the same tiles. Odd tiles and odd widths are where
+a channel padding mistake would show.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diracdelta.accel.perf import CostModelParams, step_cost
+from diracdelta.accel.subgraph import SimulatorExecutor, TileSchedule
+from diracdelta.bundle import random_bundle
+from diracdelta.net import ConvStep, NetworkSpec, PoolStep, ShiftStep, compile_steps, forward
+from diracdelta.quant import NetworkQuantParams
+from diracdelta.tensor import FeatureMap, blocked_channel_count
+
+
+@st.composite
+def specs(draw):
+    stages = draw(st.integers(1, 3))
+    divisor = 4 * 2**stages
+    size = draw(st.sampled_from(range(divisor * -(-16 // divisor), 65, divisor)))
+    stem = (draw(st.integers(1, 15)), 2 * draw(st.integers(1, 6)))
+    return NetworkSpec(
+        input_size=size,
+        input_channels=draw(st.integers(1, 3)),
+        stem_channels=stem,
+        stage_channels=tuple(stem[1] * 2 ** (i + 1) for i in range(stages)),
+        stage_repeats=tuple(draw(st.integers(0, 2)) for _ in range(stages)),
+        conv5_channels=draw(st.integers(1, 48)),
+        num_classes=draw(st.integers(1, 12)),
+    )
+
+
+schedules = st.builds(TileSchedule, ic=st.integers(1, 64), oc=st.integers(1, 64),
+                      fifo_capacity=st.integers(1, 3))
+
+
+def _log_name(step):
+    return step.name if isinstance(step, ConvStep) else (
+        "pool" if isinstance(step, PoolStep) else "shift")
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(spec=specs(), s=st.floats(0.05, 4.0),
+       seed=st.integers(0, 2**16), schedule=schedules)
+def test_engines_agree_and_traffic_matches_the_cost_model(spec, s, seed, schedule):
+    bundle = random_bundle(spec, NetworkQuantParams(s=s), seed=seed)
+    shape = (spec.input_size, spec.input_size, spec.input_channels)
+    rng = np.random.default_rng(seed)
+    frames = [rng.integers(0, 16, size=shape, dtype=np.uint8), np.full(shape, 15, np.uint8)]
+    params = CostModelParams(ic_parallel=schedule.ic, oc_parallel=schedule.oc)
+    steps = [step for step in compile_steps(spec)
+             if isinstance(step, (ConvStep, PoolStep, ShiftStep))]
+    for frame in frames:
+        fm = FeatureMap.from_array(frame)
+        sim = SimulatorExecutor(schedule)
+        got, want = forward(bundle, fm, sim), forward(bundle, fm)
+        assert got.int_logits.tobytes() == want.int_logits.tobytes()
+        assert got.logits.tobytes() == want.logits.tobytes()
+        assert [name for name, _ in sim.log] == [_log_name(step) for step in steps]
+        for step, (_name, stats) in zip(steps, sim.log):
+            cost = step_cost(step, params)
+            channels = step.in_channels if isinstance(step, ConvStep) else step.channels
+            read = stats.dram_read_bytes - stats.weight_bytes
+            assert read == step.spatial ** 2 * blocked_channel_count(channels, schedule.ic) // 2
+            assert (read + stats.dram_write_bytes, stats.weight_bytes, stats.memcpy_bytes) == (
+                cost.act_bytes, cost.weight_bytes, cost.memcpy_bytes), step.name

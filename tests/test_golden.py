@@ -1,0 +1,68 @@
+"""Golden digest: the engines' output bytes and simulator statistics, pinned.
+
+One sha256 covers the reference logits (integer and scaled) and every
+`SubgraphStats` field of every simulator step, in the fixed field order
+below, over a fixed set of networks, quantization scales and frames. A
+refactor that claims the same bytes must leave the value unchanged; a change
+that alters bytes or statistics on purpose says so and pins the new value.
+The simulator's logits must equal the reference's, so they are compared
+rather than hashed twice.
+"""
+import hashlib
+
+import numpy as np
+
+from conftest import make_tiny_spec, make_two_stage_spec, random_input
+
+from diracdelta.accel.subgraph import SimulatorExecutor
+from diracdelta.bundle import random_bundle
+from diracdelta.net import build_diracdeltanet, forward
+from diracdelta.quant import NetworkQuantParams
+from diracdelta.tensor import FeatureMap
+
+STATS_FIELDS = (
+    "dram_read_bytes",
+    "dram_write_bytes",
+    "weight_bytes",
+    "memcpy_bytes",
+    "max_abs_acc",
+    "pool_occupancy",
+    "shift_occupancy",
+    "fifo_depths",
+)
+
+GOLDEN_SHA256 = "55eac7f33cce488e86a79555c0535036c6ef26a74e9d23e9bcee4d456ffbfe6d"
+
+
+def _frames(spec):
+    full = np.full((spec.input_size, spec.input_size, spec.input_channels), 15, np.uint8)
+    return [random_input(spec, 1), random_input(spec, 2), FeatureMap.from_array(full)]
+
+
+def _cases():
+    yield build_diracdeltanet(), 1.0
+    for make_spec in (make_tiny_spec, make_two_stage_spec):
+        for s in (1.0, 0.1, 0.37):
+            yield make_spec(), s
+
+
+def _stats_record(stats) -> tuple:
+    values = [getattr(stats, name) for name in STATS_FIELDS]
+    values[-1] = tuple(sorted(values[-1].items()))
+    return tuple(values)
+
+
+def test_engines_reproduce_the_golden_digest():
+    digest = hashlib.sha256()
+    for spec, s in _cases():
+        bundle = random_bundle(spec, NetworkQuantParams(s=s), seed=7)
+        for fm in _frames(spec):
+            ref = forward(bundle, fm)
+            sim_ex = SimulatorExecutor()
+            sim = forward(bundle, fm, sim_ex)
+            np.testing.assert_array_equal(sim.int_logits, ref.int_logits)
+            digest.update(ref.int_logits.astype("<i8").tobytes())
+            digest.update(np.asarray(ref.logits, dtype="<f8").tobytes())
+            for name, stats in sim_ex.log:
+                digest.update(repr((name, _stats_record(stats))).encode())
+    assert digest.hexdigest() == GOLDEN_SHA256

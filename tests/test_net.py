@@ -41,7 +41,6 @@ from diracdelta.ops import (
     channel_split,
     concat_shuffle,
     conv1x1,
-    default_shift_directions,
     maxpool2x2,
     shift,
 )
@@ -284,7 +283,7 @@ def _hand_wired_tiny_forward(bundle, fm):
         if pool:
             out = maxpool2x2(out)
         if shifted:
-            out = shift(out, default_shift_directions(out.shape[2]))
+            out = shift(out)
         if skip is not None:
             out = concat_shuffle(skip, out)
         return out
@@ -292,7 +291,7 @@ def _hand_wired_tiny_forward(bundle, fm):
     x = conv("conv1", fm.to_array(), pool=True, shifted=True)
     x = conv("conv2", x, pool=True, shifted=True)
     pooled_skip = maxpool2x2(x)
-    shifted_skip = shift(pooled_skip, default_shift_directions(pooled_skip.shape[2]))
+    shifted_skip = shift(pooled_skip)
     skip = conv("s2d_skip_conv", shifted_skip)
     r = conv("s2d_res_conv1", x, pool=True, shifted=True)
     x = conv("s2d_res_conv2", r, skip=skip)
@@ -429,7 +428,7 @@ def _hand_wired_tiny_float(spec, weights, net, alpha, x):
         if pool:
             out = maxpool2x2(out)
         if shifted:
-            out = shift(out, default_shift_directions(out.shape[2]))
+            out = shift(out)
         if skip is not None:
             out = concat_shuffle(skip, out)
         return out
@@ -437,7 +436,7 @@ def _hand_wired_tiny_float(spec, weights, net, alpha, x):
     x = conv("conv1", x, pool=True, shifted=True)
     x = conv("conv2", x, pool=True, shifted=True)
     sp = maxpool2x2(x)
-    ss = shift(sp, default_shift_directions(sp.shape[2]))
+    ss = shift(sp)
     skip = conv("s2d_skip_conv", ss)
     r = conv("s2d_res_conv1", x, pool=True, shifted=True)
     x = conv("s2d_res_conv2", r, skip=skip)

@@ -5,17 +5,9 @@ from fractions import Fraction
 
 from diracdelta.errors import ShapeError, ValidationError
 from diracdelta.ops import (
-    DIRECTION_CYCLE,
-    DOWN,
-    IDENTITY,
-    LEFT,
-    RIGHT,
-    UP,
-    ShiftDirection,
     channel_split,
     concat_shuffle,
     conv1x1,
-    default_shift_directions,
     fully_connected,
     global_avgpool_codes,
     maxpool2x2,
@@ -24,7 +16,14 @@ from diracdelta.ops import (
 from diracdelta.quant import NetworkQuantParams, quantize_uniform
 from diracdelta.tensor import ACC_LIMIT, WeightMatrix
 
-from oracles import conv1x1_int64, documented_head_codes, fc_bit_serial, global_avgpool
+from oracles import (
+    SHIFT_BY_HAND,
+    SHIFT_BY_HAND_INPUT,
+    conv1x1_int64,
+    documented_head_codes,
+    fc_bit_serial,
+    global_avgpool,
+)
 
 
 def _random_codes(rng, h, w, c):
@@ -159,61 +158,33 @@ def _shift_oracle(arr, directions):
     for y in range(h):
         for x in range(w):
             for ch in range(c):
-                d = directions[ch]
-                sy, sx = y + d.dy, x + d.dx
+                dy, dx = directions[ch]
+                sy, sx = y + dy, x + dx
                 if 0 <= sy < h and 0 <= sx < w:
                     out[y, x, ch] = arr[sy, sx, ch]
     return out
 
 
 def test_shift_direction_semantics_by_hand():
-    col = np.array([[1], [2], [3]], dtype=np.uint8)[:, :, None].reshape(3, 1, 1)
-    assert shift(col, (UP,)).ravel().tolist() == [2, 3, 0]
-    assert shift(col, (DOWN,)).ravel().tolist() == [0, 1, 2]
-    row = np.array([[1, 2, 3]], dtype=np.uint8).reshape(1, 3, 1)
-    assert shift(row, (LEFT,)).ravel().tolist() == [2, 3, 0]
-    assert shift(row, (RIGHT,)).ravel().tolist() == [0, 1, 2]
-    assert shift(col, (IDENTITY,)).ravel().tolist() == [1, 2, 3]
+    got = shift(SHIFT_BY_HAND_INPUT)
+    for c, want in enumerate(SHIFT_BY_HAND):
+        assert got[:, :, c].tolist() == want
 
 
 def test_shift_matches_nested_loop_oracle():
     rng = np.random.default_rng(33)
-    for h, w, c in [(4, 4, 10), (3, 7, 6), (5, 2, 5)]:
+    cycle = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))  # identity, up, down, left, right
+    for h, w, c in [(4, 4, 10), (3, 7, 6), (5, 2, 5), (3, 3, 16), (6, 2, 1), (1, 1, 7)]:
         fm = _random_codes(rng, h, w, c)
-        dirs = default_shift_directions(c)
-        np.testing.assert_array_equal(
-            shift(fm, dirs), _shift_oracle(fm, dirs)
-        )
-
-
-def test_shift_with_arbitrary_direction_lists_matches_the_oracle():
-    rng = np.random.default_rng(35)
-    for h, w, c in [(4, 5, 9), (3, 3, 16), (6, 2, 1)]:
-        fm = _random_codes(rng, h, w, c)
-        dirs = tuple(DIRECTION_CYCLE[i] for i in rng.integers(0, 5, size=c))
-        np.testing.assert_array_equal(
-            shift(fm, dirs), _shift_oracle(fm, dirs)
-        )
-        np.testing.assert_array_equal(
-            shift(fm, list(dirs)), _shift_oracle(fm, dirs)
-        )
+        dirs = [cycle[ch % 5] for ch in range(c)]
+        np.testing.assert_array_equal(shift(fm), _shift_oracle(fm, dirs))
 
 
 def test_default_directions_cycle_with_period_five():
-    dirs = default_shift_directions(12)
-    assert dirs[:5] == (IDENTITY, UP, DOWN, LEFT, RIGHT)
-    assert dirs[5] == IDENTITY and dirs[10] == IDENTITY
-    assert dirs == tuple(DIRECTION_CYCLE[i % 5] for i in range(12))
-
-
-def test_shift_guards():
-    with pytest.raises(ValidationError, match="diagonal"):
-        ShiftDirection(1, 1)
-    with pytest.raises(ValidationError, match="must be -1, 0, or 1"):
-        ShiftDirection(2, 0)
-    fm = np.zeros((2, 2, 3), dtype=np.uint8)
-    with pytest.raises(ShapeError, match="2 directions for 3 channels"):
-        shift(fm, (UP, DOWN))
+    fm = np.repeat(SHIFT_BY_HAND_INPUT[:, :, :1], 12, axis=2)
+    got = shift(fm)
+    for c in range(12):
+        assert got[:, :, c].tolist() == SHIFT_BY_HAND[c % 5]
 
 
 # =========================================================================
