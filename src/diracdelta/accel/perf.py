@@ -90,28 +90,32 @@ def load_cost_config(path, base: CostModelParams = None) -> CostModelParams:
     params = base if base is not None else CostModelParams()
     known = {f.name for f in fields(CostModelParams)}
     overrides = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected key = value, got {raw.strip()!r}"
-                )
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in known:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: unknown cost parameter {key!r}"
-                )
-            try:
-                overrides[key] = int(value) if key in _INT_FIELDS else float(value)
-            except ValueError as e:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: bad value for {key}: {value!r}"
-                ) from e
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as e:
+        raise ConfigurationError(f"{path}: cost config is not UTF-8 text: {e}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigurationError(
+                f"{path}:{lineno}: expected key = value, got {raw.strip()!r}"
+            )
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in known:
+            raise ConfigurationError(
+                f"{path}:{lineno}: unknown cost parameter {key!r}"
+            )
+        try:
+            overrides[key] = int(value) if key in _INT_FIELDS else float(value)
+        except ValueError as e:
+            raise ConfigurationError(
+                f"{path}:{lineno}: bad value for {key}: {value!r}"
+            ) from e
     return replace(params, **overrides)
 
 

@@ -13,12 +13,12 @@ On disk a bundle is a directory:
     fc.w                packed classifier weight codes, trailing CRC32
 
 The manifest holds only what the graph cannot supply: the format version,
-the network dimensions, the shared scale and bit widths, one ``{name,
-alpha, weight_scale}`` row per conv step in `compile_steps` order, and the
-classifier's ``scale``. Layer shapes, fused post-ops and blob names follow
-from the graph that the network dimensions compile to, and the tables are
-rebuilt when the loaded bundle is constructed, so no stored value can
-disagree with another.
+the network dimensions, the shared scale and the code widths (both 4, the
+only width the engine runs), one ``{name, alpha, weight_scale}`` row per
+conv step in `compile_steps` order, and the classifier's ``scale``. Layer
+shapes, fused post-ops and blob names follow from the graph that the network
+dimensions compile to, and the tables are rebuilt when the loaded bundle is
+constructed, so no stored value can disagree with another.
 
 `manifest.json` is written with sorted keys and a fixed layout so that the
 same bundle saves byte-identically every time. A manifest field that is
@@ -48,9 +48,10 @@ from .quant import (
     build_threshold_table,
     quantize_weights,
 )
-from .tensor import WeightMatrix
+from .tensor import CODE_MAX, WeightMatrix
 
 FORMAT_VERSION = 2
+CODE_BITS = CODE_MAX.bit_length()  # the manifest's k_w and k_a: 4
 
 
 @dataclass
@@ -166,7 +167,7 @@ def save_bundle(bundle: ModelBundle, path) -> Path:
             "stage_repeats": list(spec.stage_repeats),
             "stem_channels": list(spec.stem_channels),
         },
-        "quant": {"k_a": bundle.net.k_a, "k_w": bundle.net.k_w, "s": bundle.net.s},
+        "quant": {"k_a": CODE_BITS, "k_w": CODE_BITS, "s": bundle.net.s},
     }
     root.parent.mkdir(parents=True, exist_ok=True)
     target = root.resolve()  # a symlinked bundle is replaced where it lives
@@ -245,7 +246,9 @@ def load_bundle(path) -> ModelBundle:
     if not mf.is_file():
         raise BundleError(f"no manifest.json under {root}")
     try:
-        manifest = json.loads(mf.read_text())
+        manifest = json.loads(mf.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise BundleError(f"manifest.json is not UTF-8 text: {e}") from None
     except json.JSONDecodeError as e:
         raise BundleError(f"manifest.json is not valid JSON: {e}") from e
     if not isinstance(manifest, dict):
@@ -266,17 +269,20 @@ def load_bundle(path) -> ModelBundle:
         num_classes=_field(n, "network", "num_classes", "an integer"),
     )
     q = _field(manifest, "", "quant", "an object")
-    net = NetworkQuantParams(s=_field(q, "quant", "s", "a number"),
-                             k_w=_field(q, "quant", "k_w", "an integer"),
-                             k_a=_field(q, "quant", "k_a", "an integer"))
+    net = NetworkQuantParams(s=_field(q, "quant", "s", "a number"))
+    for key in ("k_w", "k_a"):
+        if (bits := _field(q, "quant", key, "an integer")) != CODE_BITS:
+            raise BundleError(f"manifest.json field quant.{key} is {bits}, but the engine "
+                              f"runs {CODE_BITS}-bit codes only")
     rows = _field(manifest, "", "layers", "a list")
     fc_row = _field(manifest, "", "fc", "an object")
 
-    steps = conv_steps(spec)
-    if len(rows) != len(steps):
+    # counted from the dimensions first: compiling a huge graph would not finish
+    if len(rows) != spec.conv_count:
         raise GraphError(
-            f"manifest lists {len(rows)} layers but the graph has {len(steps)}"
+            f"manifest lists {len(rows)} layers but the graph has {spec.conv_count}"
         )
+    steps = conv_steps(spec)
     weights = {}
     layer_params = {}
     for i, (step, row) in enumerate(zip(steps, rows)):
@@ -332,19 +338,19 @@ def random_bundle(spec: NetworkSpec, net: NetworkQuantParams, seed: int) -> Mode
     saves byte-identical bundles.
     """
     rng = np.random.default_rng(seed)
-    w_scale = 1.0 / net.weight_levels
+    w_scale = 1.0 / CODE_MAX
     weights = {}
     layer_params = {}
     for step in conv_steps(spec):
-        codes = rng.integers(0, net.weight_levels + 1,
+        codes = rng.integers(0, CODE_MAX + 1,
                              size=(step.out_channels, step.in_channels), dtype=np.uint8)
         weights[step.name] = WeightMatrix(step.out_channels, step.in_channels, codes)
         alpha = net.s * float(rng.uniform(0.5, 1.5))
         layer_params[step.name] = LayerQuantParams(alpha=alpha, weight_scale=w_scale)
-    fc_codes = rng.integers(0, net.weight_levels + 1,
+    fc_codes = rng.integers(0, CODE_MAX + 1,
                             size=(spec.num_classes, spec.conv5_channels), dtype=np.uint8)
     fc_weights = WeightMatrix(spec.num_classes, spec.conv5_channels, fc_codes)
-    fc_scale = w_scale * net.s / net.act_levels
+    fc_scale = w_scale * net.s / CODE_MAX
     return ModelBundle(
         spec=spec,
         net=net,
@@ -355,7 +361,7 @@ def random_bundle(spec: NetworkSpec, net: NetworkQuantParams, seed: int) -> Mode
     )
 
 
-def _quantize_layer(float_weights: dict, name: str, shape: tuple, k_w: int):
+def _quantize_layer(float_weights: dict, name: str, shape: tuple):
     """One layer's float (out, in) weights as (`WeightMatrix`, weight scale)."""
     if name not in float_weights:
         raise BundleError(f"no float weights supplied for layer {name}")
@@ -364,7 +370,7 @@ def _quantize_layer(float_weights: dict, name: str, shape: tuple, k_w: int):
         raise BundleError(f"layer {name}: float weights have shape {w.shape}, expected {shape}")
     if not np.all(np.isfinite(w)):
         raise BundleError(f"layer {name}: float weights must be finite")
-    codes, w_scale = quantize_weights(w, k_w)
+    codes, w_scale = quantize_weights(w)
     return WeightMatrix(shape[0], shape[1], codes.astype(np.uint8)), w_scale
 
 
@@ -382,21 +388,19 @@ def quantize_bundle(spec: NetworkSpec, net: NetworkQuantParams, float_weights: d
     layer_params = {}
     for step in conv_steps(spec):
         weights[step.name], w_scale = _quantize_layer(
-            float_weights, step.name, (step.out_channels, step.in_channels), net.k_w
-        )
+            float_weights, step.name, (step.out_channels, step.in_channels))
         layer_params[step.name] = LayerQuantParams(
             alpha=float(alphas.get(step.name, net.s)), weight_scale=w_scale
         )
-    fc_weights, fc_w_scale = _quantize_layer(
-        float_weights, "fc", (spec.num_classes, spec.conv5_channels), net.k_w
-    )
+    fc_weights, fc_w_scale = _quantize_layer(float_weights, "fc",
+                                             (spec.num_classes, spec.conv5_channels))
     return ModelBundle(
         spec=spec,
         net=net,
         weights=weights,
         layer_params=layer_params,
         fc_weights=fc_weights,
-        fc_scale=fc_w_scale * net.s / net.act_levels,
+        fc_scale=fc_w_scale * net.s / CODE_MAX,
     )
 
 

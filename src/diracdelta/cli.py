@@ -81,7 +81,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
                 f"{bits}-bit {name} codes cannot run on the 4-bit engine pipeline"
             )
     spec = build_diracdeltanet()
-    net = NetworkQuantParams(s=args.s, k_w=args.w_bits, k_a=args.a_bits)
+    net = NetworkQuantParams(s=args.s)
     floats = read_float_weights(args.weights, spec)
     bundle = quantize_bundle(spec, net, floats)
     path = save_bundle(bundle, args.out)

@@ -89,12 +89,15 @@ class NetworkSpec:
         if self.conv5_channels > MAX_F32_TERMS:
             raise GraphError(f"layer fc: {self.conv5_channels} inputs exceed {MAX_F32_TERMS}, "
                              "the widest dot product a float32 GEMV sums exactly")
-        for step in conv_steps(self):
-            if step.in_channels > MAX_CHANNELS:
-                raise GraphError(
-                    f"layer {step.name}: {step.in_channels} input channels exceed "
-                    f"{MAX_CHANNELS}, the widest dot product the accumulator bound covers"
-                )
+        # From the dimensions, not the compiled graph: conv inputs first widen at
+        # these steps, in graph order; every other conv reads a width seen before.
+        firsts = [("conv1", self.input_channels), ("conv2", self.stem_channels[0]),
+                  ("s2d_skip_conv", self.stem_channels[1])]
+        firsts += [(f"s{i}d_res_conv2", c) for i, c in enumerate(self.stage_channels, start=2)]
+        for name, width in firsts:
+            if width > MAX_CHANNELS:
+                raise GraphError(f"layer {name}: {width} input channels exceed {MAX_CHANNELS}, "
+                                 "the widest dot product the accumulator bound covers")
 
     @property
     def stem_spatial(self) -> int:
@@ -104,6 +107,11 @@ class NetworkSpec:
     @property
     def head_spatial(self) -> int:
         return self.input_size // (4 * (2 ** len(self.stage_channels)))
+
+    @property
+    def conv_count(self) -> int:
+        """Conv steps in the graph: conv1, conv2, conv5, three per stage, two per block."""
+        return 3 + 3 * len(self.stage_channels) + 2 * sum(self.stage_repeats)
 
 
 @dataclass(frozen=True)

@@ -101,7 +101,7 @@ def global_avgpool_codes(x: np.ndarray, size: int) -> np.ndarray:
     With n = size * size and the exact integer code sum, the nearest code is
     ``floor(sum / n + 1/2) = (2*sum + n) // (2*n)``. No float is rounded, so
     ties (possible for even n) go up as everywhere else. This equals
-    quantizing the dequantized mean ``sum * s / (n * levels)`` onto the code
+    quantizing the dequantized mean ``sum * s / (n * 15)`` onto the code
     grid of the shared scale s, whatever s is.
     """
     if x.shape[:2] != (size, size):

@@ -1,5 +1,8 @@
 """Quantization math and the integer threshold tables.
 
+Weights and activations are 4-bit codes in [0, 15] (`tensor.CODE_MAX`); the
+engine runs no other width, so no function here takes one.
+
 Weights follow a tanh-normalized uniform grid over [-1, 1]: a latent weight w
 maps to ``code = round(15 * (tanh(w) / (2 * max|tanh|) + 0.5))`` and the code
 dequantizes to ``(2*code - 15) / 15``. Activations follow a clipped uniform
@@ -38,48 +41,44 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConstructionError, DegenerateScaleError, DomainError, ValidationError
-from .tensor import ACC_LIMIT
+from .tensor import ACC_LIMIT, CODE_MAX
 
 
 def _scalar_in(x) -> bool:
     return np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
 
 
-def quantize_uniform(x, k: int):
-    """Nearest level of {i / (2^k - 1)} for x in [0, 1], returning the code i.
+def quantize_uniform(x):
+    """Nearest level of {i / 15} for x in [0, 1], returning the code i.
 
     Ties round up. Scalar in, int out; array in, int64 array out.
     """
-    if not 1 <= k <= 32:
-        raise DomainError(f"bit width {k} outside [1, 32]")
     xs = np.asarray(x, dtype=np.float64)
     # written so that NaN, which fails every comparison, is refused too
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise DomainError("input to the uniform quantizer must lie in [0, 1]")
-    levels = (1 << k) - 1
-    codes = np.floor(xs * levels + 0.5).astype(np.int64)
+    codes = np.floor(xs * CODE_MAX + 0.5).astype(np.int64)
     if _scalar_in(x):
         return int(codes)
     return codes
 
 
-def quantize_weights(w, k: int = 4):
+def quantize_weights(w):
     """Quantize a float weight tensor onto the signed uniform grid.
 
-    Returns ``(codes, weight_scale)`` where codes are in [0, 2^k - 1] and
+    Returns ``(codes, weight_scale)`` where codes are in [0, 15] and
     ``weight_scale`` is the real value of one unit of the effective integer
-    weight ``2*code - (2^k - 1)``, i.e. ``max|tanh(w)| / (2^k - 1)``. The
-    dequantized grid value ``(2*code - (2^k - 1)) / (2^k - 1)`` lands within
-    half a level of ``tanh(w) / max|tanh(w)|``.
+    weight ``2*code - 15``, i.e. ``max|tanh(w)| / 15``. The dequantized grid
+    value ``(2*code - 15) / 15`` lands within half a level of
+    ``tanh(w) / max|tanh(w)|``.
     """
     arr = np.asarray(w, dtype=np.float64)
     t = np.tanh(arr)
     m = float(np.max(np.abs(t))) if t.size else 0.0
     if m == 0.0:
         raise DegenerateScaleError("weight tensor is all zeros, no scale to normalize by")
-    codes = quantize_uniform(t / (2.0 * m) + 0.5, k)
-    codes = np.asarray(codes, dtype=np.int64)
-    return codes, m / float((1 << k) - 1)
+    codes = np.asarray(quantize_uniform(t / (2.0 * m) + 0.5), dtype=np.int64)
+    return codes, m / CODE_MAX
 
 
 def pact_clip(x, alpha: float):
@@ -91,32 +90,16 @@ def pact_clip(x, alpha: float):
 
 @dataclass(frozen=True)
 class NetworkQuantParams:
-    """Network-wide quantization constants: shared activation scale and widths."""
+    """Network-wide quantization constant: the activation scale shared by every layer."""
 
     s: float
-    k_w: int = 4
-    k_a: int = 4
 
     def __post_init__(self):
         if not 0 < self.s < math.inf:
             raise DomainError(f"activation scale s must be positive and finite, got {self.s}")
-        for name in ("k_w", "k_a"):
-            v = getattr(self, name)
-            if not 1 <= v <= 32:
-                raise DomainError(f"{name}={v} outside [1, 32]")
 
-    @property
-    def weight_levels(self) -> int:
-        return (1 << self.k_w) - 1
-
-    @property
-    def act_levels(self) -> int:
-        return (1 << self.k_a) - 1
-
-    @property
-    def tag(self) -> str:
-        """The width pair as the paper names it, such as ``C_{4,4}``."""
-        return f"C_{{{self.k_w},{self.k_a}}}"
+    # weights and activations are both 4-bit, the one width the engine runs
+    tag = "C_{4,4}"
 
 
 @dataclass(frozen=True)
@@ -125,7 +108,7 @@ class LayerQuantParams:
 
     ``weight_scale`` is the real value of one unit of the effective integer
     weight, so an integer accumulator converts to a real pre-activation by
-    ``acc * weight_scale * (s / (2^k_a - 1))``.
+    ``acc * weight_scale * (s / 15)``.
     """
 
     alpha: float
@@ -146,12 +129,11 @@ class ActQuant(NamedTuple):
 def quantize_activation(x, params: LayerQuantParams, net: NetworkQuantParams) -> ActQuant:
     """Clip to [0, alpha], round onto the code grid, and rescale by s.
 
-    Returns the code and its real value ``(code / (2^k_a - 1)) * s``.
+    Returns the code and its real value ``(code / 15) * s``.
     """
     y = pact_clip(x, params.alpha)
-    code = quantize_uniform(np.asarray(y, dtype=np.float64) / params.alpha, net.k_a)
-    levels = net.act_levels
-    value = (np.asarray(code, dtype=np.float64) / levels) * net.s
+    code = quantize_uniform(np.asarray(y, dtype=np.float64) / params.alpha)
+    value = (np.asarray(code, dtype=np.float64) / CODE_MAX) * net.s
     if _scalar_in(x):
         return ActQuant(int(np.asarray(code)), float(value))
     return ActQuant(code, value)
@@ -159,7 +141,7 @@ def quantize_activation(x, params: LayerQuantParams, net: NetworkQuantParams) ->
 
 def accumulator_scale(params: LayerQuantParams, net: NetworkQuantParams) -> float:
     """Factor taking an integer accumulator to its real pre-activation."""
-    return params.weight_scale * (net.s / net.act_levels)
+    return params.weight_scale * (net.s / CODE_MAX)
 
 
 @dataclass(frozen=True)
@@ -223,7 +205,7 @@ def build_threshold_table(
 ) -> ThresholdTable:
     """Derive the integer re-quantization thresholds for one layer.
 
-    For each target code i in 1..levels the threshold is the smallest integer
+    For each target code i in 1..15 the threshold is the smallest integer
     accumulator whose quantized activation code reaches i. The search bisects
     `quantize_activation` itself over [0, acc_limit] (codes at non-positive
     accumulators are always 0 because alpha > 0), which makes the table agree
@@ -235,16 +217,15 @@ def build_threshold_table(
     layer) or two boundaries on the same integer (alpha so small that codes
     are skipped).
     """
-    levels = net.act_levels
     f = accumulator_scale(params, net)
-    if quantize_activation(acc_limit * f, params, net).code < levels:
+    if quantize_activation(acc_limit * f, params, net).code < CODE_MAX:
         raise ConstructionError(
             f"top code unreachable within accumulator range +-{acc_limit}; "
             f"alpha={params.alpha} is too large for this layer's scales"
         )
-    targets = np.arange(1, levels + 1)
-    lo = np.zeros(levels, dtype=np.int64)  # code at lo < target <= code at hi
-    hi = np.full(levels, acc_limit, dtype=np.int64)
+    targets = np.arange(1, CODE_MAX + 1)
+    lo = np.zeros(CODE_MAX, dtype=np.int64)  # code at lo < target <= code at hi
+    hi = np.full(CODE_MAX, acc_limit, dtype=np.int64)
     while np.any(hi - lo > 1):
         # The code is monotone in acc, so any probe strictly inside (lo, hi]
         # finds the same boundary. The upper midpoint leaves a settled pair
@@ -254,7 +235,7 @@ def build_threshold_table(
         hi = np.where(reached, mid, hi)
         lo = np.where(reached, lo, mid)
     thresholds = hi.tolist()
-    for i in range(1, levels):
+    for i in range(1, CODE_MAX):
         if thresholds[i] <= thresholds[i - 1]:
             raise ConstructionError(
                 f"codes {i} and {i + 1} share threshold {thresholds[i]}; "

@@ -45,7 +45,7 @@ def random_input(spec: NetworkSpec, seed: int) -> FeatureMap:
 
 @pytest.fixture
 def quant_params() -> NetworkQuantParams:
-    return NetworkQuantParams(s=1.0, k_w=4, k_a=4)
+    return NetworkQuantParams(s=1.0)
 
 
 @pytest.fixture

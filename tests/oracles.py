@@ -36,7 +36,8 @@ from diracdelta.quant import (
     pact_clip,
     quantize_activation,
 )
-from diracdelta.tensor import ACC_DTYPE, ACC_LIMIT, FeatureMap, WeightMatrix, check_accumulators
+from diracdelta.tensor import (ACC_DTYPE, ACC_LIMIT, CODE_MAX, FeatureMap, WeightMatrix,
+                               check_accumulators)
 
 
 def searchsorted_apply(table, acc) -> np.ndarray:
@@ -80,19 +81,18 @@ def conversion_unit(acc, table: ThresholdTable):
 def scalar_threshold_table(params: LayerQuantParams, net: NetworkQuantParams,
                            acc_limit: int = ACC_LIMIT) -> ThresholdTable:
     """`build_threshold_table` as one scalar bisection per target code."""
-    levels = net.act_levels
     f = accumulator_scale(params, net)
 
     def code_at(acc: int) -> int:
         return quantize_activation(acc * f, params, net).code
 
-    if code_at(acc_limit) < levels:
+    if code_at(acc_limit) < CODE_MAX:
         raise ConstructionError(
             f"top code unreachable within accumulator range +-{acc_limit}; "
             f"alpha={params.alpha} is too large for this layer's scales"
         )
     thresholds = []
-    for target in range(1, levels + 1):
+    for target in range(1, CODE_MAX + 1):
         lo, hi = 0, acc_limit  # code_at(lo) < target <= code_at(hi)
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -121,10 +121,9 @@ def pact_clip_abs_form(x, alpha: float):
     return (np.abs(x) - np.abs(x - alpha) + alpha) / 2
 
 
-def dequantize_weight_codes(codes, k: int = 4) -> np.ndarray:
-    """Grid values in [-1, 1] for weight codes: (2*code - (2^k - 1)) / (2^k - 1)."""
-    levels = (1 << k) - 1
-    return (2.0 * np.asarray(codes, dtype=np.float64) - levels) / levels
+def dequantize_weight_codes(codes) -> np.ndarray:
+    """Grid values in [-1, 1] for weight codes: (2*code - 15) / 15."""
+    return (2.0 * np.asarray(codes, dtype=np.float64) - CODE_MAX) / CODE_MAX
 
 
 def conv1x1_int64(x: np.ndarray, weights: WeightMatrix) -> np.ndarray:
@@ -153,14 +152,14 @@ def global_avgpool(x: np.ndarray, net: NetworkQuantParams, size: int = 7) -> np.
     """Correctly rounded mean of the dequantized activations, per channel.
 
     The code sum is exact, so the mean is computed as the rational
-    ``sum * s / (size * size * levels)`` and rounded once to float64.
+    ``sum * s / (size * size * 15)`` and rounded once to float64.
     """
     if x.shape[:2] != (size, size):
         raise ShapeError(
             f"global pool expects a {size}x{size} map, got {x.shape[0]}x{x.shape[1]}"
         )
     sums = x.astype(np.int64).sum(axis=(0, 1))
-    den = size * size * net.act_levels
+    den = size * size * CODE_MAX
     s = Fraction(net.s)
     return np.array([float(Fraction(int(v)) * s / den) for v in sums], dtype=np.float64)
 
@@ -168,16 +167,16 @@ def global_avgpool(x: np.ndarray, net: NetworkQuantParams, size: int = 7) -> np.
 def documented_head_codes(x: np.ndarray, net: NetworkQuantParams, size: int) -> np.ndarray:
     """Head codes by the documented rule, in exact rationals.
 
-    The dequantized mean ``sum * s / (n * levels)`` is divided by s, put on
+    The dequantized mean ``sum * s / (n * 15)`` is divided by s, put on
     the code grid and rounded to the nearest code, ties up. No float rounds.
     """
     sums = x.astype(np.int64).sum(axis=(0, 1))
     s = Fraction(net.s)
-    den = size * size * net.act_levels
+    den = size * size * CODE_MAX
     codes = []
     for v in sums:
         mean = Fraction(int(v)) * s / den
-        codes.append(math.floor(mean / s * net.act_levels + Fraction(1, 2)))
+        codes.append(math.floor(mean / s * CODE_MAX + Fraction(1, 2)))
     return np.array(codes, dtype=np.uint8)
 
 

@@ -198,7 +198,7 @@ def test_criterion_05_exhaustive_conversion_sweep():
 def test_criterion_06_quantizer_properties():
     rng = np.random.default_rng(6)
     xs = np.sort(rng.uniform(0.0, 1.0, size=100_000))
-    qs = quantize_uniform(xs, 4)
+    qs = quantize_uniform(xs)
     assert np.all(np.diff(qs) >= 0)
 
     pts = rng.uniform(-3.0, 3.0, size=100_000)
@@ -207,8 +207,8 @@ def test_criterion_06_quantizer_properties():
 
     w = rng.normal(size=10_000)
     t = np.tanh(w)
-    codes, _ = quantize_weights(w, 4)
-    deq = dequantize_weight_codes(codes, 4)
+    codes, _ = quantize_weights(w)
+    deq = dequantize_weight_codes(codes)
     assert np.max(np.abs(deq - t / np.max(np.abs(t)))) <= 1 / 15 + 1e-12
     print("[PASS] criterion 6: quantizer monotone over 1e5 points, clip matches "
           "np.clip over 1e5 points, dequantized weights within half a level")

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -215,6 +216,10 @@ def test_version_1_manifest_fails_validation(tiny_bundle_dir, tmp_path, capsys):
      "layer conv1: 600 input channels exceed 512"),
     (lambda mf: _set(mf, ("network", "conv5_channels"), 74566),
      "layer fc: 74566 inputs exceed 74565"),
+    (lambda mf: _set(mf, ("quant", "k_a"), 8),
+     "manifest.json field quant.k_a is 8, but the engine runs 4-bit codes only"),
+    (lambda mf: _set(mf, ("quant", "k_w"), 2),
+     "manifest.json field quant.k_w is 2, but the engine runs 4-bit codes only"),
 ])
 def test_manifest_of_the_wrong_shape_fails_validation(
         tiny_bundle_dir, tmp_path, capsys, edit, fragment):
@@ -222,6 +227,50 @@ def test_manifest_of_the_wrong_shape_fails_validation(
     assert rc == 1
     assert err.startswith("error: ") and fragment in err
     assert "Traceback" not in err
+
+
+def test_non_utf8_manifest_fails_validation(tiny_bundle_dir, tmp_path, capsys):
+    root = tmp_path / "b"
+    shutil.copytree(tiny_bundle_dir, root)
+    mf = root / "manifest.json"
+    mf.write_bytes(mf.read_bytes().replace(b'"conv1"', b'"conv\xff1"'))
+    capsys.readouterr()
+    assert cli.main(["validate", "--bundle", str(root)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest.json is not UTF-8 text")
+    assert "Traceback" not in err
+
+
+def test_a_huge_graph_fails_validation_before_it_is_compiled(bundle_dir, tmp_path, capsys):
+    start = time.perf_counter()
+    rc, err = _validate_with_manifest(
+        bundle_dir, tmp_path, capsys,
+        lambda mf: _set(mf, ("network", "stage_repeats"), [3, 100000000, 3]))
+    assert time.perf_counter() - start < 2.0
+    assert rc == 1
+    assert err == "error: manifest lists 38 layers but the graph has 200000024\n"
+
+
+@pytest.mark.parametrize("fill", [None, 0, 15], ids=["random", "all_0", "all_15"])
+def test_a_bundle_that_validates_runs_on_both_engines(tiny_bundle_dir, tmp_path, capsys,
+                                                      fill):
+    from conftest import make_tiny_spec
+
+    assert cli.main(["validate", "--bundle", str(tiny_bundle_dir)]) == 0
+    spec = make_tiny_spec()
+    shape = (spec.input_size, spec.input_size, spec.input_channels)
+    frame = (np.random.default_rng(4).integers(0, 16, size=shape, dtype=np.uint8)
+             if fill is None else np.full(shape, fill, np.uint8))
+    blob = tmp_path / "frame.bin"
+    write_tensor_blob(blob, FeatureMap.from_array(frame))
+    logits = []
+    for engine in ("reference", "simulator"):
+        out = tmp_path / f"{engine}.bin"
+        assert cli.main(["infer", "--bundle", str(tiny_bundle_dir), "--input", str(blob),
+                         "--engine", engine, "--out", str(out)]) == 0
+        logits.append(out.read_bytes())
+    assert logits[0] == logits[1]
+    assert capsys.readouterr().err == ""
 
 
 # =========================================================================
@@ -433,6 +482,16 @@ def test_report_bad_cost_config_key(tmp_path, capsys):
     rc = cli.main(["report", "--cost-config", str(cfg)])
     assert rc == 1
     assert "unknown cost parameter 'warp'" in capsys.readouterr().err
+
+
+def test_report_non_utf8_cost_config(tmp_path, capsys):
+    cfg = tmp_path / "cost.cfg"
+    cfg.write_bytes("clock_hz = 1e8  # \u00e9t\u00e9\n".encode("latin-1"))
+    rc = cli.main(["report", "--cost-config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: cost config is not UTF-8 text")
+    assert "Traceback" not in err
 
 
 FLOAT_COST_KEYS = [k for k, v in asdict(CostModelParams()).items() if isinstance(v, float)]

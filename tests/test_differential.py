@@ -3,12 +3,15 @@
 Hypothesis draws a small valid `NetworkSpec` (16-64 px, one to three stages,
 zero to two repeats per stage, an odd or even first stem width, one to three
 input channels), a quantization scale s, a bundle seed (which draws every
-layer's clip bound) and a `TileSchedule` with tiles of 1-64 channels. On a
-random frame and an all-15 frame, the reference and simulator logits must be
-byte-equal, and every simulator step must move exactly the bytes the cost
-model charges that step at the same tiles. Odd tiles and odd widths are where
-a channel padding mistake would show.
+layer's clip bound), random weight codes or every weight code 0 (all -15
+weights, the most negative accumulators) or 15, and a `TileSchedule` with
+tiles of 1-64 channels. On a random frame and an all-15 frame, the reference
+and simulator logits must be byte-equal, and every simulator step must move
+exactly the bytes the cost model charges that step at the same tiles. Odd
+tiles and odd widths are where a channel padding mistake would show.
 """
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +21,7 @@ from diracdelta.accel.subgraph import SimulatorExecutor, TileSchedule
 from diracdelta.bundle import random_bundle
 from diracdelta.net import ConvStep, NetworkSpec, PoolStep, ShiftStep, compile_steps, forward
 from diracdelta.quant import NetworkQuantParams
-from diracdelta.tensor import FeatureMap, blocked_channel_count
+from diracdelta.tensor import FeatureMap, WeightMatrix, blocked_channel_count
 
 
 @st.composite
@@ -42,16 +45,25 @@ schedules = st.builds(TileSchedule, ic=st.integers(1, 64), oc=st.integers(1, 64)
                       fifo_capacity=st.integers(1, 3))
 
 
+def _filled(w: WeightMatrix, code: int) -> WeightMatrix:
+    return WeightMatrix(w.out_channels, w.in_channels, np.full_like(w.codes, code))
+
+
 def _log_name(step):
     return step.name if isinstance(step, ConvStep) else (
         "pool" if isinstance(step, PoolStep) else "shift")
 
 
-@settings(derandomize=True, deadline=None, max_examples=40, database=None)
-@given(spec=specs(), s=st.floats(0.05, 4.0),
-       seed=st.integers(0, 2**16), schedule=schedules)
-def test_engines_agree_and_traffic_matches_the_cost_model(spec, s, seed, schedule):
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(spec=specs(), s=st.floats(0.05, 4.0), seed=st.integers(0, 2**16),
+       weight_code=st.one_of(st.none(), st.sampled_from([0, 15])), schedule=schedules)
+def test_engines_agree_and_traffic_matches_the_cost_model(spec, s, seed, weight_code,
+                                                          schedule):
     bundle = random_bundle(spec, NetworkQuantParams(s=s), seed=seed)
+    if weight_code is not None:
+        bundle = dataclasses.replace(
+            bundle, weights={k: _filled(w, weight_code) for k, w in bundle.weights.items()},
+            fc_weights=_filled(bundle.fc_weights, weight_code))
     shape = (spec.input_size, spec.input_size, spec.input_channels)
     rng = np.random.default_rng(seed)
     frames = [rng.integers(0, 16, size=shape, dtype=np.uint8), np.full(shape, 15, np.uint8)]

@@ -81,6 +81,11 @@ def test_spec_rejects_inconsistent_shapes():
     with pytest.raises(GraphError, match="layer s5d_res_conv2: 1024 input channels exceed"):
         NetworkSpec(input_size=256, stage_channels=(128, 256, 512, 1024),
                     stage_repeats=(1, 1, 1, 1))
+    # each conv where an input first widens is named: conv2, the first skip conv
+    with pytest.raises(GraphError, match="layer conv2: 600 input channels exceed"):
+        make_tiny_spec(stem_channels=(600, 8))
+    with pytest.raises(GraphError, match="layer s2d_skip_conv: 520 input channels exceed"):
+        make_tiny_spec(stem_channels=(4, 520), stage_channels=(1040,))
 
 
 def test_spec_refuses_a_head_a_float32_gemv_cannot_sum_exactly():
@@ -127,6 +132,19 @@ def test_step_list_counts_for_default_network():
     by_type = {t: sum(isinstance(s, t) for s in steps)
                for t in (ConvStep, PoolStep, ShiftStep, SplitStep, HeadStep)}
     assert by_type == {ConvStep: 38, PoolStep: 3, ShiftStep: 3, SplitStep: 13, HeadStep: 1}
+
+
+@pytest.mark.parametrize("spec", [
+    build_diracdeltanet(), make_tiny_spec(), make_two_stage_spec(),
+    make_tiny_spec(stem_channels=(5, 8), stage_repeats=(0,)),
+    NetworkSpec(64, 1, (3, 6), (12, 24, 48, 96), (2, 0, 1, 3), 7, 4),
+], ids=["default", "tiny", "two_stage", "no_blocks", "four_stages"])
+def test_the_dimensions_bound_the_graph_without_compiling_it(spec):
+    """`conv_count` and the widths `NetworkSpec` checks agree with the compiled graph."""
+    convs = conv_steps(spec)
+    assert spec.conv_count == len(convs)
+    widest = max(spec.input_channels, spec.stem_channels[0], spec.stage_channels[-1])
+    assert max(step.in_channels for step in convs) == widest
 
 
 def test_key_conv_shapes_are_frozen():

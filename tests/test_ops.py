@@ -323,7 +323,7 @@ def test_global_avgpool_codes_fixes_the_even_head_double_rounding():
     net = NetworkQuantParams(s=0.1)
     assert global_avgpool_codes(fm, 2).tolist() == [2]
     # dequantize, divide by s, quantize: the float path lands below the tie
-    assert quantize_uniform(global_avgpool(fm, net, size=2) / net.s, net.k_a).tolist() == [1]
+    assert quantize_uniform(global_avgpool(fm, net, size=2) / net.s).tolist() == [1]
 
 
 def test_global_avgpool_codes_size_check():

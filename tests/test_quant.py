@@ -32,7 +32,7 @@ from diracdelta.quant import (
     quantize_uniform,
     quantize_weights,
 )
-from diracdelta.tensor import ACC_LIMIT
+from diracdelta.tensor import ACC_LIMIT, CODE_MAX
 
 from oracles import (
     dequantize_weight_codes,
@@ -46,13 +46,11 @@ from oracles import (
 # =========================================================================
 
 def test_quantize_uniform_hand_values():
-    assert quantize_uniform(0.0, 4) == 0
-    assert quantize_uniform(1.0, 4) == 15
-    assert quantize_uniform(0.8, 4) == 12
+    assert quantize_uniform(0.0) == 0
+    assert quantize_uniform(1.0) == 15
+    assert quantize_uniform(0.8) == 12
     # 0.5 * 15 = 7.5 sits exactly between codes 7 and 8; ties go up
-    assert quantize_uniform(0.5, 4) == 8
-    assert quantize_uniform(0.5, 1) == 1
-    assert quantize_uniform(1.0, 8) == 255
+    assert quantize_uniform(0.5) == 8
 
 
 def test_quantize_uniform_matches_nearest_level_oracle():
@@ -64,34 +62,30 @@ def test_quantize_uniform_matches_nearest_level_oracle():
     dist = np.abs(xs[:, None] - grid[None, :])
     # reversed argmin trick: on a tie prefer the larger code
     oracle = levels - np.argmin(dist[:, ::-1], axis=1)
-    np.testing.assert_array_equal(quantize_uniform(xs, 4), oracle)
+    np.testing.assert_array_equal(quantize_uniform(xs), oracle)
 
 
 def test_quantize_uniform_is_monotone():
     xs = np.sort(np.random.default_rng(1).uniform(0, 1, size=1000))
-    codes = quantize_uniform(xs, 4)
+    codes = quantize_uniform(xs)
     assert np.all(np.diff(codes) >= 0)
 
 
 def test_quantize_uniform_types_and_domain():
-    assert isinstance(quantize_uniform(0.3, 4), int)
-    arr = quantize_uniform(np.array([0.0, 1.0]), 4)
+    assert isinstance(quantize_uniform(0.3), int)
+    arr = quantize_uniform(np.array([0.0, 1.0]))
     assert arr.dtype == np.int64
-    with pytest.raises(DomainError, match=r"outside \[1, 32\]"):
-        quantize_uniform(0.5, 0)
-    with pytest.raises(DomainError, match=r"outside \[1, 32\]"):
-        quantize_uniform(0.5, 33)
     with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
-        quantize_uniform(-0.01, 4)
+        quantize_uniform(-0.01)
     with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
-        quantize_uniform(np.array([0.5, 1.01]), 4)
+        quantize_uniform(np.array([0.5, 1.01]))
 
 
 def test_quantize_uniform_refuses_nan():
     with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
-        quantize_uniform(float("nan"), 4)
+        quantize_uniform(float("nan"))
     with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
-        quantize_uniform(np.array([0.5, np.nan]), 4)
+        quantize_uniform(np.array([0.5, np.nan]))
 
 
 # =========================================================================
@@ -101,7 +95,7 @@ def test_quantize_uniform_refuses_nan():
 def test_quantize_weights_hand_case():
     """tanh values 0.3 and 0.5 normalize to grid points 0.8 and 1.0."""
     w = np.array([math.atanh(0.3), math.atanh(0.5)])
-    codes, scale = quantize_weights(w, 4)
+    codes, scale = quantize_weights(w)
     assert codes.tolist() == [12, 15]
     assert scale == pytest.approx(0.5 / 15, rel=0, abs=0)
 
@@ -109,30 +103,30 @@ def test_quantize_weights_hand_case():
 def test_quantize_weights_sign_symmetry():
     rng = np.random.default_rng(8)
     w = rng.normal(size=(6, 9))
-    pos, s_pos = quantize_weights(w, 4)
-    neg, s_neg = quantize_weights(-w, 4)
+    pos, s_pos = quantize_weights(w)
+    neg, s_neg = quantize_weights(-w)
     assert s_pos == s_neg
     np.testing.assert_array_equal(pos + neg, np.full_like(pos, 15))
 
 
 def test_quantize_weights_all_zero():
     with pytest.raises(DegenerateScaleError, match="all zeros"):
-        quantize_weights(np.zeros((3, 3)), 4)
+        quantize_weights(np.zeros((3, 3)))
 
 
 def test_dequantized_weights_within_half_level():
     rng = np.random.default_rng(13)
     w = rng.normal(scale=2.0, size=500)
     t = np.tanh(w)
-    codes, _ = quantize_weights(w, 4)
-    deq = dequantize_weight_codes(codes, 4)
+    codes, _ = quantize_weights(w)
+    deq = dequantize_weight_codes(codes)
     half_level = 1.0 / 15
     assert np.max(np.abs(deq - t / np.max(np.abs(t)))) <= half_level + 1e-12
 
 
 def test_dequantize_weight_codes_grid():
     np.testing.assert_allclose(
-        dequantize_weight_codes(np.array([0, 7, 8, 15]), 4),
+        dequantize_weight_codes(np.array([0, 7, 8, 15])),
         np.array([-1.0, -1 / 15, 1 / 15, 1.0]),
     )
 
@@ -225,8 +219,6 @@ def test_param_validation():
         with pytest.raises(DomainError, match="weight_scale must be positive and finite"):
             LayerQuantParams(alpha=1.0, weight_scale=bad)
     with pytest.raises(DomainError):
-        NetworkQuantParams(s=1.0, k_a=0)
-    with pytest.raises(DomainError):
         LayerQuantParams(alpha=0.0, weight_scale=1.0)
     with pytest.raises(DomainError):
         LayerQuantParams(alpha=1.0, weight_scale=0.0)
@@ -237,11 +229,11 @@ def test_param_validation():
 # =========================================================================
 
 def _rational_thresholds(p: LayerQuantParams, net: NetworkQuantParams):
-    f = Fraction(p.weight_scale) * Fraction(net.s) / net.act_levels
+    f = Fraction(p.weight_scale) * Fraction(net.s) / CODE_MAX
     a = Fraction(p.alpha)
     return tuple(
-        math.ceil(a * (2 * i - 1) / (2 * net.act_levels * f))
-        for i in range(1, net.act_levels + 1)
+        math.ceil(a * (2 * i - 1) / (2 * CODE_MAX * f))
+        for i in range(1, CODE_MAX + 1)
     )
 
 
@@ -437,8 +429,5 @@ def test_table_rejects_thresholds_outside_the_accumulator_range():
 
 def test_quant_config_tag_and_lineage():
     assert NetworkQuantParams(s=1.0).tag == "C_{4,4}"
-    assert NetworkQuantParams(s=1.0, k_w=32, k_a=2).tag == "C_{32,2}"
-    # the widths sit next to the shared scale, with no chain of parent configs
-    assert [f.name for f in dataclasses.fields(NetworkQuantParams)] == ["s", "k_w", "k_a"]
-    with pytest.raises(DomainError):
-        NetworkQuantParams(s=1.0, k_w=0)
+    # the widths are fixed at 4 bits: the shared scale is the only parameter
+    assert [f.name for f in dataclasses.fields(NetworkQuantParams)] == ["s"]
