@@ -62,7 +62,9 @@ class ModelBundle:
     parameters. Each threshold table is built from its layer's parameters
     when the bundle is constructed, so ``tables`` is not a constructor
     argument and cannot disagree with ``layer_params``. Treated as immutable
-    once constructed.
+    once constructed. ``code_books`` caches the reference engine's code book
+    of each narrow conv (`net.code_book`), built on first use; it is not part
+    of the bundle's value, so ``==`` and ``repr`` ignore it.
     """
 
     spec: NetworkSpec
@@ -72,6 +74,7 @@ class ModelBundle:
     layer_params: dict
     fc_weights: WeightMatrix
     fc_scale: float
+    code_books: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.tables = {}

@@ -23,9 +23,13 @@ step list.
 `FeatureMap` argument once; every buffer is then a uint8 ``(height, width,
 channels)`` code array, and nothing is packed again. An executor runs the
 conv subgraphs and the standalone pool and shift passes: `ReferenceExecutor`
-with the plain `ops` operators, pooling accumulators before their lookup, or
-the pipeline simulator in `accel`. The head's FC is one float32 GEMV over the
-weight codes. The `ModelBundle` it runs lives in `bundle`.
+with the plain `ops` operators, or the pipeline simulator in `accel`. The
+reference engine runs a conv of at most three input channels as one gather
+from its code book (the codes of all 16^c pixels, built once per bundle) and
+pools the codes; every other conv keeps its exact float32 GEMM result,
+pools it and indexes the threshold lookup with it. The head's FC is one
+float32 GEMV over the weight codes. The `ModelBundle` it runs lives in
+`bundle`.
 """
 from __future__ import annotations
 
@@ -44,7 +48,7 @@ from .ops import (
     maxpool2x2,
     shift,
 )
-from .tensor import MAX_CHANNELS, MAX_F32_TERMS, FeatureMap
+from .tensor import CODE_MAX, MAX_CHANNELS, MAX_F32_TERMS, MAX_INPUT_SIZE, FeatureMap
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,9 @@ class NetworkSpec:
             raise GraphError("stem_channels must hold the widths of the two stem convs")
         if self.input_channels < 1 or self.num_classes < 1:
             raise GraphError("input channels and classes must be positive")
+        if self.input_size > MAX_INPUT_SIZE:
+            raise GraphError(f"input_size {self.input_size} exceeds {MAX_INPUT_SIZE}, "
+                             "the largest input side the engines take")
         divisor = 4 * (2 ** len(self.stage_channels))
         if self.input_size % divisor or self.input_size < divisor:
             raise GraphError(
@@ -288,20 +295,70 @@ def count_params_macs(spec: NetworkSpec) -> CountReport:
 # the forward interpreter
 # =========================================================================
 
+# A conv with at most this many input channels runs as a gather from its code
+# book: 16**3 = 4,096 distinct pixels.
+CODE_BOOK_CHANNELS = 3
+
+
+def _pixel_index(x: np.ndarray) -> np.ndarray:
+    """Each pixel's codes read as one base-16 intp, first channel most significant."""
+    idx = x[..., 0].astype(np.intp)
+    for i in range(1, x.shape[2]):
+        idx *= CODE_MAX + 1
+        idx += x[..., i]
+    return idx
+
+
+def code_book(bundle, step: ConvStep) -> np.ndarray:
+    """``lut(conv(p))`` for every pixel p of the step's input, built on first use.
+
+    A read-only uint8 array of shape (16**c, out_channels) for c input
+    channels, whose row ``_pixel_index(p)`` holds pixel p's codes. It is
+    built with `conv1x1` and `ThresholdTable.apply`, so `check_accumulators`
+    sees every accumulator any frame through this conv can produce. It is
+    kept in ``bundle.code_books``, which this creates on a bare namespace of
+    tables and weights.
+    """
+    books = vars(bundle).setdefault("code_books", {})
+    if step.name not in books:
+        c = step.in_channels
+        pixels = np.indices((CODE_MAX + 1,) * c, dtype=np.uint8).reshape(c, 1, -1).T
+        acc = conv1x1(pixels, bundle.weights[step.name])
+        book = bundle.tables[step.name].apply(acc).reshape(-1, step.out_channels)
+        book.flags.writeable = False
+        books[step.name] = book
+    return books[step.name]
+
+
 class ReferenceExecutor:
     """Runs the engine steps with the plain reference operators on uint8 code arrays."""
 
     def conv_subgraph(self, x: np.ndarray, step: ConvStep, bundle,
                       skip: Optional[np.ndarray]) -> np.ndarray:
-        """A conv step: conv, re-quantize, then the pool, shift and shuffle it fuses."""
+        """A conv step: conv, re-quantize, then the pool, shift and shuffle it fuses.
+
+        The lookup never decreases as acc grows, so lut(maxpool(acc)) ==
+        maxpool(lut(acc)), and the pool may come on either side of it. A conv
+        with at most `CODE_BOOK_CHANNELS` input channels gathers each pixel's
+        codes from its `code_book` and pools the codes. Any other conv keeps
+        the float32 GEMM result of `conv1x1`, whose bound is checked before
+        the pool, pools it and looks the pooled quarter up with
+        `ThresholdTable.apply_exact_f32`: every value is an exact integer
+        below 2**24, so nothing rounds on the way to the index.
+        """
         # Row blocks keep every temporary under the 4 MiB at which numpy asks for
-        # huge pages; an even count pools on its own. The lookup never decreases
-        # as acc grows, so lut(maxpool(acc)) == maxpool(lut(acc)): pool, then look up.
-        table, weights = bundle.tables[step.name], bundle.weights[step.name]
+        # huge pages; an even count pools on its own.
         rows = max(2, 2**18 // (x.shape[1] * step.out_channels)) & ~1
+        blocks = [x[y : y + rows] for y in range(0, len(x), rows)]
         pool = maxpool2x2 if step.pool else np.asarray
-        out = np.concatenate([table.apply(pool(conv1x1(x[y : y + rows], weights)))
-                              for y in range(0, len(x), rows)])
+        if step.in_channels <= CODE_BOOK_CHANNELS:
+            book = code_book(bundle, step)
+            codes = [pool(book.take(_pixel_index(xb), axis=0)) for xb in blocks]
+        else:
+            table, weights = bundle.tables[step.name], bundle.weights[step.name]
+            codes = [table.apply_exact_f32(pool(conv1x1(xb, weights, np.float32)))
+                     for xb in blocks]
+        out = np.concatenate(codes)
         if step.shift:
             out = self.shift_pass(out)
         if skip is not None:

@@ -4,7 +4,7 @@ These are deliberately schedule-free: plain array math, one function per
 operator, exact integer accumulators. The pipeline model is required to match
 each of them bit for bit, so they double as oracles for the accelerator
 tests. Every operator takes and returns ``(height, width, channels)`` arrays:
-uint8 codes in the reference engine (and int32 accumulators for the pool
+uint8 codes in the reference engine (and float32 accumulators for the pool
 before a lookup), floats in the float graph of the test oracles
 (`tests/oracles.py`), which shares the pool, shift, shuffle and split
 operators. The conv and the FC are exact float32 GEMMs. The shift has no
@@ -25,11 +25,13 @@ from .tensor import ACC_DTYPE, CODE_MAX, WeightMatrix, check_accumulators, check
 SHIFT_CYCLE = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
 
 
-def conv1x1(x: np.ndarray, weights: WeightMatrix) -> np.ndarray:
+def conv1x1(x: np.ndarray, weights: WeightMatrix, dtype=ACC_DTYPE) -> np.ndarray:
     """Integer 1x1 convolution: acc[y, x, o] = sum_i (2*w[o, i] - 15) * a[y, x, i].
 
-    Takes a (height, width, in_channels) code array and returns int32
-    accumulators of shape (height, width, out_channels).
+    Takes a (height, width, in_channels) code array and returns accumulators
+    of shape (height, width, out_channels): int32 by default, or with
+    ``dtype=np.float32`` the float32 GEMM result itself, whose every value is
+    the same exact integer. The bound is checked on the GEMM result either way.
     """
     h, w, c = x.shape
     if c != weights.in_channels:
@@ -39,9 +41,8 @@ def conv1x1(x: np.ndarray, weights: WeightMatrix) -> np.ndarray:
     check_f32_exact(weights.in_channels, f"{weights.in_channels} input channels")
     acts = x.astype(np.float32).reshape(-1, c)
     acc = acts @ weights.effective_f32.T
-    out = acc.reshape(h, w, weights.out_channels).astype(ACC_DTYPE)
-    check_accumulators(out)
-    return out
+    check_accumulators(acc)
+    return acc.reshape(h, w, weights.out_channels).astype(dtype, copy=False)
 
 
 def maxpool2x2(arr: np.ndarray) -> np.ndarray:

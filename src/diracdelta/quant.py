@@ -22,12 +22,16 @@ bundles store those and rebuild the table on load.
 At run time a table is not searched. Construction also lays out a uint8
 lookup array over the accumulator window [t_first - 1, t_last], one code per
 integer: code 0 at t_first - 1, code i over the gap [t_i, t_(i+1)), and the
-top code at t_last. `ThresholdTable.apply` saturates an accumulator into that
-window (all below it has code 0, all above it the top code) as an intp
-index, subtracts t_first - 1 and indexes the array. The lookup never
-decreases as acc grows, so it commutes with max pooling. Thresholds lie in
-[-ACC_LIMIT, ACC_LIMIT + 1], which bounds the array at 2 * ACC_LIMIT + 3
-bytes (about 225 KB); the tables of a real layer span a few hundred bytes.
+top code at t_last. `ThresholdTable.apply` saturates an integer accumulator
+into that window (all below it has code 0, all above it the top code) as an
+intp index, subtracts t_first - 1 and indexes the array.
+`ThresholdTable.apply_exact_f32` shares that lookup for the float32 result
+of an exact float32 GEMM: it clips in float32 and casts once to the index,
+which rounds nothing because every value is an integer below 2^24. The
+lookup never decreases as acc grows, so it commutes with max pooling.
+Thresholds lie in [-ACC_LIMIT, ACC_LIMIT + 1], which bounds the array at
+2 * ACC_LIMIT + 3 bytes (about 225 KB); the tables of a real layer span a
+few hundred bytes.
 
 Ties in every rounding here go up (away from zero); inputs are non-negative
 wherever rounding happens, so "up" and "away from zero" agree.
@@ -187,13 +191,29 @@ class ThresholdTable:
         arr = np.asarray(acc)
         if arr.dtype.kind not in "iu":
             raise ValidationError(f"accumulators must be integers, got dtype {arr.dtype}")
-        base, top = self.thresholds[0] - 1, self.thresholds[-1]
         if arr.dtype.kind == "u" and arr.dtype.itemsize >= np.dtype(np.intp).itemsize:
-            arr = np.minimum(arr, max(top, 0))  # would wrap on the cast to intp
-        # Saturate into an intp index, then offset: the window lies inside int32.
+            arr = np.minimum(arr, max(self.thresholds[-1], 0))  # would wrap as an intp
+        return self._look_up(arr, np.intp)
+
+    def apply_exact_f32(self, acc: np.ndarray) -> np.ndarray:
+        """`apply` for the float32 accumulators of a checked, exact float32 GEMM.
+
+        Every value must be an integer below 2**24 in magnitude, which
+        `tensor.check_f32_exact` guarantees for the GEMM and any max pool of
+        it keeps: the clip into the window runs in float32 and the one cast
+        to an intp index follows it, so neither rounds anything.
+        """
+        return self._look_up(acc, np.float32)
+
+    def _look_up(self, arr: np.ndarray, dtype) -> np.ndarray:
+        """Saturate into the window in ``dtype`` as an intp index, offset it, index `_lut`."""
+        base, top = self.thresholds[0] - 1, self.thresholds[-1]
         idx = np.empty(arr.shape, dtype=np.intp)
-        np.maximum(arr, base, dtype=np.intp, out=idx)
-        np.minimum(idx, top, out=idx)
+        if dtype is np.float32:
+            np.clip(arr, base, top, out=idx, dtype=dtype, casting="unsafe")
+        else:  # np.clip looks up integer limits per call, slow on the simulator's rows
+            np.maximum(arr, base, out=idx, dtype=dtype, casting="unsafe")
+            np.minimum(idx, top, out=idx)
         idx -= base
         return self._lut.take(idx)
 

@@ -24,6 +24,9 @@ from .errors import ShapeError, ValidationError
 
 CODE_MAX = 15
 MAX_CHANNELS = 512
+# Largest input side a network may declare, far above the published 224: it
+# bounds every map a manifest can ask the engines to allocate.
+MAX_INPUT_SIZE = 4096
 ACC_LIMIT = CODE_MAX * CODE_MAX * MAX_CHANNELS  # 115200
 ACC_DTYPE = np.int32
 DEFAULT_BLOCK = 32

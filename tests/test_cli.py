@@ -251,6 +251,26 @@ def test_a_huge_graph_fails_validation_before_it_is_compiled(bundle_dir, tmp_pat
     assert err == "error: manifest lists 38 layers but the graph has 200000024\n"
 
 
+def test_an_oversized_input_fails_validate_and_infer_before_any_frame(tiny_bundle_dir,
+                                                                      tmp_path, capsys):
+    # 224 * 2**30 is a multiple of every stage divisor; a frame that size
+    # would be 2**60 codes
+    root = tmp_path / "b"
+    shutil.copytree(tiny_bundle_dir, root)
+    mf = json.loads((root / "manifest.json").read_text())
+    (root / "manifest.json").write_text(
+        json.dumps(_set(mf, ("network", "input_size"), 224 * 2**30)))
+    capsys.readouterr()
+    for argv in (["validate"], ["infer", "--seed", "1"]):
+        start = time.perf_counter()
+        rc = cli.main(argv + ["--bundle", str(root)])
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: input_size 240518168576 exceeds ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("fill", [None, 0, 15], ids=["random", "all_0", "all_15"])
 def test_a_bundle_that_validates_runs_on_both_engines(tiny_bundle_dir, tmp_path, capsys,
                                                       fill):

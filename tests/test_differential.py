@@ -1,8 +1,9 @@
 """Differential test over drawn networks and tile schedules.
 
 Hypothesis draws a small valid `NetworkSpec` (16-64 px, one to three stages,
-zero to two repeats per stage, an odd or even first stem width, one to three
-input channels), a quantization scale s, a bundle seed (which draws every
+zero to two repeats per stage, an odd or even first stem width, one to five
+input channels, so the reference engine's first conv runs both as a code-book
+gather and as a GEMM), a quantization scale s, a bundle seed (which draws every
 layer's clip bound), random weight codes or every weight code 0 (all -15
 weights, the most negative accumulators) or 15, and a `TileSchedule` with
 tiles of 1-64 channels. On a random frame and an all-15 frame, the reference
@@ -32,7 +33,7 @@ def specs(draw):
     stem = (draw(st.integers(1, 15)), 2 * draw(st.integers(1, 6)))
     return NetworkSpec(
         input_size=size,
-        input_channels=draw(st.integers(1, 3)),
+        input_channels=draw(st.integers(1, 5)),
         stem_channels=stem,
         stage_channels=tuple(stem[1] * 2 ** (i + 1) for i in range(stages)),
         stage_repeats=tuple(draw(st.integers(0, 2)) for _ in range(stages)),

@@ -45,7 +45,7 @@ from diracdelta.ops import (
     shift,
 )
 from diracdelta.quant import LayerQuantParams, NetworkQuantParams, ThresholdTable
-from diracdelta.tensor import FeatureMap, WeightMatrix
+from diracdelta.tensor import MAX_INPUT_SIZE, FeatureMap, WeightMatrix
 
 # =========================================================================
 # spec validation and block structure
@@ -93,6 +93,12 @@ def test_spec_refuses_a_head_a_float32_gemv_cannot_sum_exactly():
     assert make_tiny_spec(conv5_channels=74565).conv5_channels == 74565
     with pytest.raises(GraphError, match="^layer fc: 74566 inputs exceed 74565, "):
         make_tiny_spec(conv5_channels=74566)
+
+
+def test_spec_bounds_the_input_size():
+    assert make_tiny_spec(input_size=MAX_INPUT_SIZE).input_size == MAX_INPUT_SIZE == 4096
+    with pytest.raises(GraphError, match=r"^input_size 4128 exceeds 4096, "):
+        make_tiny_spec(input_size=MAX_INPUT_SIZE + 32)
 
 
 def _blocks(spec):
@@ -426,6 +432,54 @@ def test_pooled_reference_step_checks_the_bound_before_the_pool():
     x[1, 0] = 15
     with pytest.raises(ValidationError, match="accumulator magnitude 135000 exceeds bound 115200"):
         ReferenceExecutor().conv_subgraph(x, step, bundle, None)
+
+
+@pytest.mark.parametrize("pool", [False, True], ids=["no_pool", "pool"])
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_code_book_step_gives_every_pixel_the_codes_of_the_lookup(c, pool):
+    # every one of the 16**c pixels, in a shuffled map, through the gather path
+    rng = np.random.default_rng(c)
+    pixels = np.indices((16,) * c, dtype=np.uint8).reshape(c, -1).T
+    x = rng.permutation(pixels).reshape(2, -1, c)
+    weights = WeightMatrix(7, c, rng.integers(0, 16, size=(7, c), dtype=np.uint8))
+    table = ThresholdTable(tuple(sorted(rng.choice(np.arange(-200, 200), 15, replace=False))))
+    bundle = SimpleNamespace(tables={"c": table}, weights={"c": weights})
+    step = ConvStep("c", "in", "out", x.shape[1], c, 7, pool=pool)
+    want = table.apply(conv1x1(x, weights))
+    got = ReferenceExecutor().conv_subgraph(x, step, bundle, None)
+    assert got.dtype == np.uint8
+    np.testing.assert_array_equal(got, maxpool2x2(want) if pool else want)
+    assert bundle.code_books["c"].shape == (16**c, 7)
+
+
+def test_code_book_is_built_once_on_first_use_and_is_not_part_of_the_bundle(quant_params):
+    spec = make_tiny_spec()
+    bundle = random_bundle(spec, quant_params, seed=11)
+    twin = random_bundle(spec, quant_params, seed=11)
+    twin.weights = bundle.weights
+    twin.fc_weights = bundle.fc_weights
+    assert bundle.code_books == {}
+    fm = random_input(spec, seed=1)
+    forward(bundle, fm)
+    book = bundle.code_books["conv1"]
+    assert list(bundle.code_books) == ["conv1"] and not book.flags.writeable
+    forward(bundle, fm)
+    assert bundle.code_books["conv1"] is book
+    assert bundle == twin and repr(bundle) == repr(twin) and "code_books" not in repr(bundle)
+
+
+@pytest.mark.parametrize("input_channels", [1, 2, 3, 4])
+def test_forward_on_narrow_and_wide_inputs_equals_composition_and_simulator(
+        quant_params, input_channels):
+    # up to 3 input channels conv1 gathers from its code book; at 4 it is a GEMM
+    spec = make_tiny_spec(input_channels=input_channels)
+    bundle = random_bundle(spec, quant_params, seed=17)
+    for seed in range(3):
+        fm = random_input(spec, seed)
+        _assert_forward_equals_composition(bundle, fm)
+        sim = forward(bundle, fm, executor=SimulatorExecutor())
+        assert sim.int_logits.tobytes() == forward(bundle, fm).int_logits.tobytes()
+    assert list(bundle.code_books) == (["conv1"] if input_channels <= 3 else [])
 
 
 def test_forward_on_two_stage_network_runs(quant_params):

@@ -362,6 +362,18 @@ def test_apply_equals_binary_search_on_the_whole_accumulator_range():
             np.testing.assert_array_equal(got, want)
 
 
+def test_float32_lookup_equals_apply_on_the_whole_accumulator_range():
+    # a checked float32 GEMM result holds exact integers: clipping it in float32
+    # and casting once to the index must give apply's codes everywhere
+    accs32 = np.arange(-ACC_LIMIT - 2, ACC_LIMIT + 3, dtype=np.int32)
+    accs_f32 = accs32.astype(np.float32)
+    assert np.array_equal(accs_f32.astype(np.int64), accs32)
+    for table in _lookup_oracle_tables():
+        got = table.apply_exact_f32(accs_f32.reshape(5, -1, 1))
+        assert got.dtype == np.uint8 and got.shape == (5, accs32.size // 5, 1)
+        np.testing.assert_array_equal(got.reshape(-1), table.apply(accs32))
+
+
 def test_apply_saturates_integer_extremes_without_wrapping():
     for dtype in (np.int32, np.int64):
         info = np.iinfo(dtype)
