@@ -12,7 +12,6 @@ from .subgraph import (
     SimulatorExecutor,
     SubgraphResult,
     SubgraphStats,
-    TileSchedule,
     pool_pass,
     run_subgraph,
     shift_pass,
@@ -33,7 +32,6 @@ __all__ = [
     "SimulatorExecutor",
     "SubgraphResult",
     "SubgraphStats",
-    "TileSchedule",
     "pool_pass",
     "run_subgraph",
     "shift_pass",

@@ -5,6 +5,8 @@ The model is deliberately small: a conv subgraph costs its MAC cycles on a
 dominates; fused pooling, shifting, and re-quantization ride along for free;
 the channel shuffle costs a host-side copy of the skip half; weights are
 fetched once per engine invocation and amortize over the batch.
+`CostModelParams` describes the board for the simulator (`accel.subgraph`)
+too, which streams its tiles and reports `map_bytes` and `weight_bytes`.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from ..net import (
     ShiftStep,
     compile_steps,
 )
-from ..tensor import blocked_channel_count
+from ..tensor import MAX_F32_TERMS, blocked_channel_count
 
 CYCLES_PER_IC_ITER_RANGE = (7, 38)
 
@@ -35,7 +37,9 @@ class CostModelParams:
     the target part runs from 7 (fully pipelined) to 38 (worst observed).
     `memcpy_overlap` is the fraction of shuffle copy time hidden behind
     engine execution, 0 meaning fully serialized. The copy rate default is
-    calibrated from measured end-to-end deltas of shuffle-bearing layers.
+    calibrated from measured end-to-end deltas of shuffle-bearing layers. The
+    tile widths are at most `MAX_F32_TERMS`, the widest the simulator's
+    float32 GEMM sums exactly.
     """
 
     cycles_per_ic_iter: int = 8
@@ -66,8 +70,10 @@ class CostModelParams:
                 raise ConfigurationError(f"{name} must be non-negative")
         if not 0.0 <= self.memcpy_overlap <= 1.0:
             raise ConfigurationError("memcpy_overlap must be within [0, 1]")
-        if self.ic_parallel < 1 or self.oc_parallel < 1:
-            raise ConfigurationError("tile parallelism must be positive")
+        for name in ("ic_parallel", "oc_parallel"):
+            if not 1 <= getattr(self, name) <= MAX_F32_TERMS:
+                raise ConfigurationError(
+                    f"tile parallelism {name} must be within [1, {MAX_F32_TERMS}]")
 
     @property
     def compute_roof_macs_per_s(self) -> float:
@@ -151,22 +157,26 @@ def conv_cycles(step: ConvStep, params: CostModelParams) -> int:
     return s * s * n_ic * n_oc * params.cycles_per_ic_iter
 
 
-def _act_bytes(channels: int, spatial: int, params: CostModelParams) -> int:
-    """DRAM bytes of a stored map: channels padded to whole input tiles."""
-    return spatial * spatial * blocked_channel_count(channels, params.ic_parallel) // 2
+def map_bytes(shape, params: CostModelParams) -> int:
+    """DRAM bytes of a stored (height, width, channels) map, channels padded to whole tiles."""
+    h, w, c = shape
+    return h * w * blocked_channel_count(c, params.ic_parallel) // 2
+
+
+def weight_bytes(in_channels: int, out_channels: int, params: CostModelParams) -> int:
+    """DRAM bytes of a layer's weight codes, padded to whole tiles on both sides."""
+    return (blocked_channel_count(in_channels, params.ic_parallel)
+            * blocked_channel_count(out_channels, params.oc_parallel) // 2)
 
 
 def step_cost(step, params: CostModelParams) -> SubgraphCost:
     if isinstance(step, ConvStep):
         cycles = conv_cycles(step, params)
         compute_s = cycles / params.clock_hz
-        w_bytes = (
-            blocked_channel_count(step.in_channels, params.ic_parallel)
-            * blocked_channel_count(step.out_channels, params.oc_parallel) // 2
-        )
+        w_bytes = weight_bytes(step.in_channels, step.out_channels, params)
         out_c = step.out_channels * (2 if step.shuffle_with else 1)
-        act = (_act_bytes(step.in_channels, step.spatial, params)
-               + _act_bytes(out_c, step.out_spatial, params))
+        s, out_s = step.spatial, step.out_spatial
+        act = map_bytes((s, s, step.in_channels), params) + map_bytes((out_s, out_s, out_c), params)
         dram_s = act / params.dram_bandwidth
         memcpy = 0
         if step.shuffle_with:
@@ -177,8 +187,8 @@ def step_cost(step, params: CostModelParams) -> SubgraphCost:
     if isinstance(step, (PoolStep, ShiftStep)):
         kind = "pool" if isinstance(step, PoolStep) else "shift"
         out_spatial = step.spatial // 2 if kind == "pool" else step.spatial
-        act = (_act_bytes(step.channels, step.spatial, params)
-               + _act_bytes(step.channels, out_spatial, params))
+        s, c = step.spatial, step.channels
+        act = map_bytes((s, s, c), params) + map_bytes((out_spatial, out_spatial, c), params)
         dram_s = act / params.dram_bandwidth
         return SubgraphCost(step.name, kind, 0, 0.0, act, 0, dram_s, 0, dram_s)
     raise ConfigurationError(f"no cost model for step {step!r}")

@@ -4,16 +4,21 @@ Like the reference engine, the simulator passes activations as uint8
 ``(height, width, channels)`` code arrays; nibble packing is only their
 storage format, so it appears here solely as byte counts (two codes per
 byte). One engine invocation runs a fused subgraph: load a blocked activation
-tensor from DRAM, multiply-accumulate it against 32x32 weight tiles into an
+tensor from DRAM, multiply-accumulate it against weight tiles into an
 output-stationary register file, re-quantize through the threshold
 comparators, optionally pool and shift on the way out, and store the result
 (optionally shuffled with a skip tensor) back to DRAM.
 
-The stages are independent processes joined by bounded FIFOs carrying whole
-rows (one item per row and input channel block on the loader edge), so the
-computed bytes are identical under any scheduler; what the simulator adds
-over the reference operators is the traffic and occupancy accounting of a
-real run. Each stage works on a whole row at once: the conv stage runs one
+The tiles are those of the cost model's `CostModelParams` (``ic_parallel``
+by ``oc_parallel``, 32x32 by default), and the stored map and weight bytes
+are its `perf.map_bytes` and `perf.weight_bytes`; only the activation read
+is counted from the blocked array the loader streams.
+
+The stages are independent processes joined by FIFOs of `FIFO_CAPACITY`
+whole rows (one item per row and input channel block on the loader edge),
+so the computed bytes are identical under any scheduler; what the simulator
+adds over the reference operators is the traffic and occupancy accounting of
+a real run. Each stage works on a whole row at once: the conv stage runs one
 GEMM per row once all its input blocks are in, and the pool and shift lanes
 take rows while reporting the occupancy of the pixel-serial line buffers the
 hardware would build. Input channels are padded to whole tiles, as the
@@ -33,7 +38,6 @@ from ..net import ConvStep
 from ..quant import ThresholdTable
 from ..tensor import (
     ACC_DTYPE,
-    DEFAULT_BLOCK,
     WeightMatrix,
     blocked_channel_count,
     blocked_layout,
@@ -41,22 +45,12 @@ from ..tensor import (
     check_f32_exact,
 )
 from .fifo import FifoChannel, run_network
+from .perf import CostModelParams, map_bytes, weight_bytes
 from .units import PoolLane, ShiftLane, shuffle_writeback
 
 
-@dataclass(frozen=True)
-class TileSchedule:
-    """Tiling parameters of the engine: input/output channels per tile."""
-
-    ic: int = DEFAULT_BLOCK
-    oc: int = DEFAULT_BLOCK
-    fifo_capacity: int = 2
-
-    def __post_init__(self):
-        if self.ic < 1 or self.oc < 1:
-            raise ShapeError("tile sizes must be positive")
-        if self.fifo_capacity < 1:
-            raise ShapeError("fifo capacity must be >= 1")
+# Rows each FIFO holds: double buffering, the depth every stage is built for.
+FIFO_CAPACITY = 2
 
 
 @dataclass
@@ -79,22 +73,18 @@ class SubgraphResult:
     stats: SubgraphStats
 
 
-def _weight_slab(weights: WeightMatrix, schedule: TileSchedule):
-    """Transposed signed weights, zero padded to whole input tiles.
+def _weight_slab(weights: WeightMatrix, ic_pad: int) -> np.ndarray:
+    """The (ic_pad, out_channels) float32 slab that a padded input row multiplies.
 
-    Returns ``(slab, tiled bytes)``: the (ic_pad, out_channels) float32 slab
-    that a padded input row multiplies. The zero rows add nothing to any
-    output. Padded output tiles would only produce columns no stage reads,
-    so the slab has none; the byte count is still the DRAM footprint of the
-    codes tiled on both sides, ``oc_pad * ic_pad / 2``. The slab lives for
-    one call: caching it, or `WeightMatrix.effective_f32`, would keep a
+    Transposed signed weights; the zero padding rows add nothing to any
+    output. Padded output tiles would only produce columns no stage reads, so
+    the slab has none; they exist only in `perf.weight_bytes`. The slab lives
+    for one call: caching it, or `WeightMatrix.effective_f32`, would keep a
     float32 copy of every layer's weights resident.
     """
-    oc_pad = blocked_channel_count(weights.out_channels, schedule.oc)
-    ic_pad = blocked_channel_count(weights.in_channels, schedule.ic)
     slab = np.zeros((ic_pad, weights.out_channels), dtype=np.float32)
     slab[: weights.in_channels] = weights.effective().T
-    return slab, oc_pad * ic_pad // 2
+    return slab
 
 
 def _loader_stage(blocked: np.ndarray, out_fifo: FifoChannel):
@@ -155,15 +145,15 @@ def _store_stage(height, in_fifo: FifoChannel, sink: list):
 
 
 def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
-                 schedule: TileSchedule = TileSchedule(), *,
+                 params: CostModelParams = CostModelParams(), *,
                  pool: bool = False, shift: bool = False, shuffle_with: np.ndarray = None,
                  scheduler: str = "single-thread") -> SubgraphResult:
     """Run one conv subgraph of a (height, width, channels) code array.
 
-    ``pool`` and ``shift`` enable those stages; ``shuffle_with`` supplies the
-    skip half the output is concat-shuffled with at writeback. The output
-    codes equal what the reference operator composition produces; the stats
-    describe the run.
+    ``params`` sets the tile widths; ``pool`` and ``shift`` enable those
+    stages; ``shuffle_with`` supplies the skip half the output is
+    concat-shuffled with at writeback. The output codes equal what the
+    reference operator composition produces; the stats describe the run.
     """
     h, w, c = x.shape
     if c != weights.in_channels:
@@ -172,38 +162,37 @@ def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
         )
     if pool and (h % 2 or w % 2):
         raise ShapeError(f"pooling needs even spatial dims, got {h}x{w}")
-    ic_pad = blocked_channel_count(c, schedule.ic)
+    ic_pad = blocked_channel_count(c, params.ic_parallel)
     check_f32_exact(ic_pad, f"padded input width of {ic_pad} channels")
     stats = SubgraphStats()
-    blocked = blocked_layout(x, schedule.ic)
-    slab, weight_bytes = _weight_slab(weights, schedule)
-    stats.weight_bytes = weight_bytes
-    stats.dram_read_bytes = blocked.size // 2 + weight_bytes
+    blocked = blocked_layout(x, params.ic_parallel)
+    stats.weight_bytes = weight_bytes(c, weights.out_channels, params)
+    stats.dram_read_bytes = blocked.size // 2 + stats.weight_bytes
     oc = weights.out_channels
     out_h, out_w = (h // 2, w // 2) if pool else (h, w)
 
-    cap = schedule.fifo_capacity
-    f_in = FifoChannel("loader_to_conv", cap)
-    f_acc = FifoChannel("conv_to_convert", cap)
+    f_in = FifoChannel("loader_to_conv", FIFO_CAPACITY)
+    f_acc = FifoChannel("conv_to_convert", FIFO_CAPACITY)
     fifos = [f_in, f_acc]
     stages = [
         _loader_stage(blocked, f_in),
-        _conv_stage(slab, ic_pad // schedule.ic, h, stats, f_in, f_acc),
+        _conv_stage(_weight_slab(weights, ic_pad), ic_pad // params.ic_parallel, h, stats,
+                    f_in, f_acc),
     ]
     pool_lane = PoolLane(w, oc) if pool else None
     shift_lane = ShiftLane(out_w, oc) if shift else None
 
-    f_codes = FifoChannel("convert_to_next", cap)
+    f_codes = FifoChannel("convert_to_next", FIFO_CAPACITY)
     fifos.append(f_codes)
     stages.append(_conversion_stage(table, h, f_acc, f_codes))
     tail = f_codes
     if pool_lane is not None:
-        f_pool = FifoChannel("pool_to_next", cap)
+        f_pool = FifoChannel("pool_to_next", FIFO_CAPACITY)
         fifos.append(f_pool)
         stages.append(_pool_stage(pool_lane, h, tail, f_pool))
         tail = f_pool
     if shift_lane is not None:
-        f_shift = FifoChannel("shift_to_store", cap)
+        f_shift = FifoChannel("shift_to_store", FIFO_CAPACITY)
         fifos.append(f_shift)
         stages.append(_shift_stage(shift_lane, out_h, tail, f_shift))
         tail = f_shift
@@ -215,7 +204,7 @@ def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
     output = np.stack(sink)
     if shuffle_with is not None:
         output, stats.memcpy_bytes = shuffle_writeback(output, shuffle_with)
-    stats.dram_write_bytes = _blocked_bytes(output, schedule)
+    stats.dram_write_bytes = map_bytes(output.shape, params)
     if pool_lane is not None:
         stats.pool_occupancy = pool_lane.max_occupancy
     if shift_lane is not None:
@@ -224,13 +213,7 @@ def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
     return SubgraphResult(output=output, stats=stats)
 
 
-def _blocked_bytes(x: np.ndarray, schedule: TileSchedule) -> int:
-    """DRAM bytes of a stored map: channels padded to whole input tiles."""
-    h, w, c = x.shape
-    return blocked_channel_count(c, schedule.ic) * h * w // 2
-
-
-def _lane_pass(x: np.ndarray, lane, schedule: TileSchedule, occupancy: str):
+def _lane_pass(x: np.ndarray, lane, params: CostModelParams, occupancy: str):
     """Stream a stored tensor through one lane and store the result.
 
     ``occupancy`` names the `SubgraphStats` field that gets the lane's peak.
@@ -238,52 +221,52 @@ def _lane_pass(x: np.ndarray, lane, schedule: TileSchedule, occupancy: str):
     rows = [out for row in x for out in lane.feed_row(row)]
     out = np.stack(rows + lane.finish())
     stats = SubgraphStats(
-        dram_read_bytes=_blocked_bytes(x, schedule),
-        dram_write_bytes=_blocked_bytes(out, schedule),
+        dram_read_bytes=map_bytes(x.shape, params),
+        dram_write_bytes=map_bytes(out.shape, params),
         **{occupancy: lane.max_occupancy},
     )
     return SubgraphResult(output=out, stats=stats)
 
 
-def pool_pass(x: np.ndarray, schedule: TileSchedule = TileSchedule()):
+def pool_pass(x: np.ndarray, params: CostModelParams = CostModelParams()):
     """Standalone pooling of a stored tensor (the downsample skip path)."""
     h, w, c = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"pooling needs even spatial dims, got {h}x{w}")
-    return _lane_pass(x, PoolLane(w, c), schedule, "pool_occupancy")
+    return _lane_pass(x, PoolLane(w, c), params, "pool_occupancy")
 
 
-def shift_pass(x: np.ndarray, schedule: TileSchedule = TileSchedule()):
+def shift_pass(x: np.ndarray, params: CostModelParams = CostModelParams()):
     """Standalone shift of a stored tensor (the downsample skip path)."""
     _h, w, c = x.shape
-    return _lane_pass(x, ShiftLane(w, c), schedule, "shift_occupancy")
+    return _lane_pass(x, ShiftLane(w, c), params, "shift_occupancy")
 
 
 class SimulatorExecutor:
-    """Drives `forward` through the pipeline model instead of reference ops.
+    """Drives `forward` through the pipeline model, at the tiles of ``params``.
 
     Collects one (step name, stats) entry per engine invocation in `log`.
     """
 
-    def __init__(self, schedule: TileSchedule = TileSchedule(),
+    def __init__(self, params: CostModelParams = CostModelParams(),
                  scheduler: str = "single-thread"):
-        self.schedule = schedule
+        self.params = params
         self.scheduler = scheduler
         self.log = []
 
     def conv_subgraph(self, x: np.ndarray, step: ConvStep, bundle, skip) -> np.ndarray:
         result = run_subgraph(x, bundle.weights[step.name], bundle.tables[step.name],
-                              self.schedule, pool=step.pool, shift=step.shift,
+                              self.params, pool=step.pool, shift=step.shift,
                               shuffle_with=skip, scheduler=self.scheduler)
         self.log.append((step.name, result.stats))
         return result.output
 
     def pool_pass(self, x: np.ndarray) -> np.ndarray:
-        result = pool_pass(x, self.schedule)
+        result = pool_pass(x, self.params)
         self.log.append(("pool", result.stats))
         return result.output
 
     def shift_pass(self, x: np.ndarray) -> np.ndarray:
-        result = shift_pass(x, self.schedule)
+        result = shift_pass(x, self.params)
         self.log.append(("shift", result.stats))
         return result.output

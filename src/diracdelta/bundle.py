@@ -23,8 +23,8 @@ constructed, so no stored value can disagree with another.
 `manifest.json` is written with sorted keys and a fixed layout so that the
 same bundle saves byte-identically every time. A manifest field that is
 missing or of the wrong JSON type is reported by its path (say
-``layers[0].alpha``), and every blob payload must have exactly the size its
-shape requires.
+``layers[0].alpha``), every number is read as a float, and every blob
+payload must have exactly the size its shape requires.
 """
 from __future__ import annotations
 
@@ -242,6 +242,15 @@ def _field(obj: dict, path: str, key: str, kind: str):
     return _checked(obj[key], where, kind)
 
 
+def _number(obj: dict, path: str, key: str) -> float:
+    """``obj[key]``, checked by `_field` as a number and read as a float."""
+    value = _field(obj, path, key, "a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise BundleError(f"manifest.json field {path}.{key} is beyond the float range") from None
+
+
 def load_bundle(path) -> ModelBundle:
     """Read a bundle directory back, verifying checksums and rebuilding its tables."""
     root = Path(path)
@@ -252,7 +261,7 @@ def load_bundle(path) -> ModelBundle:
         manifest = json.loads(mf.read_text(encoding="utf-8"))
     except UnicodeDecodeError as e:
         raise BundleError(f"manifest.json is not UTF-8 text: {e}") from None
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # bad syntax, a 4300-digit integer, deep nesting
         raise BundleError(f"manifest.json is not valid JSON: {e}") from e
     if not isinstance(manifest, dict):
         raise BundleError(
@@ -272,7 +281,7 @@ def load_bundle(path) -> ModelBundle:
         num_classes=_field(n, "network", "num_classes", "an integer"),
     )
     q = _field(manifest, "", "quant", "an object")
-    net = NetworkQuantParams(s=_field(q, "quant", "s", "a number"))
+    net = NetworkQuantParams(s=_number(q, "quant", "s"))
     for key in ("k_w", "k_a"):
         if (bits := _field(q, "quant", key, "an integer")) != CODE_BITS:
             raise BundleError(f"manifest.json field quant.{key} is {bits}, but the engine "
@@ -298,8 +307,8 @@ def load_bundle(path) -> ModelBundle:
             )
         try:
             layer_params[step.name] = LayerQuantParams(
-                alpha=_field(row, where, "alpha", "a number"),
-                weight_scale=_field(row, where, "weight_scale", "a number"),
+                alpha=_number(row, where, "alpha"),
+                weight_scale=_number(row, where, "weight_scale"),
             )
         except DomainError as e:
             raise BundleError(f"manifest.json {where}: {e}") from None
@@ -312,7 +321,7 @@ def load_bundle(path) -> ModelBundle:
         layer_params=layer_params,
         fc_weights=_read_weights(root, "fc", spec.num_classes, spec.conv5_channels,
                                  "fc weights"),
-        fc_scale=_field(fc_row, "fc", "scale", "a number"),
+        fc_scale=_number(fc_row, "fc", "scale"),
     )
     bundle.validate()
     return bundle

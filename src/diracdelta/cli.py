@@ -213,6 +213,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValidationError(f"--seed must be non-negative, got {args.seed}")
         for name in ("bundle", "input", "cost_config"):
             p = getattr(args, name, None)
             if p is not None and not p.exists():

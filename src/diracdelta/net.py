@@ -316,10 +316,9 @@ def code_book(bundle, step: ConvStep) -> np.ndarray:
     channels, whose row ``_pixel_index(p)`` holds pixel p's codes. It is
     built with `conv1x1` and `ThresholdTable.apply`, so `check_accumulators`
     sees every accumulator any frame through this conv can produce. It is
-    kept in ``bundle.code_books``, which this creates on a bare namespace of
-    tables and weights.
+    kept in ``bundle.code_books``.
     """
-    books = vars(bundle).setdefault("code_books", {})
+    books = bundle.code_books
     if step.name not in books:
         c = step.in_channels
         pixels = np.indices((CODE_MAX + 1,) * c, dtype=np.uint8).reshape(c, 1, -1).T

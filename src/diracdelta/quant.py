@@ -218,34 +218,30 @@ class ThresholdTable:
         return self._lut.take(idx)
 
 
-def build_threshold_table(
-    params: LayerQuantParams,
-    net: NetworkQuantParams,
-    acc_limit: int = ACC_LIMIT,
-) -> ThresholdTable:
+def build_threshold_table(params: LayerQuantParams, net: NetworkQuantParams) -> ThresholdTable:
     """Derive the integer re-quantization thresholds for one layer.
 
     For each target code i in 1..15 the threshold is the smallest integer
     accumulator whose quantized activation code reaches i. The search bisects
-    `quantize_activation` itself over [0, acc_limit] (codes at non-positive
+    `quantize_activation` itself over [0, ACC_LIMIT] (codes at non-positive
     accumulators are always 0 because alpha > 0), which makes the table agree
     with the float path on every representable input by construction. All
     targets are bisected together, one array of probes per step.
 
     Raises `ConstructionError` when the parameters are inconsistent with the
-    accumulator range: a boundary beyond acc_limit (alpha too large for the
+    accumulator range: a boundary beyond ACC_LIMIT (alpha too large for the
     layer) or two boundaries on the same integer (alpha so small that codes
     are skipped).
     """
     f = accumulator_scale(params, net)
-    if quantize_activation(acc_limit * f, params, net).code < CODE_MAX:
+    if quantize_activation(ACC_LIMIT * f, params, net).code < CODE_MAX:
         raise ConstructionError(
-            f"top code unreachable within accumulator range +-{acc_limit}; "
+            f"top code unreachable within accumulator range +-{ACC_LIMIT}; "
             f"alpha={params.alpha} is too large for this layer's scales"
         )
     targets = np.arange(1, CODE_MAX + 1)
     lo = np.zeros(CODE_MAX, dtype=np.int64)  # code at lo < target <= code at hi
-    hi = np.full(CODE_MAX, acc_limit, dtype=np.int64)
+    hi = np.full(CODE_MAX, ACC_LIMIT, dtype=np.int64)
     while np.any(hi - lo > 1):
         # The code is monotone in acc, so any probe strictly inside (lo, hi]
         # finds the same boundary. The upper midpoint leaves a settled pair

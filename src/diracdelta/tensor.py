@@ -210,8 +210,8 @@ def read_tensor_blob(path) -> FeatureMap:
     return FeatureMap(h, w, c, payload)
 
 
-def check_accumulators(acc, limit: int = ACC_LIMIT) -> int:
-    """Assert the documented accumulator magnitude bound; returns the peak |acc|.
+def check_accumulators(acc) -> int:
+    """Assert the documented bound `ACC_LIMIT` on |acc|; returns the peak |acc|.
 
     The peak of an empty array is 0.
     """
@@ -219,8 +219,8 @@ def check_accumulators(acc, limit: int = ACC_LIMIT) -> int:
     if arr.size == 0:
         return 0
     peak = max(int(arr.max()), -int(arr.min()))
-    if peak > limit:
-        raise ValidationError(f"accumulator magnitude {peak} exceeds bound {limit}")
+    if peak > ACC_LIMIT:
+        raise ValidationError(f"accumulator magnitude {peak} exceeds bound {ACC_LIMIT}")
     return peak
 
 

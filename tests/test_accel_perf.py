@@ -19,7 +19,7 @@ from diracdelta.accel.perf import (
     roofline,
     step_cost,
 )
-from diracdelta.accel.subgraph import SimulatorExecutor, TileSchedule
+from diracdelta.accel.subgraph import SimulatorExecutor
 from diracdelta.bundle import random_bundle
 from diracdelta.errors import ConfigurationError
 from diracdelta.net import (
@@ -134,9 +134,9 @@ def test_step_cost_rejects_unknown_steps():
 def test_simulated_traffic_equals_the_cost_model_on_every_step(make_spec, tile):
     spec = make_spec()
     bundle = random_bundle(spec, NetworkQuantParams(s=1.0), seed=13)
-    sim = SimulatorExecutor(TileSchedule(ic=tile, oc=tile))
-    forward(bundle, random_input(spec, seed=14), executor=sim)
     params = CostModelParams(ic_parallel=tile, oc_parallel=tile)
+    sim = SimulatorExecutor(params)
+    forward(bundle, random_input(spec, seed=14), executor=sim)
     steps = [s for s in compile_steps(spec) if isinstance(s, (ConvStep, PoolStep, ShiftStep))]
     assert [name for name, _ in sim.log] == [
         s.name if isinstance(s, ConvStep) else ("pool" if isinstance(s, PoolStep) else "shift")

@@ -11,16 +11,17 @@ import pytest
 
 from conftest import make_tiny_spec, random_input
 
+from diracdelta.accel.perf import CostModelParams
 from diracdelta.accel.subgraph import (
+    FIFO_CAPACITY,
     SimulatorExecutor,
-    TileSchedule,
     pool_pass,
     run_subgraph,
     shift_pass,
 )
 from diracdelta import tensor
 from diracdelta.bundle import random_bundle
-from diracdelta.errors import ShapeError, ValidationError
+from diracdelta.errors import ConfigurationError, ShapeError, ValidationError
 from diracdelta.net import ReferenceExecutor, forward
 from diracdelta.ops import (
     concat_shuffle,
@@ -122,20 +123,19 @@ def test_a_stage_failure_is_re_raised_promptly(scheduler):
     assert time.perf_counter() - t0 < 5.0
 
 
-def test_small_tiles_and_unit_fifo_capacity_still_bit_exact():
+def test_small_tiles_still_bit_exact():
     fm, wm, table = _random_case(31, 6, 6, 20, 12)
-    schedule = TileSchedule(ic=8, oc=8, fifo_capacity=1)
-    got = run_subgraph(fm, wm, table, schedule)
+    got = run_subgraph(fm, wm, table, CostModelParams(ic_parallel=8, oc_parallel=8))
     assert _same(got.output, _reference(fm, wm, table))
-    assert all(d <= 1 for d in got.stats.fifo_depths.values())
+    assert all(d <= FIFO_CAPACITY for d in got.stats.fifo_depths.values())
 
 
 def test_half_tiles_with_pool_and_shift_match_reference():
     fm, wm, table = _random_case(33, 6, 8, 20, 24)
-    schedule = TileSchedule(ic=16, oc=16, fifo_capacity=1)
-    got = run_subgraph(fm, wm, table, schedule, pool=True, shift=True)
+    params = CostModelParams(ic_parallel=16, oc_parallel=16)
+    got = run_subgraph(fm, wm, table, params, pool=True, shift=True)
     assert _same(got.output, _reference(fm, wm, table, pool=True, shifted=True))
-    assert all(d <= 1 for d in got.stats.fifo_depths.values())
+    assert all(d <= FIFO_CAPACITY for d in got.stats.fifo_depths.values())
     assert got.stats.pool_occupancy == 8 + 1
     assert got.stats.shift_occupancy == 2 * (4 + 2) + 1  # at the pooled width
 
@@ -143,18 +143,18 @@ def test_half_tiles_with_pool_and_shift_match_reference():
 def test_input_tiles_too_wide_for_an_exact_float32_gemm_are_refused():
     fm, wm, table = _random_case(35, 1, 1, 4, 4)
     ic = -(-2**24 // 225)  # the narrowest tile with 225 * ic >= 2**24
-    with pytest.raises(ValidationError, match="beyond what a float32 GEMM sums exactly"):
-        run_subgraph(fm, wm, table, TileSchedule(ic=ic))
-    run_subgraph(fm, wm, table, TileSchedule(ic=ic - 1))
+    with pytest.raises(ConfigurationError, match=rf"ic_parallel must be within \[1, {ic - 1}\]"):
+        CostModelParams(ic_parallel=ic)
+    run_subgraph(fm, wm, table, CostModelParams(ic_parallel=ic - 1))
 
 
 def test_padded_input_rows_too_wide_for_an_exact_float32_gemm_are_refused():
     # one GEMM spans the whole padded row: 2 tiles of 40000 are 80000 terms
     fm, wm, table = _random_case(36, 1, 1, 40001, 4)
     with pytest.raises(ValidationError, match="^padded input width of 80000 channels: "):
-        run_subgraph(fm, wm, table, TileSchedule(ic=40000))
+        run_subgraph(fm, wm, table, CostModelParams(ic_parallel=40000))
     fm, wm, table = _random_case(36, 1, 1, 40000, 4)
-    assert _same(run_subgraph(fm, wm, table, TileSchedule(ic=40000)).output,
+    assert _same(run_subgraph(fm, wm, table, CostModelParams(ic_parallel=40000)).output,
                  _reference(fm, wm, table))
 
 
@@ -202,12 +202,6 @@ def test_lane_occupancy_is_reported():
         "pool_to_next", "shift_to_store",
     }
     assert all(d <= 2 for d in res.stats.fifo_depths.values())
-
-
-def test_fifo_depths_respect_configured_capacity():
-    fm, wm, table = _random_case(59, 4, 4, 8, 8)
-    res = run_subgraph(fm, wm, table, TileSchedule(fifo_capacity=3))
-    assert all(d <= 3 for d in res.stats.fifo_depths.values())
 
 
 # =========================================================================
@@ -273,11 +267,11 @@ def test_pool_and_shift_passes_count_bytes_in_the_schedule_input_tile():
     rng = np.random.default_rng(79)
     fm = rng.integers(0, 16, size=(6, 4, 12), dtype=np.uint8)
     passes = {
-        "pool": (lambda sched: pool_pass(fm, sched), (3, 2)),
-        "shift": (lambda sched: shift_pass(fm, sched), (6, 4)),
+        "pool": (lambda params: pool_pass(fm, params), (3, 2)),
+        "shift": (lambda params: shift_pass(fm, params), (6, 4)),
     }
     for run, (out_h, out_w) in passes.values():
-        default, narrow = run(TileSchedule()), run(TileSchedule(ic=16))
+        default, narrow = run(CostModelParams()), run(CostModelParams(ic_parallel=16))
         assert _same(narrow.output, default.output)
         # 12 channels pad to one 32-channel block, or to one 16-channel tile
         for res, c in ((default, 32), (narrow, 16)):

@@ -309,7 +309,7 @@ def test_fifo_bounds_and_counters():
     assert not ok and item is None
 
 
-def test_fifo_capacity_validation():
+def test_fifo_channel_refuses_a_capacity_below_one():
     with pytest.raises(ConfigurationError, match="capacity must be >= 1"):
         FifoChannel("t", capacity=0)
 

@@ -3,17 +3,23 @@
 Commands run in-process through `main` so exit codes and printed lines are
 asserted exactly; two subprocess tests check the module entry point.
 """
+import contextlib
+import io
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diracdelta import cli
 from diracdelta.accel.perf import CostModelParams
@@ -241,6 +247,19 @@ def test_non_utf8_manifest_fails_validation(tiny_bundle_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ['{"fc": {"scale": ' + "1" * 5000 + "}}", "[" * 100000],
+                         ids=["5000_digit_integer", "100000_nested_lists"])
+def test_manifest_json_python_cannot_parse_fails_validation(tiny_bundle_dir, tmp_path, capsys,
+                                                            text):
+    root = tmp_path / "b"
+    shutil.copytree(tiny_bundle_dir, root)
+    (root / "manifest.json").write_text(text)
+    capsys.readouterr()
+    assert cli.main(["validate", "--bundle", str(root)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest.json is not valid JSON: ") and err.count("\n") == 1
+
+
 def test_a_huge_graph_fails_validation_before_it_is_compiled(bundle_dir, tmp_path, capsys):
     start = time.perf_counter()
     rc, err = _validate_with_manifest(
@@ -293,6 +312,21 @@ def test_a_bundle_that_validates_runs_on_both_engines(tiny_bundle_dir, tmp_path,
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("scale,rc", [(2**64, 0), (10**400, 1)], ids=["2**64", "10**400"])
+def test_an_integer_fc_scale_is_read_as_a_float(tiny_bundle_dir, tmp_path, capsys, scale, rc):
+    root = tmp_path / "b"
+    shutil.copytree(tiny_bundle_dir, root)
+    mf = json.loads((root / "manifest.json").read_text())
+    (root / "manifest.json").write_text(json.dumps(_set(mf, ("fc", "scale"), scale)))
+    capsys.readouterr()
+    for argv in (["validate"], ["infer", "--engine", "reference"],
+                 ["infer", "--engine", "simulator"]):
+        assert cli.main(argv + ["--bundle", str(root)]) == rc
+        err = capsys.readouterr().err
+        assert err == ("" if rc == 0 else
+                       "error: manifest.json field fc.scale is beyond the float range\n")
+
+
 # =========================================================================
 # infer
 # =========================================================================
@@ -329,6 +363,16 @@ def test_infer_without_input_uses_the_seed(bundle_dir, tmp_path, capsys):
     assert cli.main(["infer", "--bundle", str(bundle_dir), "--seed", "9",
                      "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["build", "infer", "simulate"])
+def test_a_negative_seed_is_refused(bundle_dir, tmp_path, capsys, command):
+    target = ["--out", str(tmp_path / "b")] if command == "build" else ["--bundle",
+                                                                        str(bundle_dir)]
+    assert cli.main([command, "--seed", "-1"] + target) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be non-negative, got -1\n"
+    assert captured.out == "" and not (tmp_path / "b").exists()
 
 
 def test_infer_missing_input_path(bundle_dir, tmp_path, capsys):
@@ -514,6 +558,19 @@ def test_report_non_utf8_cost_config(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", ["ic_parallel", "oc_parallel"])
+@pytest.mark.parametrize("value", ["74566", "1" + "0" * 400], ids=["74566", "10**400"])
+def test_report_refuses_tiles_wider_than_an_exact_float32_gemm(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cost.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert cli.main(["report", "--cost-config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: tile parallelism {key} must be within [1, 74565]\n"
+    assert captured.out == ""
+    cfg.write_text(f"{key} = 74565\n")
+    assert cli.main(["report", "--cost-config", str(cfg)]) == 0
+
+
 FLOAT_COST_KEYS = [k for k, v in asdict(CostModelParams()).items() if isinstance(v, float)]
 
 
@@ -528,6 +585,85 @@ def test_report_rejects_a_non_finite_cost_config_value(tmp_path, capsys, key, va
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert not out.exists()
+
+
+# =========================================================================
+# fuzz gate: every input the CLI reads ends as exit 0, 1 or 2
+# =========================================================================
+
+def _paths(obj, path=()):
+    """Every key path in a parsed manifest, list elements included."""
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    return [p for k, v in items for p in [path + (k,)] + _paths(v, path + (k,))]
+
+
+_JSON_VALUES = st.one_of(
+    st.sampled_from([2**64, -2**64, 2**63, float("nan"), float("inf"), float("-inf"),
+                     5e-324, -5e-324, 2.2250738585072014e-308, 1e308, True, False, None,
+                     0, -1, 1, 0.5]),
+    st.integers(-2**70, 2**70),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 64), max_size=3),
+    st.dictionaries(st.sampled_from(["a", "name", "s"]), st.integers(0, 2), max_size=2),
+)
+_COST_VALUES = st.one_of(
+    st.sampled_from(["1e400", "-1e400", "nan", "-inf", "5e-324", "-0", "0", "1" + "0" * 400,
+                     "-1", "74566", "2**64", "0x20", "1_6", "", "True", "3.5"]),
+    st.integers(-2**70, 2**70).map(str),
+    st.floats().map(repr),
+)
+_U32 = st.one_of(st.sampled_from([0, 1, 3, 16, 767, 768, 2**31, 2**32 - 1]),
+                 st.integers(0, 2**32 - 1))
+
+
+def _run(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(field=st.data(), value=_JSON_VALUES,
+       cost_key=st.sampled_from(sorted(asdict(CostModelParams()))), cost_value=_COST_VALUES,
+       header=st.tuples(_U32, _U32, _U32), keep=st.integers(0, 400),
+       seed=st.one_of(st.integers(0, 2**64), st.just(-1)))
+@example(field=("fc", "scale"), value=2**64, cost_key="clock_hz", cost_value="1e8",
+         header=(16, 16, 3), keep=400, seed=0)
+@example(field=("quant", "s"), value=1.0, cost_key="ic_parallel", cost_value="1" + "0" * 400,
+         header=(16, 16, 3), keep=400, seed=0)
+@example(field=("quant", "s"), value=1.0, cost_key="clock_hz", cost_value="1e8",
+         header=(16, 16, 3), keep=400, seed=-1)
+def test_fuzzed_manifests_cost_configs_and_blobs_exit_0_1_or_2(
+        tiny_bundle_dir, field, value, cost_key, cost_value, header, keep, seed):
+    """Set one manifest field (drawn from the tiny bundle's key paths, or given as a
+    path by an explicit example) to ``value``; set ``cost_key`` to ``cost_value``;
+    give a frame blob the header ``header`` and keep ``keep`` bytes of its payload."""
+    base = json.loads((tiny_bundle_dir / "manifest.json").read_text())
+    path = field if isinstance(field, tuple) else field.draw(
+        st.sampled_from(_paths(base)), label="field")
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "b"
+        shutil.copytree(tiny_bundle_dir, root)
+        (root / "manifest.json").write_text(json.dumps(_set(base, path, value)))
+        for argv in (["validate"], ["infer", "--engine", "reference", "--seed", str(seed)],
+                     ["infer", "--engine", "simulator", "--seed", str(seed)]):
+            assert _run(argv + ["--bundle", str(root)]) in (0, 1, 2), argv
+
+        cfg = Path(tmp) / "cost.cfg"
+        values = dict(asdict(CostModelParams()), **{cost_key: cost_value})
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert _run(["report", "--bundle", str(tiny_bundle_dir), "--cost-config", str(cfg)]) \
+            in (0, 1, 2)
+
+        blob = Path(tmp) / "frame.bin"
+        payload = np.random.default_rng(0).integers(0, 256, 384, dtype=np.uint8).tobytes()
+        blob.write_bytes((struct.pack("<III", *header) + payload)[:12 + keep])
+        for engine in ("reference", "simulator"):
+            assert _run(["infer", "--bundle", str(tiny_bundle_dir), "--input", str(blob),
+                         "--engine", engine]) in (0, 1, 2)
+    assert time.perf_counter() - start < 2.0
 
 
 # =========================================================================

@@ -5,11 +5,12 @@ zero to two repeats per stage, an odd or even first stem width, one to five
 input channels, so the reference engine's first conv runs both as a code-book
 gather and as a GEMM), a quantization scale s, a bundle seed (which draws every
 layer's clip bound), random weight codes or every weight code 0 (all -15
-weights, the most negative accumulators) or 15, and a `TileSchedule` with
-tiles of 1-64 channels. On a random frame and an all-15 frame, the reference
-and simulator logits must be byte-equal, and every simulator step must move
-exactly the bytes the cost model charges that step at the same tiles. Odd
-tiles and odd widths are where a channel padding mistake would show.
+weights, the most negative accumulators) or 15, and one `CostModelParams`
+with tiles of 1-64 channels, which both the simulator and the cost model get.
+On a random frame and an all-15 frame, the reference and simulator logits
+must be byte-equal, and every simulator step must move exactly the bytes the
+cost model charges that step. Odd tiles and odd widths are where a channel
+padding mistake would show.
 """
 import dataclasses
 
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracdelta.accel.perf import CostModelParams, step_cost
-from diracdelta.accel.subgraph import SimulatorExecutor, TileSchedule
+from diracdelta.accel.subgraph import SimulatorExecutor
 from diracdelta.bundle import random_bundle
 from diracdelta.net import ConvStep, NetworkSpec, PoolStep, ShiftStep, compile_steps, forward
 from diracdelta.quant import NetworkQuantParams
@@ -42,8 +43,8 @@ def specs(draw):
     )
 
 
-schedules = st.builds(TileSchedule, ic=st.integers(1, 64), oc=st.integers(1, 64),
-                      fifo_capacity=st.integers(1, 3))
+tile_params = st.builds(CostModelParams, ic_parallel=st.integers(1, 64),
+                        oc_parallel=st.integers(1, 64))
 
 
 def _filled(w: WeightMatrix, code: int) -> WeightMatrix:
@@ -57,9 +58,9 @@ def _log_name(step):
 
 @settings(derandomize=True, deadline=None, max_examples=60, database=None)
 @given(spec=specs(), s=st.floats(0.05, 4.0), seed=st.integers(0, 2**16),
-       weight_code=st.one_of(st.none(), st.sampled_from([0, 15])), schedule=schedules)
+       weight_code=st.one_of(st.none(), st.sampled_from([0, 15])), params=tile_params)
 def test_engines_agree_and_traffic_matches_the_cost_model(spec, s, seed, weight_code,
-                                                          schedule):
+                                                          params):
     bundle = random_bundle(spec, NetworkQuantParams(s=s), seed=seed)
     if weight_code is not None:
         bundle = dataclasses.replace(
@@ -68,12 +69,11 @@ def test_engines_agree_and_traffic_matches_the_cost_model(spec, s, seed, weight_
     shape = (spec.input_size, spec.input_size, spec.input_channels)
     rng = np.random.default_rng(seed)
     frames = [rng.integers(0, 16, size=shape, dtype=np.uint8), np.full(shape, 15, np.uint8)]
-    params = CostModelParams(ic_parallel=schedule.ic, oc_parallel=schedule.oc)
     steps = [step for step in compile_steps(spec)
              if isinstance(step, (ConvStep, PoolStep, ShiftStep))]
     for frame in frames:
         fm = FeatureMap.from_array(frame)
-        sim = SimulatorExecutor(schedule)
+        sim = SimulatorExecutor(params)
         got, want = forward(bundle, fm, sim), forward(bundle, fm)
         assert got.int_logits.tobytes() == want.int_logits.tobytes()
         assert got.logits.tobytes() == want.logits.tobytes()
@@ -82,6 +82,7 @@ def test_engines_agree_and_traffic_matches_the_cost_model(spec, s, seed, weight_
             cost = step_cost(step, params)
             channels = step.in_channels if isinstance(step, ConvStep) else step.channels
             read = stats.dram_read_bytes - stats.weight_bytes
-            assert read == step.spatial ** 2 * blocked_channel_count(channels, schedule.ic) // 2
+            assert read == (step.spatial ** 2
+                            * blocked_channel_count(channels, params.ic_parallel) // 2)
             assert (read + stats.dram_write_bytes, stats.weight_bytes, stats.memcpy_bytes) == (
                 cost.act_bytes, cost.weight_bytes, cost.memcpy_bytes), step.name

@@ -411,7 +411,7 @@ def test_pooled_reference_step_pools_within_even_row_blocks():
     rng = np.random.default_rng(5)
     weights = WeightMatrix(1100, 2, rng.integers(0, 16, size=(1100, 2), dtype=np.uint8))
     table = ThresholdTable(tuple(range(-200, 250, 30)))
-    bundle = SimpleNamespace(tables={"c": table}, weights={"c": weights})
+    bundle = SimpleNamespace(tables={"c": table}, weights={"c": weights}, code_books={})
     x = rng.integers(0, 16, size=(10, 64, 2), dtype=np.uint8)
     got = ReferenceExecutor().conv_subgraph(x, ConvStep("c", "in", "out", 64, 2, 1100, pool=True),
                                             bundle, None)
@@ -425,7 +425,7 @@ def test_pooled_reference_step_checks_the_bound_before_the_pool():
     # 0: a check after the pool would never see it.
     weights = WeightMatrix(4, 600, np.zeros((4, 600), dtype=np.uint8))
     bundle = SimpleNamespace(tables={"c": ThresholdTable(tuple(range(1, 16)))},
-                             weights={"c": weights})
+                             weights={"c": weights}, code_books={})
     step = ConvStep("c", "in", "out", 2, 600, 4, pool=True)
     x = np.zeros((2, 2, 600), dtype=np.uint8)
     assert ReferenceExecutor().conv_subgraph(x, step, bundle, None).tolist() == [[[0] * 4]]
@@ -443,7 +443,7 @@ def test_code_book_step_gives_every_pixel_the_codes_of_the_lookup(c, pool):
     x = rng.permutation(pixels).reshape(2, -1, c)
     weights = WeightMatrix(7, c, rng.integers(0, 16, size=(7, c), dtype=np.uint8))
     table = ThresholdTable(tuple(sorted(rng.choice(np.arange(-200, 200), 15, replace=False))))
-    bundle = SimpleNamespace(tables={"c": table}, weights={"c": weights})
+    bundle = SimpleNamespace(tables={"c": table}, weights={"c": weights}, code_books={})
     step = ConvStep("c", "in", "out", x.shape[1], c, 7, pool=pool)
     want = table.apply(conv1x1(x, weights))
     got = ReferenceExecutor().conv_subgraph(x, step, bundle, None)

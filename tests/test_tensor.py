@@ -256,10 +256,11 @@ def test_check_accumulators_returns_the_peak_magnitude():
     assert check_accumulators(np.array([3, -7, 5], dtype=ACC_DTYPE)) == 7
     assert check_accumulators(np.array([[ACC_LIMIT], [-2]], dtype=ACC_DTYPE)) == ACC_LIMIT
     assert check_accumulators(np.zeros(0, dtype=ACC_DTYPE)) == 0
+    assert isinstance(check_accumulators(np.array([3, -7], dtype=ACC_DTYPE)), int)
     # the most negative int32 has no int32 magnitude; the peak is exact anyway
     lowest = np.iinfo(ACC_DTYPE).min
-    peak = check_accumulators(np.array([1, lowest], dtype=ACC_DTYPE), limit=2**31)
-    assert peak == 2**31 and isinstance(peak, int)
+    with pytest.raises(ValidationError, match="^accumulator magnitude 2147483648 exceeds"):
+        check_accumulators(np.array([1, lowest], dtype=ACC_DTYPE))
 
 
 def test_check_accumulators_catches_the_most_negative_int32():
