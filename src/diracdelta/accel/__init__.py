@@ -16,7 +16,7 @@ from .subgraph import (
     run_subgraph,
     shift_pass,
 )
-from .units import PoolLane, ShiftLane, shuffle_writeback
+from .units import PoolLane, ShiftLane
 
 __all__ = [
     "SCHEDULERS",
@@ -37,5 +37,4 @@ __all__ = [
     "shift_pass",
     "PoolLane",
     "ShiftLane",
-    "shuffle_writeback",
 ]

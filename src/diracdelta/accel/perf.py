@@ -3,10 +3,12 @@
 The model is deliberately small: a conv subgraph costs its MAC cycles on a
 32x32 tile array or its DRAM traffic at the board bandwidth, whichever
 dominates; fused pooling, shifting, and re-quantization ride along for free;
-the channel shuffle costs a host-side copy of the skip half; weights are
-fetched once per engine invocation and amortize over the batch.
-`CostModelParams` describes the board for the simulator (`accel.subgraph`)
-too, which streams its tiles and reports `map_bytes` and `weight_bytes`.
+the channel shuffle costs a host-side copy of the skip half (`copy_bytes`,
+timed by `CostModelParams.copy_s`); weights are fetched once per engine
+invocation and amortize over the batch. `CostModelParams` describes the
+board for the simulator (`accel.subgraph`) too, which streams its tiles and
+reports `map_bytes`, `weight_bytes` and `copy_bytes`. A report whose figures
+are not all finite is refused.
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ from dataclasses import dataclass, fields, replace
 from ..errors import ConfigurationError
 from ..net import (
     ConvStep,
-    HeadStep,
     NetworkSpec,
     PoolStep,
     ShiftStep,
@@ -87,14 +88,15 @@ class CostModelParams:
         """
         return self.dram_bandwidth * oc_total * 2
 
-
-_INT_FIELDS = {"cycles_per_ic_iter", "ic_parallel", "oc_parallel"}
+    def copy_s(self, n_bytes: int) -> float:
+        """Host seconds of ``n_bytes`` of shuffle copy, after the overlap credit."""
+        return n_bytes / self.host_memcpy_bytes_per_s * (1.0 - self.memcpy_overlap)
 
 
 def load_cost_config(path, base: CostModelParams = None) -> CostModelParams:
     """Read `key = value` lines (# comments allowed) over the defaults."""
     params = base if base is not None else CostModelParams()
-    known = {f.name for f in fields(CostModelParams)}
+    types = {f.name: type(f.default) for f in fields(CostModelParams)}
     overrides = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -112,12 +114,12 @@ def load_cost_config(path, base: CostModelParams = None) -> CostModelParams:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in known:
+        if key not in types:
             raise ConfigurationError(
                 f"{path}:{lineno}: unknown cost parameter {key!r}"
             )
         try:
-            overrides[key] = int(value) if key in _INT_FIELDS else float(value)
+            overrides[key] = types[key](value)
         except ValueError as e:
             raise ConfigurationError(
                 f"{path}:{lineno}: bad value for {key}: {value!r}"
@@ -169,6 +171,19 @@ def weight_bytes(in_channels: int, out_channels: int, params: CostModelParams) -
             * blocked_channel_count(out_channels, params.oc_parallel) // 2)
 
 
+def copy_bytes(shape) -> int:
+    """Host copy bytes of a concat-shuffle with a (height, width, channels) skip half.
+
+    `ops.concat_shuffle` rotates the concatenation left by a quarter, which
+    leaves the residual half contiguous at channel offset C/4 of the C-channel
+    output, so the engine stores it there at one base offset. The skip half
+    lands as two wrapped chunks (its first quarter at offset 3C/4, its second
+    at offset 0), which the host copies: half a byte per 4-bit code.
+    """
+    h, w, c = shape
+    return h * w * c // 2
+
+
 def step_cost(step, params: CostModelParams) -> SubgraphCost:
     if isinstance(step, ConvStep):
         cycles = conv_cycles(step, params)
@@ -178,10 +193,7 @@ def step_cost(step, params: CostModelParams) -> SubgraphCost:
         s, out_s = step.spatial, step.out_spatial
         act = map_bytes((s, s, step.in_channels), params) + map_bytes((out_s, out_s, out_c), params)
         dram_s = act / params.dram_bandwidth
-        memcpy = 0
-        if step.shuffle_with:
-            s = step.out_spatial
-            memcpy = s * s * step.out_channels // 2
+        memcpy = copy_bytes((out_s, out_s, step.out_channels)) if step.shuffle_with else 0
         return SubgraphCost(step.name, "conv", cycles, compute_s, act, w_bytes,
                             dram_s, memcpy, max(compute_s, dram_s))
     if isinstance(step, (PoolStep, ShiftStep)):
@@ -214,29 +226,14 @@ class FrameCost:
 
 
 def frame_cost(spec: NetworkSpec, params: CostModelParams) -> FrameCost:
-    costs = []
-    for step in compile_steps(spec):
-        if isinstance(step, HeadStep):
-            continue
-        if isinstance(step, (ConvStep, PoolStep, ShiftStep)):
-            costs.append(step_cost(step, params))
+    costs = [step_cost(step, params) for step in compile_steps(spec)
+             if isinstance(step, (ConvStep, PoolStep, ShiftStep))]
     engine_s = sum(c.step_s for c in costs)
-    memcpy_s = (
-        sum(c.memcpy_bytes for c in costs)
-        / params.host_memcpy_bytes_per_s
-        * (1.0 - params.memcpy_overlap)
-    )
-    weight_bytes = sum(c.weight_bytes for c in costs)
+    memcpy_s = params.copy_s(sum(c.memcpy_bytes for c in costs))
     host_s = params.host_head_s
-    return FrameCost(
-        steps=tuple(costs),
-        engine_s=engine_s,
-        memcpy_s=memcpy_s,
-        host_s=host_s,
-        weight_bytes=weight_bytes,
-        calls=len(costs),
-        frame_s=engine_s + memcpy_s + host_s,
-    )
+    return FrameCost(steps=tuple(costs), engine_s=engine_s, memcpy_s=memcpy_s, host_s=host_s,
+                     weight_bytes=sum(c.weight_bytes for c in costs), calls=len(costs),
+                     frame_s=engine_s + memcpy_s + host_s)
 
 
 @dataclass(frozen=True)
@@ -328,25 +325,15 @@ def layer_roofline(spec: NetworkSpec, params: CostModelParams) -> tuple:
     compute_roof / (2 * bandwidth) output channels are memory-bound.
     """
     rows = []
-    comp = params.compute_roof_macs_per_s
     for step in compile_steps(spec):
         if not isinstance(step, ConvStep):
             continue
         cost = step_cost(step, params)
-        mem = params.memory_roof_macs_per_s(step.out_channels)
-        att = min(comp, mem)
-        rows.append(
-            LayerRoofline(
-                name=step.name,
-                oc_total=step.out_channels,
-                macs=step.macs,
-                cycles=cost.cycles,
-                dram_bytes=cost.act_bytes + cost.weight_bytes,
-                memcpy_bytes=cost.memcpy_bytes,
-                attainable_macs=att,
-                bound="compute" if att == comp else "memory",
-            )
-        )
+        roof = roofline(params, step.out_channels)
+        rows.append(LayerRoofline(
+            name=step.name, oc_total=step.out_channels, macs=step.macs, cycles=cost.cycles,
+            dram_bytes=cost.act_bytes + cost.weight_bytes, memcpy_bytes=cost.memcpy_bytes,
+            attainable_macs=roof.attainable_macs, bound=roof.bound))
     return tuple(rows)
 
 
@@ -377,15 +364,14 @@ def block_breakdown(params: CostModelParams, spatial: int, channels: int) -> Blo
     conv1 = ConvStep("ablate_conv1", "a", "b", spatial, half, channels)
     conv2 = ConvStep("ablate_conv2", "b", "c", spatial, channels, half)
     base = step_cost(conv1, params).step_s + step_cost(conv2, params).step_s
-    memcpy = spatial * spatial * half // 2
-    memcpy_s = memcpy / params.host_memcpy_bytes_per_s * (1.0 - params.memcpy_overlap)
+    memcpy = copy_bytes((spatial, spatial, half))
     return BlockAblation(
         spatial=spatial,
         channels=channels,
         conv_s=base,
         with_pool_s=base,
         with_shift_s=base,
-        with_shuffle_s=base + memcpy_s,
+        with_shuffle_s=base + params.copy_s(memcpy),
         memcpy_bytes=memcpy,
     )
 
@@ -450,7 +436,13 @@ class PerfReport:
 
 def build_report(spec: NetworkSpec, params: CostModelParams,
                  batches=(1, 2, 4, 8, 16, 32)) -> PerfReport:
-    return PerfReport(
+    """The report of ``spec``; a figure that is not finite is a `ConfigurationError`.
+
+    The check covers every float of `to_dict`, params first and then in the
+    text's order, so the error names the first figure the text would print
+    as ``inf`` or ``nan``.
+    """
+    report = PerfReport(
         params=params,
         summary=roofline(params),
         layers=layer_roofline(spec, params),
@@ -460,3 +452,12 @@ def build_report(spec: NetworkSpec, params: CostModelParams,
             block_breakdown(params, 7, 512),
         ),
     )
+    rows = [("params", params), ("roofline", report.summary)] + [
+        (f"{section}[{i}]", row) for section in ("layers", "batches", "ablations")
+        for i, row in enumerate(getattr(report, section))]
+    for where, row in rows:
+        for key, value in vars(row).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(
+                    f"cost model figure {where}.{key} is {value}: a cost model rate is out of range")
+    return report

@@ -7,12 +7,15 @@ byte). One engine invocation runs a fused subgraph: load a blocked activation
 tensor from DRAM, multiply-accumulate it against weight tiles into an
 output-stationary register file, re-quantize through the threshold
 comparators, optionally pool and shift on the way out, and store the result
-(optionally shuffled with a skip tensor) back to DRAM.
+back to DRAM, optionally concat-shuffled with a skip tensor by
+`ops.concat_shuffle`: the engine stores the residual half at one channel
+offset and the host copies the skip half.
 
 The tiles are those of the cost model's `CostModelParams` (``ic_parallel``
-by ``oc_parallel``, 32x32 by default), and the stored map and weight bytes
-are its `perf.map_bytes` and `perf.weight_bytes`; only the activation read
-is counted from the blocked array the loader streams.
+by ``oc_parallel``, 32x32 by default), and the stored map, weight and copy
+bytes are its `perf.map_bytes`, `perf.weight_bytes` and `perf.copy_bytes`;
+only the activation read is counted from the blocked array the loader
+streams.
 
 The stages are independent processes joined by FIFOs of `FIFO_CAPACITY`
 whole rows (one item per row and input channel block on the loader edge),
@@ -35,6 +38,7 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..net import ConvStep
+from ..ops import concat_shuffle
 from ..quant import ThresholdTable
 from ..tensor import (
     ACC_DTYPE,
@@ -45,8 +49,8 @@ from ..tensor import (
     check_f32_exact,
 )
 from .fifo import FifoChannel, run_network
-from .perf import CostModelParams, map_bytes, weight_bytes
-from .units import PoolLane, ShiftLane, shuffle_writeback
+from .perf import CostModelParams, copy_bytes, map_bytes, weight_bytes
+from .units import PoolLane, ShiftLane
 
 
 # Rows each FIFO holds: double buffering, the depth every stage is built for.
@@ -203,7 +207,8 @@ def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
 
     output = np.stack(sink)
     if shuffle_with is not None:
-        output, stats.memcpy_bytes = shuffle_writeback(output, shuffle_with)
+        output = concat_shuffle(shuffle_with, output)
+        stats.memcpy_bytes = copy_bytes(shuffle_with.shape)
     stats.dram_write_bytes = map_bytes(output.shape, params)
     if pool_lane is not None:
         stats.pool_occupancy = pool_lane.max_occupancy

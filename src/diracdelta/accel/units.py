@@ -1,6 +1,7 @@
-"""Hardware unit models: pooling and shift line buffers and the shuffle
-writeback. Re-quantization is `ThresholdTable.apply`; its comparator forms
-live with the test oracles.
+"""Hardware unit models: the pooling and shift line buffers. Re-quantization
+is `ThresholdTable.apply`, whose comparator forms live with the test oracles;
+the shuffle writeback is `ops.concat_shuffle`, whose copy traffic is
+`perf.copy_bytes`.
 
 Every unit takes and returns uint8 code arrays, as the engines carry them;
 nothing here packs nibbles.
@@ -137,36 +138,3 @@ class ShiftLane:
         self._window = []
         return rows
 
-
-# =========================================================================
-# shuffle writeback
-# =========================================================================
-
-def shuffle_writeback(residual: np.ndarray, skip: np.ndarray):
-    """Realize concat-shuffle as addressed writes plus a host copy.
-
-    The rotated concatenation leaves the residual half contiguous at channel
-    offset C/4 of the output, so the engine stores it there directly. The
-    skip half lands as two wrapped chunks (its first quarter at offset 3C/4,
-    its second at offset 0), which the host copies; the returned byte count
-    is that copy traffic, half a byte per 4-bit code.
-    """
-    if skip.shape[:2] != residual.shape[:2]:
-        raise ShapeError(
-            f"branch spatial sizes differ: {skip.shape[:2]} vs {residual.shape[:2]}"
-        )
-    h, w, half = skip.shape
-    if half != residual.shape[2]:
-        raise ShapeError(
-            f"branch channel counts differ: {half} vs {residual.shape[2]}"
-        )
-    c = 2 * half
-    if c % 4:
-        raise ShapeError(f"concatenated channel count {c} must be divisible by 4")
-    q = c // 4
-    out = np.zeros((h, w, c), dtype=np.uint8)
-    out[:, :, q : q + half] = residual      # engine writeback, one base offset
-    out[:, :, 3 * q :] = skip[:, :, :q]     # host copy, wrapped chunk 1
-    out[:, :, :q] = skip[:, :, q:]          # host copy, wrapped chunk 2
-    memcpy_bytes = h * w * half // 2
-    return out, memcpy_bytes

@@ -48,23 +48,16 @@ from .errors import ConstructionError, DegenerateScaleError, DomainError, Valida
 from .tensor import ACC_LIMIT, CODE_MAX
 
 
-def _scalar_in(x) -> bool:
-    return np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
-
-
 def quantize_uniform(x):
     """Nearest level of {i / 15} for x in [0, 1], returning the code i.
 
-    Ties round up. Scalar in, int out; array in, int64 array out.
+    Ties round up. Array in, int64 array of the same shape out.
     """
     xs = np.asarray(x, dtype=np.float64)
     # written so that NaN, which fails every comparison, is refused too
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise DomainError("input to the uniform quantizer must lie in [0, 1]")
-    codes = np.floor(xs * CODE_MAX + 0.5).astype(np.int64)
-    if _scalar_in(x):
-        return int(codes)
-    return codes
+    return np.floor(xs * CODE_MAX + 0.5).astype(np.int64)
 
 
 def quantize_weights(w):
@@ -86,10 +79,10 @@ def quantize_weights(w):
 
 
 def pact_clip(x, alpha: float):
-    """Clip x to [0, alpha]."""
+    """Clip x to [0, alpha], elementwise."""
     if not alpha > 0:
         raise DomainError(f"clip bound alpha must be positive, got {alpha}")
-    return np.minimum(np.maximum(x, 0.0), alpha) if not _scalar_in(x) else min(max(x, 0.0), alpha)
+    return np.minimum(np.maximum(x, 0.0), alpha)
 
 
 @dataclass(frozen=True)
@@ -133,14 +126,11 @@ class ActQuant(NamedTuple):
 def quantize_activation(x, params: LayerQuantParams, net: NetworkQuantParams) -> ActQuant:
     """Clip to [0, alpha], round onto the code grid, and rescale by s.
 
-    Returns the code and its real value ``(code / 15) * s``.
+    Returns the int64 code array and its real value ``(code / 15) * s``.
     """
     y = pact_clip(x, params.alpha)
     code = quantize_uniform(np.asarray(y, dtype=np.float64) / params.alpha)
-    value = (np.asarray(code, dtype=np.float64) / CODE_MAX) * net.s
-    if _scalar_in(x):
-        return ActQuant(int(np.asarray(code)), float(value))
-    return ActQuant(code, value)
+    return ActQuant(code, code / CODE_MAX * net.s)
 
 
 def accumulator_scale(params: LayerQuantParams, net: NetworkQuantParams) -> float:

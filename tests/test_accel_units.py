@@ -1,5 +1,5 @@
 """Row lanes against their pixel-serial oracles, the conversion unit oracles,
-shuffle writeback, and FIFOs."""
+the shuffle's copy traffic, and FIFOs."""
 import pickle
 import threading
 import time
@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from diracdelta.accel.fifo import FifoChannel, run_network, run_round_robin, run_threaded
-from diracdelta.accel.units import PoolLane, ShiftLane, shuffle_writeback
+from diracdelta.accel.perf import copy_bytes
+from diracdelta.accel.units import PoolLane, ShiftLane
 from diracdelta.errors import (
     ConfigurationError,
     ConstructionError,
@@ -244,48 +245,28 @@ def test_row_lanes_equal_the_pixel_serial_oracles(h, w, c):
 # shuffle writeback
 # =========================================================================
 
-def test_writeback_equals_concat_shuffle():
-    rng = np.random.default_rng(80)
-    for h, w, half in [(4, 4, 6), (28, 28, 64), (3, 5, 2)]:
-        skip = rng.integers(0, 16, size=(h, w, half), dtype=np.uint8)
-        res = rng.integers(0, 16, size=(h, w, half), dtype=np.uint8)
-        out, _ = shuffle_writeback(res, skip)
-        np.testing.assert_array_equal(out, concat_shuffle(skip, res))
-
-
 def test_writeback_copy_traffic_for_the_two_shuffle_stages():
     """Early blocks move 4x the bytes of late ones: same code count as volume shrinks."""
     rng = np.random.default_rng(81)
     early_skip = rng.integers(0, 16, size=(28, 28, 64), dtype=np.uint8)
     early_res = rng.integers(0, 16, size=(28, 28, 64), dtype=np.uint8)
-    _, early = shuffle_writeback(early_res, early_skip)
+    assert concat_shuffle(early_skip, early_res).shape == (28, 28, 128)
+    early = copy_bytes(early_skip.shape)
     assert early == 25088
 
     late_skip = rng.integers(0, 16, size=(7, 7, 256), dtype=np.uint8)
     late_res = rng.integers(0, 16, size=(7, 7, 256), dtype=np.uint8)
-    _, late = shuffle_writeback(late_res, late_skip)
+    assert concat_shuffle(late_skip, late_res).shape == (7, 7, 512)
+    late = copy_bytes(late_skip.shape)
     assert late == 6272
     assert early == 4 * late
 
 
 def test_writeback_zero_channels_means_zero_copy():
     empty = np.zeros((4, 4, 0), dtype=np.uint8)
-    out, copied = shuffle_writeback(empty, empty)
-    assert copied == 0
+    out = concat_shuffle(empty, empty)
+    assert copy_bytes(empty.shape) == 0
     assert out.shape[2] == 0
-
-
-def test_writeback_guards():
-    a = np.zeros((2, 2, 4), dtype=np.uint8)
-    b = np.zeros((2, 3, 4), dtype=np.uint8)
-    with pytest.raises(ShapeError, match="spatial sizes differ"):
-        shuffle_writeback(a, b)
-    c = np.zeros((2, 2, 2), dtype=np.uint8)
-    with pytest.raises(ShapeError, match="channel counts differ"):
-        shuffle_writeback(a, c)
-    odd = np.zeros((2, 2, 1), dtype=np.uint8)
-    with pytest.raises(ShapeError, match="divisible by 4"):
-        shuffle_writeback(odd, odd)
 
 
 # =========================================================================

@@ -587,6 +587,25 @@ def test_report_rejects_a_non_finite_cost_config_value(tmp_path, capsys, key, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config,figure", [
+    ("host_memcpy_bytes_per_s = 5e-324\nmemcpy_overlap = 1.0\n", "batches[0].total_s is nan"),
+    ("dram_bandwidth = 1e-320\n", "batches[0].total_s is inf"),
+    ("clock_hz = 5e-324\n", "batches[0].total_s is inf"),
+    ("clock_hz = 1e308\n", "roofline.compute_roof_macs is inf"),
+], ids=["copy-rate-5e-324-overlap-1", "dram-1e-320", "clock-5e-324", "clock-1e308"])
+def test_report_refuses_a_cost_config_whose_figures_are_not_finite(tmp_path, capsys, config,
+                                                                    figure):
+    cfg = tmp_path / "cost.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "r.json"
+    for argv in ([], ["--out", str(out)]):
+        assert cli.main(["report", "--cost-config", str(cfg)] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cost model figure {figure}: ")
+    assert not out.exists()
+
+
 # =========================================================================
 # fuzz gate: every input the CLI reads ends as exit 0, 1 or 2
 # =========================================================================

@@ -9,8 +9,10 @@ weights, the most negative accumulators) or 15, and one `CostModelParams`
 with tiles of 1-64 channels, which both the simulator and the cost model get.
 On a random frame and an all-15 frame, the reference and simulator logits
 must be byte-equal, and every simulator step must move exactly the bytes the
-cost model charges that step. Odd tiles and odd widths are where a channel
-padding mistake would show.
+cost model charges that step. The two sides share the byte formulas of
+`accel/perf.py`, so the activation read and the shuffle copy are also checked
+against closed forms of their own. Odd tiles and odd widths are where a
+channel padding mistake would show.
 """
 import dataclasses
 
@@ -84,5 +86,8 @@ def test_engines_agree_and_traffic_matches_the_cost_model(spec, s, seed, weight_
             read = stats.dram_read_bytes - stats.weight_bytes
             assert read == (step.spatial ** 2
                             * blocked_channel_count(channels, params.ic_parallel) // 2)
+            shuffled = isinstance(step, ConvStep) and step.shuffle_with
+            assert stats.memcpy_bytes == (
+                step.out_spatial ** 2 * step.out_channels // 2 if shuffled else 0), step.name
             assert (read + stats.dram_write_bytes, stats.weight_bytes, stats.memcpy_bytes) == (
                 cost.act_bytes, cost.weight_bytes, cost.memcpy_bytes), step.name

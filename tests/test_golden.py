@@ -1,4 +1,5 @@
-"""Golden digest: the engines' output bytes and simulator statistics, pinned.
+"""Golden digests: the engines' output bytes and simulator statistics, and
+the cost model's report, pinned.
 
 One sha256 covers the reference logits (integer and scaled) and every
 `SubgraphStats` field of every simulator step, in the fixed field order
@@ -6,7 +7,8 @@ below, over a fixed set of networks, quantization scales and frames. A
 refactor that claims the same bytes must leave the value unchanged; a change
 that alters bytes or statistics on purpose says so and pins the new value.
 The simulator's logits must equal the reference's, so they are compared
-rather than hashed twice.
+rather than hashed twice. A second sha256 covers the text and JSON of the
+cost model's report for three fixed (network, params, batches) cases.
 """
 import hashlib
 
@@ -14,6 +16,7 @@ import numpy as np
 
 from conftest import make_tiny_spec, make_two_stage_spec, random_input
 
+from diracdelta.accel.perf import CostModelParams, build_report
 from diracdelta.accel.subgraph import SimulatorExecutor
 from diracdelta.bundle import random_bundle
 from diracdelta.net import build_diracdeltanet, forward
@@ -32,6 +35,7 @@ STATS_FIELDS = (
 )
 
 GOLDEN_SHA256 = "55eac7f33cce488e86a79555c0535036c6ef26a74e9d23e9bcee4d456ffbfe6d"
+REPORT_SHA256 = "e3f0ea0fff8efbad1666d4c9767537def3cd221e99c023a7f1c5d86fa3749099"
 
 
 def _frames(spec):
@@ -66,3 +70,18 @@ def test_engines_reproduce_the_golden_digest():
             for name, stats in sim_ex.log:
                 digest.update(repr((name, _stats_record(stats))).encode())
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_cost_model_report_reproduces_the_golden_digest():
+    odd = CostModelParams(ic_parallel=7, oc_parallel=13, cycles_per_ic_iter=11,
+                          memcpy_overlap=0.5)
+    cases = [
+        build_report(build_diracdeltanet(), CostModelParams()),
+        build_report(build_diracdeltanet(), odd, batches=(1, 3, 32)),
+        build_report(make_tiny_spec(), CostModelParams()),
+    ]
+    digest = hashlib.sha256()
+    for report in cases:
+        digest.update(report.to_text().encode())
+        digest.update(report.to_json().encode())
+    assert digest.hexdigest() == REPORT_SHA256
