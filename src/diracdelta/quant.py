@@ -13,11 +13,12 @@ shared by every layer, branches can be concatenated without rescaling.
 A layer's threshold table folds its clip bound alpha, the shared s, and the
 layer weight scale into 15 integers over the accumulator domain. Looking an
 integer accumulator up in the table (count of thresholds <= acc) reproduces
-the float quantizer exactly; the table is built by bisecting the quantizer
-itself, all 15 targets at once, so the equivalence is bit-for-bit under
-float rounding and the exhaustive sweep test can demand strict equality. A
-table is a pure function of alpha, the weight scale and s, which is why
-bundles store those and rebuild the table on load.
+the float quantizer exactly; the quantizer itself decides every threshold,
+probed once around each code's closed-form boundary (all 15 targets in one
+call), so the equivalence is bit-for-bit under float rounding and the
+exhaustive sweep test can demand strict equality. A table is a pure function
+of alpha, the weight scale and s, which is why bundles store those and
+rebuild the table on load.
 
 At run time a table is not searched. Construction also lays out a uint8
 lookup array over the accumulator window [t_first - 1, t_last], one code per
@@ -212,11 +213,16 @@ def build_threshold_table(params: LayerQuantParams, net: NetworkQuantParams) -> 
     """Derive the integer re-quantization thresholds for one layer.
 
     For each target code i in 1..15 the threshold is the smallest integer
-    accumulator whose quantized activation code reaches i. The search bisects
-    `quantize_activation` itself over [0, ACC_LIMIT] (codes at non-positive
-    accumulators are always 0 because alpha > 0), which makes the table agree
-    with the float path on every representable input by construction. All
-    targets are bisected together, one array of probes per step.
+    accumulator in [1, ACC_LIMIT] whose quantized activation code reaches i
+    (codes at non-positive accumulators are always 0 because alpha > 0).
+    `quantize_activation` itself decides every threshold, so the table agrees
+    with the float path on every representable input by construction. One
+    call probes the top code at ACC_LIMIT and, for each target, the integers
+    c_i - 2 .. c_i + 1 around its closed-form boundary
+    c_i = ceil((i - 1/2) * alpha / (15 * f)). The code never decreases as acc
+    grows, so the probes bracket each boundary; a target whose window
+    straddles it is settled, and the rest (only at extreme scales) are
+    bisected together, one array of probes per step.
 
     Raises `ConstructionError` when the parameters are inconsistent with the
     accumulator range: a boundary beyond ACC_LIMIT (alpha too large for the
@@ -224,20 +230,28 @@ def build_threshold_table(params: LayerQuantParams, net: NetworkQuantParams) -> 
     are skipped).
     """
     f = accumulator_scale(params, net)
-    if quantize_activation(ACC_LIMIT * f, params, net).code < CODE_MAX:
+    targets = np.arange(1, CODE_MAX + 1)
+    # alpha / (15 f) lies in [0, inf], never NaN as alpha is finite and positive,
+    # so the clip below always leaves a finite integer to cast
+    with np.errstate(over="ignore", divide="ignore"):
+        boundary = np.ceil((targets - 0.5) * (params.alpha / np.float64(CODE_MAX * f)))
+    c = np.clip(boundary, 1, ACC_LIMIT).astype(np.int64)
+    window = np.clip(c[:, None] + np.arange(-2, 2), 1, ACC_LIMIT)
+    codes = _codes_at(np.append(window, ACC_LIMIT), f, params, net)
+    if codes[-1] < CODE_MAX:
         raise ConstructionError(
             f"top code unreachable within accumulator range +-{ACC_LIMIT}; "
             f"alpha={params.alpha} is too large for this layer's scales"
         )
-    targets = np.arange(1, CODE_MAX + 1)
-    lo = np.zeros(CODE_MAX, dtype=np.int64)  # code at lo < target <= code at hi
-    hi = np.full(CODE_MAX, ACC_LIMIT, dtype=np.int64)
+    reached = codes[:-1].reshape(window.shape) >= targets[:, None]
+    lo = np.where(reached, 0, window).max(axis=1)  # code at lo < target <= code at hi
+    hi = np.where(reached, window, ACC_LIMIT).min(axis=1)
     while np.any(hi - lo > 1):
         # The code is monotone in acc, so any probe strictly inside (lo, hi]
         # finds the same boundary. The upper midpoint leaves a settled pair
         # (hi = lo + 1) where it is and never probes acc = 0.
         mid = (lo + hi + 1) // 2
-        reached = quantize_activation(mid * f, params, net).code >= targets
+        reached = _codes_at(mid, f, params, net) >= targets
         hi = np.where(reached, mid, hi)
         lo = np.where(reached, lo, mid)
     thresholds = hi.tolist()
@@ -249,3 +263,9 @@ def build_threshold_table(params: LayerQuantParams, net: NetworkQuantParams) -> 
             )
     return ThresholdTable(tuple(thresholds))
 
+
+def _codes_at(accs, f: float, params: LayerQuantParams, net: NetworkQuantParams) -> np.ndarray:
+    """Codes of positive integer accumulators; a product that overflows is +inf, the top code."""
+    with np.errstate(over="ignore"):
+        x = accs * f
+    return quantize_activation(x, params, net).code

@@ -3,7 +3,9 @@
 Each is the straightforward form of something the package computes faster:
 a binary search instead of the threshold lookup array, per-element
 comparator banks instead of the lookup array, one scalar bisection per code
-instead of the array bisection that builds a threshold table, an int64
+over the whole accumulator range instead of the probes around each code's
+closed-form boundary that build a threshold table (a construction that
+shares nothing with the package's but the float quantizer), an int64
 matmul instead of the float32 GEMM, exact rationals instead of the integer
 head pool, int64 bit planes instead of the one-GEMV FC head, an
 operator-by-operator composition that stores every intermediate as a packed
@@ -80,7 +82,7 @@ def conversion_unit(acc, table: ThresholdTable):
 
 def scalar_threshold_table(params: LayerQuantParams, net: NetworkQuantParams,
                            acc_limit: int = ACC_LIMIT) -> ThresholdTable:
-    """`build_threshold_table` as one scalar bisection per target code."""
+    """`build_threshold_table` as one scalar bisection of [0, acc_limit] per target code."""
     f = accumulator_scale(params, net)
 
     def code_at(acc: int) -> int:

@@ -709,3 +709,18 @@ def test_argparse_rejects_unknown_engine_choice():
     proc = _run_module("infer", "--bundle", "x", "--engine", "gpu")
     assert proc.returncode == 2
     assert "invalid choice" in proc.stderr
+
+
+def test_a_table_whose_probes_overflow_validates_with_an_empty_stderr(bundle_dir, tmp_path,
+                                                                      capsys):
+    # acc * weight_scale * s / 15 overflows to inf for most accumulators of
+    # this layer; the table still builds, and no numpy warning reaches stderr
+    assert cli.main(["validate", "--bundle", str(bundle_dir)]) == 0
+    want = capsys.readouterr().out
+    root = tmp_path / "b"
+    shutil.copytree(bundle_dir, root)
+    mf = json.loads((root / "manifest.json").read_text())
+    mf["layers"][1].update(alpha=1e308, weight_scale=1e308)
+    (root / "manifest.json").write_text(json.dumps(mf))
+    proc = _run_module("validate", "--bundle", str(root))
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", want)

@@ -6,20 +6,26 @@ code i sits at the smallest integer accumulator acc with
 ``ceil(alpha * (2i - 1) / (2 * levels * f))`` computed in exact arithmetic.
 """
 import dataclasses
+import hashlib
 import itertools
 import math
+import warnings
 from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import make_tiny_spec, make_two_stage_spec
+from diracdelta import quant
+from diracdelta.bundle import random_bundle
 from diracdelta.errors import (
     ConstructionError,
     DegenerateScaleError,
     DomainError,
     ValidationError,
 )
+from diracdelta.net import NetworkSpec
 from diracdelta.ops import maxpool2x2
 from diracdelta.quant import (
     LayerQuantParams,
@@ -294,6 +300,70 @@ def test_array_bisection_matches_the_scalar_oracle():
         outcomes.append(got[0] if got[0] is ConstructionError else "table")
     assert len(outcomes) == 300
     assert 50 < outcomes.count(ConstructionError) < 250
+
+
+# every float64 scale from the smallest denormal to near the largest finite value
+EXTREME_SCALES = (5e-324, 1e-300, 1e-30, 1e-3, 1 / 15, 0.5, 1.0, 2.0, 30.0, 1e9, 1e30,
+                  1e300, 1.7e308)
+
+
+def _equivalence_cases():
+    """The extreme grid, then boundaries on exact integers and their 1-ulp neighbours.
+
+    alpha = 2k * weight_scale * s puts the boundary of code i at (2i - 1) k in
+    exact arithmetic, so the float quantizer meets a tie there or misses it by
+    an ulp either way.
+    """
+    yield from itertools.product(EXTREME_SCALES, repeat=3)
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        ws, s = 10 ** rng.uniform(-4, 0), 10 ** rng.uniform(-1, 1)
+        alpha = 2 * int(rng.integers(1, 4000)) * ws * s
+        for a in (np.nextafter(alpha, 0.0), alpha, np.nextafter(alpha, np.inf)):
+            yield float(a), float(ws), float(s)
+
+
+def _params(alpha, ws, s):
+    return LayerQuantParams(alpha=alpha, weight_scale=ws), NetworkQuantParams(s=s)
+
+
+def test_tables_and_errors_match_the_pinned_digest():
+    """One sha256 over the thresholds or the error of every equivalence case.
+
+    Pinned on a plain 17-step array bisection of the quantizer over
+    [0, ACC_LIMIT]: any faster construction must reproduce it bit for bit,
+    errors and their order included.
+    """
+    outcomes = [_built_or_error(build_threshold_table, *_params(*case))
+                for case in _equivalence_cases()]
+    assert len(outcomes) == 13 ** 3 + 900
+    assert sum(o[0] is ConstructionError for o in outcomes) == 2026
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "cd6e3b3eaaa22fada2e29a2b44747df5ecabdde410adae6a42afb2708ca2931e"
+
+
+def test_extreme_scales_build_or_refuse_without_a_numpy_warning():
+    # products that overflow to inf, scales that underflow to 0: each case
+    # ends in a table or a ConstructionError, never a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for case in itertools.product(EXTREME_SCALES, repeat=3):
+            _built_or_error(build_threshold_table, *_params(*case))
+
+
+@pytest.mark.parametrize("spec,tables", [(NetworkSpec(), 38), (make_tiny_spec(), 8),
+                                         (make_two_stage_spec(), 15)],
+                         ids=["default", "tiny", "two_stage"])
+def test_each_table_takes_one_quantizer_call(monkeypatch, spec, tables):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return quantize_activation(*args)
+
+    monkeypatch.setattr(quant, "quantize_activation", counting)
+    bundle = random_bundle(spec, NetworkQuantParams(s=1.0), seed=7)
+    assert len(calls) == len(bundle.tables) == tables
 
 
 def test_alpha_too_large_is_rejected():
