@@ -39,8 +39,9 @@ class CostModelParams:
     `memcpy_overlap` is the fraction of shuffle copy time hidden behind
     engine execution, 0 meaning fully serialized. The copy rate default is
     calibrated from measured end-to-end deltas of shuffle-bearing layers. The
-    tile widths are at most `MAX_F32_TERMS`, the widest the simulator's
-    float32 GEMM sums exactly.
+    tile widths are at most `MAX_F32_TERMS`: a tile's partial sum of up to
+    ``ic_parallel`` code products then stays below 2**24, the bound
+    `check_f32_exact` holds every float32 dot product of the engines to.
     """
 
     cycles_per_ic_iter: int = 8
@@ -343,22 +344,21 @@ def layer_roofline(spec: NetworkSpec, params: CostModelParams) -> tuple:
 
 @dataclass(frozen=True)
 class BlockAblation:
-    """Cumulative cost of one basic block as post-ops are fused in."""
+    """Cumulative cost of one basic block: its conv pair, then the shuffle."""
 
     spatial: int
     channels: int
     conv_s: float
-    with_pool_s: float
-    with_shift_s: float
     with_shuffle_s: float
     memcpy_bytes: int
 
 
 def block_breakdown(params: CostModelParams, spatial: int, channels: int) -> BlockAblation:
-    """Basic block at a given size: conv pair, then pool, shift, shuffle.
+    """Basic block at a given size: conv pair, then shuffle.
 
-    Pooling and shifting are pipeline stages and add no engine time. The
-    shuffle adds the host copy of the skip half.
+    Pooling and shifting are pipeline stages that add no engine time, so
+    they have no figure of their own. The shuffle adds the host copy of the
+    skip half.
     """
     half = channels // 2
     conv1 = ConvStep("ablate_conv1", "a", "b", spatial, half, channels)
@@ -369,8 +369,6 @@ def block_breakdown(params: CostModelParams, spatial: int, channels: int) -> Blo
         spatial=spatial,
         channels=channels,
         conv_s=base,
-        with_pool_s=base,
-        with_shift_s=base,
         with_shuffle_s=base + params.copy_s(memcpy),
         memcpy_bytes=memcpy,
     )
@@ -427,7 +425,6 @@ class PerfReport:
         for a in self.ablations:
             lines.append(
                 f"  {a.spatial}x{a.spatial} c{a.channels}: conv {a.conv_s * 1e3:.3f} ms, "
-                f"+pool {a.with_pool_s * 1e3:.3f}, +shift {a.with_shift_s * 1e3:.3f}, "
                 f"+shuffle {a.with_shuffle_s * 1e3:.3f} "
                 f"(copy {a.memcpy_bytes} B)"
             )

@@ -3,8 +3,8 @@
 Like the reference engine, the simulator passes activations as uint8
 ``(height, width, channels)`` code arrays; nibble packing is only their
 storage format, so it appears here solely as byte counts (two codes per
-byte). One engine invocation runs a fused subgraph: load a blocked activation
-tensor from DRAM, multiply-accumulate it against weight tiles into an
+byte). One engine invocation runs a fused subgraph: load an activation map
+from DRAM, multiply-accumulate it against the weights into an
 output-stationary register file, re-quantize through the threshold
 comparators, optionally pool and shift on the way out, and store the result
 back to DRAM, optionally concat-shuffled with a skip tensor by
@@ -12,23 +12,19 @@ back to DRAM, optionally concat-shuffled with a skip tensor by
 offset and the host copies the skip half.
 
 The tiles are those of the cost model's `CostModelParams` (``ic_parallel``
-by ``oc_parallel``, 32x32 by default), and the stored map, weight and copy
-bytes are its `perf.map_bytes`, `perf.weight_bytes` and `perf.copy_bytes`;
-only the activation read is counted from the blocked array the loader
-streams.
+by ``oc_parallel``, 32x32 by default), and they exist only in the byte
+counts: the read, stored map, weight and copy bytes are the cost model's
+`perf.map_bytes`, `perf.weight_bytes` and `perf.copy_bytes`.
 
 The stages are independent processes joined by FIFOs of `FIFO_CAPACITY`
-whole rows (one item per row and input channel block on the loader edge),
-so the computed bytes are identical under any scheduler; what the simulator
-adds over the reference operators is the traffic and occupancy accounting of
-a real run. Each stage works on a whole row at once: the conv stage runs one
-GEMM per row once all its input blocks are in, and the pool and shift lanes
-take rows while reporting the occupancy of the pixel-serial line buffers the
-hardware would build. Input channels are padded to whole tiles, as the
-loader streams them; output tiles exist only in the weight byte count, so
-the conversion, pool, shift and store stages carry exactly the layer's
-output channels. Unlike the reference engine, the simulator converts before
-it pools, in the hardware's order: the line buffer holds 4-bit codes.
+whole rows, so the computed bytes are identical under any scheduler; what
+the simulator adds over the reference operators is the traffic and
+occupancy accounting of a real run. Each stage works on a whole row at
+once: the loader streams one row of the map's real channels per item, the
+conv stage runs one GEMM per row, and the pool and shift lanes take rows
+while reporting the occupancy of the pixel-serial line buffers the hardware
+would build. Unlike the reference engine, the simulator converts before it
+pools, in the hardware's order: the line buffer holds 4-bit codes.
 """
 from __future__ import annotations
 
@@ -43,8 +39,6 @@ from ..quant import ThresholdTable
 from ..tensor import (
     ACC_DTYPE,
     WeightMatrix,
-    blocked_channel_count,
-    blocked_layout,
     check_accumulators,
     check_f32_exact,
 )
@@ -77,41 +71,32 @@ class SubgraphResult:
     stats: SubgraphStats
 
 
-def _weight_slab(weights: WeightMatrix, ic_pad: int) -> np.ndarray:
-    """The (ic_pad, out_channels) float32 slab that a padded input row multiplies.
+def _weight_slab(weights: WeightMatrix) -> np.ndarray:
+    """The (in_channels, out_channels) float32 slab that an input row multiplies.
 
-    Transposed signed weights; the zero padding rows add nothing to any
-    output. Padded output tiles would only produce columns no stage reads, so
-    the slab has none; they exist only in `perf.weight_bytes`. The slab lives
-    for one call: caching it, or `WeightMatrix.effective_f32`, would keep a
-    float32 copy of every layer's weights resident.
+    Transposed signed weights, C-ordered: the GEMM is slower on an F-ordered
+    slab. The slab lives for one call: caching it, or
+    `WeightMatrix.effective_f32`, would keep a float32 copy of every layer's
+    weights resident.
     """
-    slab = np.zeros((ic_pad, weights.out_channels), dtype=np.float32)
-    slab[: weights.in_channels] = weights.effective().T
-    return slab
+    return np.ascontiguousarray(weights.effective().T, dtype=np.float32)
 
 
-def _loader_stage(blocked: np.ndarray, out_fifo: FifoChannel):
-    """Stream the input row by row, revisiting every channel block per row."""
-    for y in range(blocked.shape[1]):
-        for b in range(blocked.shape[0]):
-            yield ("put", out_fifo, blocked[b, y])
+def _loader_stage(x: np.ndarray, out_fifo: FifoChannel):
+    """Stream the input map row by row."""
+    for y in range(x.shape[0]):
+        yield ("put", out_fifo, x[y])
 
 
-def _conv_stage(slab, n_ic, height, stats,
-                in_fifo: FifoChannel, out_fifo: FifoChannel):
+def _conv_stage(slab, height, stats, in_fifo: FifoChannel, out_fifo: FifoChannel):
     """Output-stationary MACs: every pixel keeps all its output partials.
 
     The register file holds one row of pixels with every output channel
-    each. Once all the row's input channel blocks are in, one GEMM of the
-    whole padded input row against the slab updates every output channel;
-    it is exact because `run_subgraph` checks the padded input width.
+    each; one GEMM of the input row against the slab updates all of them.
+    It is exact because `run_subgraph` checks the input width.
     """
     for _y in range(height):
-        blocks = []
-        for _ib in range(n_ic):
-            blocks.append((yield ("get", in_fifo)))
-        row = np.concatenate(blocks, axis=1, dtype=np.float32)
+        row = yield ("get", in_fifo)
         reg = (row @ slab).astype(ACC_DTYPE)
         peak = check_accumulators(reg)
         if peak > stats.max_abs_acc:
@@ -166,12 +151,10 @@ def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
         )
     if pool and (h % 2 or w % 2):
         raise ShapeError(f"pooling needs even spatial dims, got {h}x{w}")
-    ic_pad = blocked_channel_count(c, params.ic_parallel)
-    check_f32_exact(ic_pad, f"padded input width of {ic_pad} channels")
+    check_f32_exact(c, f"input width of {c} channels")
     stats = SubgraphStats()
-    blocked = blocked_layout(x, params.ic_parallel)
     stats.weight_bytes = weight_bytes(c, weights.out_channels, params)
-    stats.dram_read_bytes = blocked.size // 2 + stats.weight_bytes
+    stats.dram_read_bytes = map_bytes(x.shape, params) + stats.weight_bytes
     oc = weights.out_channels
     out_h, out_w = (h // 2, w // 2) if pool else (h, w)
 
@@ -179,9 +162,8 @@ def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
     f_acc = FifoChannel("conv_to_convert", FIFO_CAPACITY)
     fifos = [f_in, f_acc]
     stages = [
-        _loader_stage(blocked, f_in),
-        _conv_stage(_weight_slab(weights, ic_pad), ic_pad // params.ic_parallel, h, stats,
-                    f_in, f_acc),
+        _loader_stage(x, f_in),
+        _conv_stage(_weight_slab(weights), h, stats, f_in, f_acc),
     ]
     pool_lane = PoolLane(w, oc) if pool else None
     shift_lane = ShiftLane(out_w, oc) if shift else None

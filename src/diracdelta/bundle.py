@@ -109,6 +109,11 @@ class ModelBundle:
             )
         if not 0 < self.fc_scale < math.inf:
             raise GraphError(f"fc_scale must be positive and finite, got {self.fc_scale}")
+        top = CODE_MAX * CODE_MAX * self.spec.conv5_channels
+        if not math.isfinite(top * self.fc_scale):
+            raise GraphError(
+                f"fc_scale {self.fc_scale} overflows a logit: {top} * fc_scale is not finite"
+            )
 
 
 _CRC = struct.Struct("<I")

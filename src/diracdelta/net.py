@@ -386,8 +386,8 @@ def forward(bundle, fm: FeatureMap, executor=None) -> ForwardResult:
     standalone pool and shift passes; splits are channel slices. The head
     (global average pool rounded onto the code grid in integers, then the FC
     as one exact float32 GEMV over the weight codes) is host-side arithmetic
-    and is common to every executor. Ties in the class argmax resolve to the
-    lowest index.
+    and is common to every executor. The class is the argmax of the integer
+    logits, ties resolving to the lowest index.
     """
     spec = bundle.spec
     if (fm.height, fm.width) != (spec.input_size, spec.input_size):
@@ -416,5 +416,5 @@ def forward(bundle, fm: FeatureMap, executor=None) -> ForwardResult:
             int_logits = fully_connected(codes, bundle.fc_weights)
             logits = int_logits * bundle.fc_scale
             return ForwardResult(logits=logits, int_logits=int_logits,
-                                 class_index=int(np.argmax(logits)))
+                                 class_index=int(np.argmax(int_logits)))
     raise GraphError("network has no head step")

@@ -1,4 +1,4 @@
-"""4-bit tensors: nibble packing, serialized blobs, and the channel-blocked DRAM layout.
+"""4-bit tensors: nibble packing, serialized blobs, and the channel-blocked DRAM width.
 
 Activations and weights are unsigned 4-bit codes. Inside the engines an
 activation is a uint8 ``(height, width, channels)`` array of codes, one code
@@ -167,21 +167,6 @@ def blocked_channel_count(channels: int, block: int = DEFAULT_BLOCK) -> int:
     if channels == 0:
         return 0
     return ((channels + block - 1) // block) * block
-
-
-def blocked_layout(arr, block: int = DEFAULT_BLOCK) -> np.ndarray:
-    """Codes of a map in DRAM order: a (channel block, y, x, channel within block) array.
-
-    Channels are zero padded up to a whole number of blocks, so a map with
-    fewer channels than ``block`` occupies exactly one padded block. The
-    stored image is this array's codes, two per byte.
-    """
-    a = np.asarray(arr)
-    h, w, c = a.shape
-    cp = blocked_channel_count(c, block)
-    if cp != c:
-        a = np.concatenate([a, np.zeros((h, w, cp - c), dtype=a.dtype)], axis=2)
-    return a.reshape(h, w, cp // block, block).transpose(2, 0, 1, 3)
 
 
 def write_tensor_blob(path, fm: FeatureMap) -> None:

@@ -235,12 +235,6 @@ def test_attainable_never_exceeds_either_roof():
 # block ablation
 # =========================================================================
 
-def test_pool_and_shift_fuse_for_free():
-    a = block_breakdown(CostModelParams(), 28, 128)
-    assert a.with_pool_s == a.conv_s
-    assert a.with_shift_s == a.conv_s
-
-
 def test_shuffle_cost_is_the_host_copy():
     p = CostModelParams()
     a = block_breakdown(p, 28, 128)

@@ -130,6 +130,15 @@ def test_small_tiles_still_bit_exact():
     assert all(d <= FIFO_CAPACITY for d in got.stats.fifo_depths.values())
 
 
+def test_the_loader_fifo_holds_rows_not_channel_tiles():
+    # each row of this map spans two input tiles; the loader FIFO counts one
+    # item per row, where one item per row and tile made it peak at 2
+    fm, wm, table = _random_case(37, 2, 2, 64, 8)
+    got = run_subgraph(fm, wm, table)
+    assert _same(got.output, _reference(fm, wm, table))
+    assert got.stats.fifo_depths["loader_to_conv"] == 1
+
+
 def test_half_tiles_with_pool_and_shift_match_reference():
     fm, wm, table = _random_case(33, 6, 8, 20, 24)
     params = CostModelParams(ic_parallel=16, oc_parallel=16)
@@ -148,14 +157,14 @@ def test_input_tiles_too_wide_for_an_exact_float32_gemm_are_refused():
     run_subgraph(fm, wm, table, CostModelParams(ic_parallel=ic - 1))
 
 
-def test_padded_input_rows_too_wide_for_an_exact_float32_gemm_are_refused():
-    # one GEMM spans the whole padded row: 2 tiles of 40000 are 80000 terms
+def test_input_rows_too_wide_for_an_exact_float32_gemm_are_refused():
+    # one GEMM spans a row's real channels, however many tiles they fill
     fm, wm, table = _random_case(36, 1, 1, 40001, 4)
-    with pytest.raises(ValidationError, match="^padded input width of 80000 channels: "):
-        run_subgraph(fm, wm, table, CostModelParams(ic_parallel=40000))
-    fm, wm, table = _random_case(36, 1, 1, 40000, 4)
     assert _same(run_subgraph(fm, wm, table, CostModelParams(ic_parallel=40000)).output,
                  _reference(fm, wm, table))
+    fm, wm, table = _random_case(36, 1, 1, tensor.MAX_F32_TERMS + 1, 4)
+    with pytest.raises(ValidationError, match="^input width of 74566 channels: "):
+        run_subgraph(fm, wm, table)
 
 
 # =========================================================================

@@ -327,6 +327,37 @@ def test_an_integer_fc_scale_is_read_as_a_float(tiny_bundle_dir, tmp_path, capsy
                        "error: manifest.json field fc.scale is beyond the float range\n")
 
 
+def test_build_refuses_an_s_whose_logits_overflow(tmp_path):
+    # fc_scale follows s; at 1e308 most of the 1000 logits would be inf
+    out = tmp_path / "b"
+    proc = _run_module("build", "--out", str(out), "--s", "1e308")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: fc_scale ")
+    assert proc.stderr.endswith(" overflows a logit: 230400 * fc_scale is not finite\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale,rc", [(1e304, 0), (1e305, 1)], ids=["1e304", "1e305"])
+def test_an_fc_scale_that_overflows_a_logit_fails_validation(tiny_bundle_dir, tmp_path,
+                                                              capsys, scale, rc):
+    # the tiny net's largest |integer logit| is 15 * 15 * 32 = 7200
+    root = tmp_path / "b"
+    shutil.copytree(tiny_bundle_dir, root)
+    mf = json.loads((root / "manifest.json").read_text())
+    (root / "manifest.json").write_text(json.dumps(_set(mf, ("fc", "scale"), scale)))
+    capsys.readouterr()
+    out = tmp_path / "logits.bin"
+    for argv in (["validate"], ["infer", "--engine", "reference", "--out", str(out)],
+                 ["infer", "--engine", "simulator", "--out", str(out)]):
+        assert cli.main(argv + ["--bundle", str(root)]) == rc
+        err = capsys.readouterr().err
+        assert err == ("" if rc == 0 else "error: fc_scale 1e+305 overflows a logit: "
+                       "7200 * fc_scale is not finite\n")
+    assert out.exists() == (rc == 0)
+    if rc == 0:
+        assert np.isfinite(np.frombuffer(out.read_bytes(), "<f8")).all()
+
+
 # =========================================================================
 # infer
 # =========================================================================
@@ -666,9 +697,16 @@ def test_fuzzed_manifests_cost_configs_and_blobs_exit_0_1_or_2(
         root = Path(tmp) / "b"
         shutil.copytree(tiny_bundle_dir, root)
         (root / "manifest.json").write_text(json.dumps(_set(base, path, value)))
-        for argv in (["validate"], ["infer", "--engine", "reference", "--seed", str(seed)],
-                     ["infer", "--engine", "simulator", "--seed", str(seed)]):
-            assert _run(argv + ["--bundle", str(root)]) in (0, 1, 2), argv
+        out = Path(tmp) / "logits.bin"
+        for argv in (["validate"], ["infer", "--engine", "reference", "--seed", str(seed),
+                                    "--out", str(out)],
+                     ["infer", "--engine", "simulator", "--seed", str(seed),
+                      "--out", str(out)]):
+            rc = _run(argv + ["--bundle", str(root)])
+            assert rc in (0, 1, 2), argv
+            if rc == 0 and argv[0] == "infer":
+                assert np.isfinite(np.frombuffer(out.read_bytes(), "<f8")).all(), argv
+                out.unlink()
 
         cfg = Path(tmp) / "cost.cfg"
         values = dict(asdict(CostModelParams()), **{cost_key: cost_value})

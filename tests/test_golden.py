@@ -35,7 +35,7 @@ STATS_FIELDS = (
 )
 
 GOLDEN_SHA256 = "55eac7f33cce488e86a79555c0535036c6ef26a74e9d23e9bcee4d456ffbfe6d"
-REPORT_SHA256 = "e3f0ea0fff8efbad1666d4c9767537def3cd221e99c023a7f1c5d86fa3749099"
+REPORT_SHA256 = "180599fb009df5d71faab361a772e117f7bb03c3cc1484dc9b43440e7e2cfcda"
 
 
 def _frames(spec):

@@ -369,6 +369,17 @@ def test_argmax_ties_resolve_to_lowest_index(tiny_spec, quant_params):
     assert out.class_index == 0
 
 
+def test_the_class_is_the_argmax_of_the_integer_logits(tiny_bundle):
+    # every positive logit overflows to inf, the first of them at class 2;
+    # validate refuses such a bundle, forward still names the integer argmax
+    b = _copy_bundle(tiny_bundle)
+    b.fc_scale = 1e308
+    with np.errstate(over="ignore"):
+        out = forward(b, random_input(b.spec, seed=0))
+    assert int(np.argmax(out.logits)) == 2
+    assert out.class_index == int(np.argmax(out.int_logits)) == 6
+
+
 @pytest.fixture(scope="module")
 def default_bundle():
     return random_bundle(build_diracdeltanet(), NetworkQuantParams(s=1.0), seed=7)

@@ -1,4 +1,4 @@
-"""Nibble packing, tensor containers, blocked DRAM layout, and the accumulator bound."""
+"""Nibble packing, tensor containers, blocked DRAM width, and the accumulator bound."""
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,7 +14,6 @@ from diracdelta.tensor import (
     FeatureMap,
     WeightMatrix,
     blocked_channel_count,
-    blocked_layout,
     check_accumulators,
     pack,
     read_tensor_blob,
@@ -162,7 +161,7 @@ def test_weight_matrix_shape_and_range_errors():
 
 
 # =========================================================================
-# blocked DRAM layout
+# blocked DRAM width
 # =========================================================================
 
 def test_blocked_channel_count():
@@ -173,33 +172,6 @@ def test_blocked_channel_count():
     assert blocked_channel_count(5, block=4) == 8
     with pytest.raises(ValidationError):
         blocked_channel_count(4, block=0)
-
-
-def test_blocked_layout_matches_nested_loop_oracle():
-    """Blob order must be (block index, y, x, channel within block)."""
-    rng = np.random.default_rng(5)
-    arr = rng.integers(0, 16, size=(3, 2, 5), dtype=np.uint8)
-    block = 4
-    padded = np.zeros((3, 2, 8), dtype=np.uint8)
-    padded[:, :, :5] = arr
-    expect = []
-    for nb in range(2):
-        for y in range(3):
-            for x in range(2):
-                for c in range(block):
-                    expect.append(int(padded[y, x, nb * block + c]))
-    assert pack(blocked_layout(arr, block=block).reshape(-1)) == pack(expect)
-
-
-def test_blocked_layout_round_trip_drops_padding():
-    rng = np.random.default_rng(6)
-    for h, w, c, block in [(4, 4, 3, 32), (2, 3, 32, 32), (5, 1, 33, 32), (7, 7, 512, 32)]:
-        arr = rng.integers(0, 16, size=(h, w, c), dtype=np.uint8)
-        blocked = blocked_layout(arr, block=block)
-        assert len(pack(blocked.reshape(-1))) == h * w * blocked_channel_count(c, block) // 2
-        # block-major back to channel-innermost, then drop the padding
-        back = blocked.transpose(1, 2, 0, 3).reshape(h, w, -1)[:, :, :c]
-        np.testing.assert_array_equal(back, arr)
 
 
 # =========================================================================
