@@ -21,10 +21,13 @@ whole rows, so the computed bytes are identical under any scheduler; what
 the simulator adds over the reference operators is the traffic and
 occupancy accounting of a real run. Each stage works on a whole row at
 once: the loader streams one row of the map's real channels per item, the
-conv stage runs one GEMM per row, and the pool and shift lanes take rows
-while reporting the occupancy of the pixel-serial line buffers the hardware
-would build. Unlike the reference engine, the simulator converts before it
-pools, in the hardware's order: the line buffer holds 4-bit codes.
+conv stage runs one exact float32 GEMM per row, which the conversion stage
+hands to `ThresholdTable.apply` as the reference engine hands its own, and
+the pool and shift lanes take rows while reporting the
+occupancy of the pixel-serial line buffers the hardware would build. Unlike
+the reference engine, the simulator converts before it pools, in the
+hardware's order: the line buffer holds 4-bit codes. A standalone pass
+fills its lane with a whole stored map, so it runs the reference operator.
 """
 from __future__ import annotations
 
@@ -34,14 +37,9 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..net import ConvStep
-from ..ops import concat_shuffle
+from .. import ops
 from ..quant import ThresholdTable
-from ..tensor import (
-    ACC_DTYPE,
-    WeightMatrix,
-    check_accumulators,
-    check_f32_exact,
-)
+from ..tensor import WeightMatrix, check_accumulators, check_f32_exact
 from .fifo import FifoChannel, run_network
 from .perf import CostModelParams, copy_bytes, map_bytes, weight_bytes
 from .units import PoolLane, ShiftLane
@@ -93,11 +91,12 @@ def _conv_stage(slab, height, stats, in_fifo: FifoChannel, out_fifo: FifoChannel
 
     The register file holds one row of pixels with every output channel
     each; one GEMM of the input row against the slab updates all of them.
-    It is exact because `run_subgraph` checks the input width.
+    It is exact because `run_subgraph` checks the input width, so the
+    float32 row is the accumulator form the lookup takes.
     """
     for _y in range(height):
         row = yield ("get", in_fifo)
-        reg = (row @ slab).astype(ACC_DTYPE)
+        reg = row @ slab
         peak = check_accumulators(reg)
         if peak > stats.max_abs_acc:
             stats.max_abs_acc = peak
@@ -189,7 +188,7 @@ def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
 
     output = np.stack(sink)
     if shuffle_with is not None:
-        output = concat_shuffle(shuffle_with, output)
+        output = ops.concat_shuffle(shuffle_with, output)
         stats.memcpy_bytes = copy_bytes(shuffle_with.shape)
     stats.dram_write_bytes = map_bytes(output.shape, params)
     if pool_lane is not None:
@@ -200,33 +199,26 @@ def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
     return SubgraphResult(output=output, stats=stats)
 
 
-def _lane_pass(x: np.ndarray, lane, params: CostModelParams, occupancy: str):
-    """Stream a stored tensor through one lane and store the result.
-
-    ``occupancy`` names the `SubgraphStats` field that gets the lane's peak.
-    """
-    rows = [out for row in x for out in lane.feed_row(row)]
-    out = np.stack(rows + lane.finish())
-    stats = SubgraphStats(
-        dram_read_bytes=map_bytes(x.shape, params),
-        dram_write_bytes=map_bytes(out.shape, params),
-        **{occupancy: lane.max_occupancy},
-    )
+def _pass_result(x: np.ndarray, out: np.ndarray, params: CostModelParams, **occupancy):
+    """A standalone pass: ``x`` read, ``out`` stored, and its full lane's occupancy."""
+    stats = SubgraphStats(dram_read_bytes=map_bytes(x.shape, params),
+                          dram_write_bytes=map_bytes(out.shape, params), **occupancy)
     return SubgraphResult(output=out, stats=stats)
 
 
 def pool_pass(x: np.ndarray, params: CostModelParams = CostModelParams()):
     """Standalone pooling of a stored tensor (the downsample skip path)."""
-    h, w, c = x.shape
+    h, w, _c = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"pooling needs even spatial dims, got {h}x{w}")
-    return _lane_pass(x, PoolLane(w, c), params, "pool_occupancy")
+    return _pass_result(x, ops.maxpool2x2(x), params,
+                        pool_occupancy=PoolLane.full_occupancy(w))
 
 
 def shift_pass(x: np.ndarray, params: CostModelParams = CostModelParams()):
     """Standalone shift of a stored tensor (the downsample skip path)."""
-    _h, w, c = x.shape
-    return _lane_pass(x, ShiftLane(w, c), params, "shift_occupancy")
+    return _pass_result(x, ops.shift(x), params,
+                        shift_occupancy=ShiftLane.full_occupancy(x.shape[1]))
 
 
 class SimulatorExecutor:

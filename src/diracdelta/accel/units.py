@@ -52,9 +52,14 @@ class PoolLane:
         self._fed = 0
         self._upper = None
 
+    @staticmethod
+    def full_occupancy(width: int) -> int:
+        """Pixels the line buffer holds once full: the previous row and one pixel."""
+        return width + 1
+
     @property
     def max_occupancy(self) -> int:
-        return min(self._fed, self.width + 1)
+        return min(self._fed, self.full_occupancy(self.width))
 
     def feed_row(self, row) -> list:
         """Push a whole row; returns the completed output row, if any."""
@@ -101,9 +106,14 @@ class ShiftLane:
         self._fed = 0
         self._window = []       # padded rows above and at the next output row
 
+    @staticmethod
+    def full_occupancy(width: int) -> int:
+        """Pixels the line buffer holds once full: two padded rows and one pixel."""
+        return 2 * (width + 2) + 1
+
     @property
     def max_occupancy(self) -> int:
-        return min(self._fed, 2 * self._pad_w + 1)
+        return min(self._fed, self.full_occupancy(self.width))
 
     def _push(self, padded: np.ndarray) -> list:
         self._fed += self._pad_w

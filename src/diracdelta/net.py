@@ -26,8 +26,9 @@ conv subgraphs and the standalone pool and shift passes: `ReferenceExecutor`
 with the plain `ops` operators, or the pipeline simulator in `accel`. The
 reference engine runs a conv of at most three input channels as one gather
 from its code book (the codes of all 16^c pixels, built once per bundle) and
-pools the codes; every other conv keeps its exact float32 GEMM result,
-pools it and indexes the threshold lookup with it. The head's FC is one
+pools the codes; every other conv keeps its exact float32 GEMM result, pools
+it and hands it to `ThresholdTable.apply`, the lookup the simulator's
+conversion stage calls on its own float32 GEMM rows. The head's FC is one
 float32 GEMV over the weight codes. The `ModelBundle` it runs lives in
 `bundle`.
 """
@@ -314,9 +315,10 @@ def code_book(bundle, step: ConvStep) -> np.ndarray:
 
     A read-only uint8 array of shape (16**c, out_channels) for c input
     channels, whose row ``_pixel_index(p)`` holds pixel p's codes. It is
-    built with `conv1x1` and `ThresholdTable.apply`, so `check_accumulators`
-    sees every accumulator any frame through this conv can produce. It is
-    kept in ``bundle.code_books``.
+    built with `conv1x1` and `ThresholdTable.apply`, the accumulators and
+    lookup of every other conv, so `check_accumulators` sees every
+    accumulator any frame through this conv can produce. It is kept in
+    ``bundle.code_books``.
     """
     books = bundle.code_books
     if step.name not in books:
@@ -342,8 +344,8 @@ class ReferenceExecutor:
         codes from its `code_book` and pools the codes. Any other conv keeps
         the float32 GEMM result of `conv1x1`, whose bound is checked before
         the pool, pools it and looks the pooled quarter up with
-        `ThresholdTable.apply_exact_f32`: every value is an exact integer
-        below 2**24, so nothing rounds on the way to the index.
+        `ThresholdTable.apply`: every value is an exact integer below 2**24,
+        so nothing rounds on the way to the index.
         """
         # Row blocks keep every temporary under the 4 MiB at which numpy asks for
         # huge pages; an even count pools on its own.
@@ -355,8 +357,7 @@ class ReferenceExecutor:
             codes = [pool(book.take(_pixel_index(xb), axis=0)) for xb in blocks]
         else:
             table, weights = bundle.tables[step.name], bundle.weights[step.name]
-            codes = [table.apply_exact_f32(pool(conv1x1(xb, weights, np.float32)))
-                     for xb in blocks]
+            codes = [table.apply(pool(conv1x1(xb, weights))) for xb in blocks]
         out = np.concatenate(codes)
         if step.shift:
             out = self.shift_pass(out)

@@ -7,16 +7,18 @@ tests. Every operator takes and returns ``(height, width, channels)`` arrays:
 uint8 codes in the reference engine (and float32 accumulators for the pool
 before a lookup), floats in the float graph of the test oracles
 (`tests/oracles.py`), which shares the pool, shift, shuffle and split
-operators. The conv and the FC are exact float32 GEMMs. The shift has no
-parameters: each channel's direction is fixed by its index. Nibble packing
-happens only at the file and API edges (`FeatureMap`).
+operators. The conv and the FC are exact float32 GEMMs; the conv's float32
+result, every value an integer, is the one accumulator form that both
+engines hand to `ThresholdTable.apply`. The shift has no parameters: each
+channel's direction is fixed by its index. Nibble packing happens only at
+the file and API edges (`FeatureMap`).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .tensor import ACC_DTYPE, CODE_MAX, WeightMatrix, check_accumulators, check_f32_exact
+from .tensor import CODE_MAX, WeightMatrix, check_accumulators, check_f32_exact
 
 
 # Channel c moves along SHIFT_CYCLE[c % 5], given as (dy, dx) with
@@ -25,13 +27,12 @@ from .tensor import ACC_DTYPE, CODE_MAX, WeightMatrix, check_accumulators, check
 SHIFT_CYCLE = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
 
 
-def conv1x1(x: np.ndarray, weights: WeightMatrix, dtype=ACC_DTYPE) -> np.ndarray:
+def conv1x1(x: np.ndarray, weights: WeightMatrix) -> np.ndarray:
     """Integer 1x1 convolution: acc[y, x, o] = sum_i (2*w[o, i] - 15) * a[y, x, i].
 
-    Takes a (height, width, in_channels) code array and returns accumulators
-    of shape (height, width, out_channels): int32 by default, or with
-    ``dtype=np.float32`` the float32 GEMM result itself, whose every value is
-    the same exact integer. The bound is checked on the GEMM result either way.
+    Takes a (height, width, in_channels) code array and returns the float32
+    GEMM result of shape (height, width, out_channels), whose every value is
+    an exact integer; `check_accumulators` has checked its bound.
     """
     h, w, c = x.shape
     if c != weights.in_channels:
@@ -42,7 +43,7 @@ def conv1x1(x: np.ndarray, weights: WeightMatrix, dtype=ACC_DTYPE) -> np.ndarray
     acts = x.astype(np.float32).reshape(-1, c)
     acc = acts @ weights.effective_f32.T
     check_accumulators(acc)
-    return acc.reshape(h, w, weights.out_channels).astype(dtype, copy=False)
+    return acc.reshape(h, w, weights.out_channels)
 
 
 def maxpool2x2(arr: np.ndarray) -> np.ndarray:

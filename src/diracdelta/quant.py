@@ -23,12 +23,12 @@ rebuild the table on load.
 At run time a table is not searched. Construction also lays out a uint8
 lookup array over the accumulator window [t_first - 1, t_last], one code per
 integer: code 0 at t_first - 1, code i over the gap [t_i, t_(i+1)), and the
-top code at t_last. `ThresholdTable.apply` saturates an integer accumulator
-into that window (all below it has code 0, all above it the top code) as an
-intp index, subtracts t_first - 1 and indexes the array.
-`ThresholdTable.apply_exact_f32` shares that lookup for the float32 result
-of an exact float32 GEMM: it clips in float32 and casts once to the index,
-which rounds nothing because every value is an integer below 2^24. The
+top code at t_last. `ThresholdTable.apply` saturates an accumulator into that
+window (all below it has code 0, all above it the top code) in float32, casts
+it once to an intp index, subtracts t_first - 1 and indexes the array. Both
+engines hand it the float32 result of their checked, exact float32 GEMM, so
+every value is an integer below 2^24 and nothing rounds on the way to the
+index; integer inputs are taken too, and saturate at any magnitude. The
 lookup never decreases as acc grows, so it commutes with max pooling.
 Thresholds lie in [-ACC_LIMIT, ACC_LIMIT + 1], which bounds the array at
 2 * ACC_LIMIT + 3 bytes (about 225 KB); the tables of a real layer span a
@@ -178,33 +178,21 @@ class ThresholdTable:
         return len(self.thresholds)
 
     def apply(self, acc) -> np.ndarray:
-        """Vectorized lookup; returns uint8 codes with the input's shape."""
-        arr = np.asarray(acc)
-        if arr.dtype.kind not in "iu":
-            raise ValidationError(f"accumulators must be integers, got dtype {arr.dtype}")
-        if arr.dtype.kind == "u" and arr.dtype.itemsize >= np.dtype(np.intp).itemsize:
-            arr = np.minimum(arr, max(self.thresholds[-1], 0))  # would wrap as an intp
-        return self._look_up(arr, np.intp)
+        """Vectorized lookup; returns uint8 codes with the input's shape.
 
-    def apply_exact_f32(self, acc: np.ndarray) -> np.ndarray:
-        """`apply` for the float32 accumulators of a checked, exact float32 GEMM.
-
-        Every value must be an integer below 2**24 in magnitude, which
-        `tensor.check_f32_exact` guarantees for the GEMM and any max pool of
-        it keeps: the clip into the window runs in float32 and the one cast
-        to an intp index follows it, so neither rounds anything.
+        Takes any integer dtype, or float32 holding integers, as a checked
+        float32 GEMM (`tensor.check_f32_exact`) and its max pool give them.
+        Both ends are clamped in float32 before the one cast to the index:
+        the window's values are exact, and the cast to float32 is monotone,
+        so integers of any magnitude saturate.
         """
-        return self._look_up(acc, np.float32)
-
-    def _look_up(self, arr: np.ndarray, dtype) -> np.ndarray:
-        """Saturate into the window in ``dtype`` as an intp index, offset it, index `_lut`."""
+        arr = np.asarray(acc)
+        if arr.dtype.kind not in "iu" and arr.dtype != np.float32:
+            raise ValidationError(f"accumulators must be integers or float32, got {arr.dtype}")
         base, top = self.thresholds[0] - 1, self.thresholds[-1]
         idx = np.empty(arr.shape, dtype=np.intp)
-        if dtype is np.float32:
-            np.clip(arr, base, top, out=idx, dtype=dtype, casting="unsafe")
-        else:  # np.clip looks up integer limits per call, slow on the simulator's rows
-            np.maximum(arr, base, out=idx, dtype=dtype, casting="unsafe")
-            np.minimum(idx, top, out=idx)
+        # the max/min pair is faster than np.clip on the simulator's short rows
+        np.minimum(np.maximum(arr, base, dtype=np.float32), top, out=idx, casting="unsafe")
         idx -= base
         return self._lut.take(idx)
 

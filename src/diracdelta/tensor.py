@@ -8,9 +8,10 @@ when the count is odd (`FeatureMap`, tensor blobs, weight blobs).
 
 A weight code ``c`` stands for the odd integer ``2*c - 15``, so a dot
 product over the largest channel count in the network is bounded by
-``15 * 15 * 512 = 115200``. That magnitude needs 18 signed bits; accumulators
-here use int32, which leaves headroom, and `check_accumulators` asserts the
-bound wherever accumulators are produced.
+``15 * 15 * 512 = 115200``. Both engines hold an accumulator as the float32
+result of an exact float32 GEMM (`check_f32_exact`), every value an integer,
+and `check_accumulators` asserts the bound wherever accumulators are
+produced.
 """
 from __future__ import annotations
 

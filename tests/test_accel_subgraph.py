@@ -19,6 +19,7 @@ from diracdelta.accel.subgraph import (
     run_subgraph,
     shift_pass,
 )
+from diracdelta.accel.units import PoolLane, ShiftLane
 from diracdelta import tensor
 from diracdelta.bundle import random_bundle
 from diracdelta.errors import ConfigurationError, ShapeError, ValidationError
@@ -270,6 +271,24 @@ def test_shift_pass_matches_reference_with_traffic():
     assert _same(res.output, shift(fm))
     assert res.stats.dram_read_bytes == res.stats.dram_write_bytes
     assert res.stats.shift_occupancy <= 2 * (7 + 2) + 2
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 1), (2, 8, 3), (6, 4, 12), (1, 1, 5), (1, 9, 7),
+                                   (5, 7, 11)])
+def test_standalone_passes_report_what_a_lane_fed_the_whole_map_reports(shape):
+    # a pass feeds its lane every row of the stored map, so the lane's peak is
+    # the line buffer's closed-form full occupancy
+    fm = np.random.default_rng(83).integers(0, 16, size=shape, dtype=np.uint8)
+    h, w, c = shape
+    shift_lane = ShiftLane(w, c)
+    rows = [out for row in fm for out in shift_lane.feed_row(row)] + shift_lane.finish()
+    assert _same(shift_pass(fm).output, np.stack(rows))
+    assert shift_pass(fm).stats.shift_occupancy == shift_lane.max_occupancy
+    if h % 2 == 0 and w % 2 == 0:
+        pool_lane = PoolLane(w, c)
+        rows = [out for row in fm for out in pool_lane.feed_row(row)]
+        assert _same(pool_pass(fm).output, np.stack(rows))
+        assert pool_pass(fm).stats.pool_occupancy == pool_lane.max_occupancy
 
 
 def test_pool_and_shift_passes_count_bytes_in_the_schedule_input_tile():

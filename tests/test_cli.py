@@ -7,6 +7,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -668,9 +669,32 @@ _U32 = st.one_of(st.sampled_from([0, 1, 3, 16, 767, 768, 2**31, 2**32 - 1]),
                  st.integers(0, 2**32 - 1))
 
 
-def _run(argv) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return cli.main(argv)
+def _run(argv) -> tuple:
+    """(exit code, stdout) of one CLI call; stderr is discarded."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(argv)
+    return rc, out.getvalue()
+
+
+def _infer_on_both_engines(tmp: Path, argv) -> None:
+    """Run ``infer argv`` on each engine; both must exit alike, and on exit 0 write
+    the same finite logits, whose maximum is the printed class's logit."""
+    results = []
+    for engine in ("reference", "simulator"):
+        out = tmp / f"{engine}.bin"
+        rc, stdout = _run(["infer", "--engine", engine, "--out", str(out)] + argv)
+        assert rc in (0, 1, 2), engine
+        if rc == 0:
+            logits = np.frombuffer(out.read_bytes(), "<f8")
+            assert np.isfinite(logits).all(), engine
+            printed = int(re.search(r"^class (\d+) logit ", stdout, re.M).group(1))
+            assert logits[printed] == logits.max(), engine
+            out.unlink()
+            results.append((rc, logits.tobytes()))
+        else:
+            results.append((rc, None))
+    assert results[0] == results[1]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=15)
@@ -697,29 +721,20 @@ def test_fuzzed_manifests_cost_configs_and_blobs_exit_0_1_or_2(
         root = Path(tmp) / "b"
         shutil.copytree(tiny_bundle_dir, root)
         (root / "manifest.json").write_text(json.dumps(_set(base, path, value)))
-        out = Path(tmp) / "logits.bin"
-        for argv in (["validate"], ["infer", "--engine", "reference", "--seed", str(seed),
-                                    "--out", str(out)],
-                     ["infer", "--engine", "simulator", "--seed", str(seed),
-                      "--out", str(out)]):
-            rc = _run(argv + ["--bundle", str(root)])
-            assert rc in (0, 1, 2), argv
-            if rc == 0 and argv[0] == "infer":
-                assert np.isfinite(np.frombuffer(out.read_bytes(), "<f8")).all(), argv
-                out.unlink()
+        assert _run(["validate", "--bundle", str(root)])[0] in (0, 1, 2)
+        _infer_on_both_engines(Path(tmp), ["--bundle", str(root), "--seed", str(seed)])
 
         cfg = Path(tmp) / "cost.cfg"
         values = dict(asdict(CostModelParams()), **{cost_key: cost_value})
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
-        assert _run(["report", "--bundle", str(tiny_bundle_dir), "--cost-config", str(cfg)]) \
+        assert _run(["report", "--bundle", str(tiny_bundle_dir), "--cost-config", str(cfg)])[0] \
             in (0, 1, 2)
 
         blob = Path(tmp) / "frame.bin"
         payload = np.random.default_rng(0).integers(0, 256, 384, dtype=np.uint8).tobytes()
         blob.write_bytes((struct.pack("<III", *header) + payload)[:12 + keep])
-        for engine in ("reference", "simulator"):
-            assert _run(["infer", "--bundle", str(tiny_bundle_dir), "--input", str(blob),
-                         "--engine", engine]) in (0, 1, 2)
+        _infer_on_both_engines(Path(tmp), ["--bundle", str(tiny_bundle_dir),
+                                           "--input", str(blob)])
     assert time.perf_counter() - start < 2.0
 
 

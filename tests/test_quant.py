@@ -432,15 +432,16 @@ def test_apply_equals_binary_search_on_the_whole_accumulator_range():
 
 
 def test_float32_lookup_equals_apply_on_the_whole_accumulator_range():
-    # a checked float32 GEMM result holds exact integers: clipping it in float32
-    # and casting once to the index must give apply's codes everywhere
+    # a checked float32 GEMM result holds exact integers, the form both engines
+    # hand to apply: its codes must equal those of the same integers everywhere
     accs32 = np.arange(-ACC_LIMIT - 2, ACC_LIMIT + 3, dtype=np.int32)
     accs_f32 = accs32.astype(np.float32)
     assert np.array_equal(accs_f32.astype(np.int64), accs32)
     for table in _lookup_oracle_tables():
-        got = table.apply_exact_f32(accs_f32.reshape(5, -1, 1))
+        got = table.apply(accs_f32.reshape(5, -1, 1))
         assert got.dtype == np.uint8 and got.shape == (5, accs32.size // 5, 1)
         np.testing.assert_array_equal(got.reshape(-1), table.apply(accs32))
+        np.testing.assert_array_equal(got.reshape(-1), searchsorted_apply(table, accs32))
 
 
 def test_apply_saturates_integer_extremes_without_wrapping():
@@ -460,6 +461,17 @@ def test_apply_saturates_integer_extremes_without_wrapping():
         np.testing.assert_array_equal(got, searchsorted_apply(table, accs))
         assert got.tolist()[1:] == [table.levels] * 5
     assert ThresholdTable(tuple(range(-7, 8))).apply(accs[-2:]).tolist() == [15, 15]
+    # float32 integers at the largest magnitude a float32 GEMM sums exactly,
+    # and on and just beyond each end of the table's window
+    exact = 2**24 - 1
+    for table in _lookup_oracle_tables():
+        base, top = table.thresholds[0] - 1, table.thresholds[-1]
+        ints = np.array([-exact, base - 1, base, base + 1, top - 1, top, top + 1, exact],
+                        dtype=np.int64)
+        got = table.apply(ints.astype(np.float32))
+        np.testing.assert_array_equal(got, searchsorted_apply(table, ints))
+        assert got.tolist()[:3] == [0, 0, 0]
+        assert got.tolist()[-3:] == [table.levels] * 3
 
 
 def test_max_pooling_commutes_with_the_lookup():
@@ -492,6 +504,9 @@ def test_apply_keeps_the_input_shape_and_casts_narrow_integers():
     assert int(table.apply(np.int32(3))) == int(searchsorted_apply(table, 3)) == 11
     with pytest.raises(ValidationError, match="accumulators must be integers"):
         table.apply(np.array([0.5, 1.5]))
+    for dtype in (np.float16, np.bool_):
+        with pytest.raises(ValidationError, match="accumulators must be integers or float32"):
+            table.apply(np.zeros(3, dtype=dtype))
 
 
 def test_table_rejects_thresholds_outside_the_accumulator_range():
