@@ -685,15 +685,15 @@ def _infer_on_both_engines(tmp: Path, argv) -> None:
         out = tmp / f"{engine}.bin"
         rc, stdout = _run(["infer", "--engine", engine, "--out", str(out)] + argv)
         assert rc in (0, 1, 2), engine
+        written = None
         if rc == 0:
-            logits = np.frombuffer(out.read_bytes(), "<f8")
+            written = out.read_bytes()
+            out.unlink()
+            logits = np.frombuffer(written, "<f8")
             assert np.isfinite(logits).all(), engine
             printed = int(re.search(r"^class (\d+) logit ", stdout, re.M).group(1))
             assert logits[printed] == logits.max(), engine
-            out.unlink()
-            results.append((rc, logits.tobytes()))
-        else:
-            results.append((rc, None))
+        results.append((rc, written))
     assert results[0] == results[1]
 
 
