@@ -1,40 +1,3 @@
 """Bit-exact 4-bit DiracDeltaNet inference plus a cycle-level model of its tiled conv pipeline."""
 
 __version__ = "0.1.0"
-
-from .errors import (
-    BundleError,
-    ChecksumError,
-    ConfigurationError,
-    ConstructionError,
-    DeadlockError,
-    DegenerateScaleError,
-    DiracDeltaError,
-    DomainError,
-    GraphError,
-    ShapeError,
-    UnsupportedWidthError,
-    ValidationError,
-)
-from .tensor import ACC_LIMIT, FeatureMap, WeightMatrix, pack, unpack
-
-__all__ = [
-    "ACC_LIMIT",
-    "BundleError",
-    "ChecksumError",
-    "ConfigurationError",
-    "ConstructionError",
-    "DeadlockError",
-    "DegenerateScaleError",
-    "DiracDeltaError",
-    "DomainError",
-    "FeatureMap",
-    "GraphError",
-    "ShapeError",
-    "UnsupportedWidthError",
-    "ValidationError",
-    "WeightMatrix",
-    "pack",
-    "unpack",
-    "__version__",
-]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from ..errors import ConfigurationError
 from ..net import (
@@ -94,9 +94,8 @@ class CostModelParams:
         return n_bytes / self.host_memcpy_bytes_per_s * (1.0 - self.memcpy_overlap)
 
 
-def load_cost_config(path, base: CostModelParams = None) -> CostModelParams:
+def load_cost_config(path) -> CostModelParams:
     """Read `key = value` lines (# comments allowed) over the defaults."""
-    params = base if base is not None else CostModelParams()
     types = {f.name: type(f.default) for f in fields(CostModelParams)}
     overrides = {}
     try:
@@ -125,7 +124,7 @@ def load_cost_config(path, base: CostModelParams = None) -> CostModelParams:
             raise ConfigurationError(
                 f"{path}:{lineno}: bad value for {key}: {value!r}"
             ) from e
-    return replace(params, **overrides)
+    return CostModelParams(**overrides)
 
 
 # =========================================================================

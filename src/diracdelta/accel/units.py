@@ -12,9 +12,11 @@ line buffer the hardware would build: a closed form over the pixels fed so
 far, so tests can pin it against the sizes the RTL would need (width + 1
 pixels for the pooler, two padded rows plus one pixel for the shifter). The
 pixel-serial lanes themselves are the test oracles these must equal. Both
-lanes are built from a row width and a channel count and driven the same
-way: `feed_row` per input row, then `finish` to flush. The shifter's taps
-are fixed by channel index, so neither lane takes any other parameter.
+lanes are built from a row width and a channel count and fed by `feed_row`
+per input row. The pooler completes each output row on an odd input row, so
+it has nothing to flush; the shifter's last row waits for the bottom zero
+ring, which `ShiftLane.finish` pushes. The shifter's taps are fixed by
+channel index, so neither lane takes any other parameter.
 """
 from __future__ import annotations
 
@@ -72,10 +74,6 @@ class PoolLane:
         pair = np.maximum(self._upper, arr)
         self._upper = None
         return [np.maximum(pair[0::2], pair[1::2])]
-
-    def finish(self) -> list:
-        """Nothing to flush: every output row completes on an odd input row."""
-        return []
 
 
 # =========================================================================

@@ -10,7 +10,7 @@ Subcommands:
     validate   load a bundle, verifying checksums and rebuilding its tables
 
 Exit status: 0 on success, 1 on any validation or model error, 2 on I/O
-failures.
+failures and on command-line usage errors (argparse's own exit status).
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from .bundle import (
     read_float_weights,
     save_bundle,
 )
-from .errors import DiracDeltaError, UnsupportedWidthError, ValidationError
+from .errors import DiracDeltaError, ValidationError
 from .net import build_diracdeltanet, count_params_macs, forward
 from .quant import NetworkQuantParams
 from .tensor import FeatureMap, read_tensor_blob
@@ -70,16 +70,6 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_quantize(args: argparse.Namespace) -> int:
-    for name, bits in (("weight", args.w_bits), ("activation", args.a_bits)):
-        if bits > 8:
-            raise UnsupportedWidthError(
-                f"{bits}-bit {name} codes are not storable; the bundle format "
-                "holds codes of at most 8 bits"
-            )
-        if bits != 4:
-            raise UnsupportedWidthError(
-                f"{bits}-bit {name} codes cannot run on the 4-bit engine pipeline"
-            )
     spec = build_diracdeltanet()
     net = NetworkQuantParams(s=args.s)
     floats = read_float_weights(args.weights, spec)
@@ -136,9 +126,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     batches = _parse_batches(args.batch)
     spec = load_bundle(args.bundle).spec if args.bundle is not None else build_diracdeltanet()
-    params = CostModelParams()
-    if args.cost_config is not None:
-        params = load_cost_config(args.cost_config, params)
+    params = (load_cost_config(args.cost_config) if args.cost_config is not None
+              else CostModelParams())
     report = build_report(spec, params, batches=batches)
     if args.out is not None:
         args.out.write_text(report.to_json() if args.out.suffix == ".json" else report.to_text())
@@ -177,8 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="directory of <layer>.bin float32 files")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--w-bits", type=int, default=4)
-    p.add_argument("--a-bits", type=int, default=4)
 
     p = sub.add_parser("infer", help="classify one input tensor")
     p.set_defaults(run=cmd_infer)

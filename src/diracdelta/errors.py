@@ -21,10 +21,6 @@ class DegenerateScaleError(ValidationError):
     """A weight tensor has no usable dynamic range (all zeros)."""
 
 
-class UnsupportedWidthError(ValidationError):
-    """The requested bit width cannot be represented by the storage format."""
-
-
 class ConstructionError(DiracDeltaError):
     """A derived hardware table came out internally inconsistent."""
 

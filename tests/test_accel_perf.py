@@ -299,15 +299,6 @@ def test_load_cost_config(tmp_path):
     assert p.clock_hz == 250e6  # untouched default
 
 
-def test_load_cost_config_over_a_base(tmp_path):
-    cfg = tmp_path / "cost.cfg"
-    cfg.write_text("clock_hz = 300e6\n")
-    base = CostModelParams(cycles_per_ic_iter=10)
-    p = load_cost_config(cfg, base)
-    assert p.clock_hz == 300e6
-    assert p.cycles_per_ic_iter == 10
-
-
 def test_load_cost_config_errors(tmp_path):
     bad_key = tmp_path / "a.cfg"
     bad_key.write_text("warp_speed = 9\n")

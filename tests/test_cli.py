@@ -463,18 +463,19 @@ def test_quantize_builds_a_runnable_bundle(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag,value,fragment",
+    "argv,fragment",
     [
-        ("--w-bits", "32", "32-bit weight codes are not storable"),
-        ("--a-bits", "9", "9-bit activation codes are not storable"),
-        ("--w-bits", "5", "5-bit weight codes cannot run on the 4-bit engine pipeline"),
-        ("--a-bits", "2", "2-bit activation codes cannot run on the 4-bit engine pipeline"),
+        # 4 bits is fixed by the bundle format, so quantize has no width flag
+        (["quantize", "--weights", ".", "--out", "q", "--w-bits", "4"],
+         "unrecognized arguments: --w-bits 4"),
+        (["infer"], "the following arguments are required: --bundle"),
     ],
+    ids=["quantize-w-bits", "infer-without-bundle"],
 )
-def test_quantize_width_policy(tmp_path, capsys, flag, value, fragment):
-    rc = cli.main(["quantize", "--weights", str(tmp_path), "--out",
-                   str(tmp_path / "q"), flag, value])
-    assert rc == 1
+def test_usage_errors_exit_2(capsys, argv, fragment):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
     assert fragment in capsys.readouterr().err
 
 

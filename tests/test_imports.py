@@ -1,0 +1,36 @@
+"""Every module imports on its own, in a fresh interpreter.
+
+The package `__init__` files bind nothing but `__version__`, so a module
+that leans on something another module imported first, or an import cycle
+that only resolves in one order, shows up here rather than in a caller.
+"""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import diracdelta
+
+CHILD = """
+import importlib, pkgutil, sys
+import diracdelta
+
+names = [m.name for m in pkgutil.walk_packages(diracdelta.__path__, "diracdelta.")
+         if m.name != "diracdelta.__main__"]  # it calls sys.exit(main())
+for name in names:
+    for key in [k for k in sys.modules if k == "diracdelta" or k.startswith("diracdelta.")]:
+        del sys.modules[key]
+    importlib.import_module(name)
+print("\\n".join(names))
+"""
+
+
+def test_every_module_imports_standalone():
+    src = str(Path(diracdelta.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", CHILD], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    names = set(proc.stdout.split())
+    assert {"diracdelta.cli", "diracdelta.accel", "diracdelta.accel.perf",
+            "diracdelta.accel.units"} <= names
