@@ -8,7 +8,11 @@ refactor that claims the same bytes must leave the value unchanged; a change
 that alters bytes or statistics on purpose says so and pins the new value.
 The simulator's logits must equal the reference's, so they are compared
 rather than hashed twice. A second sha256 covers the text and JSON of the
-cost model's report for three fixed (network, params, batches) cases.
+cost model's report for three fixed (network, params, batches) cases. A
+third covers the saved bundle directory of two fixed seeded bundles: each
+file's name and bytes, in sorted name order, so the manifest layout and the
+blob framing are pinned across changes, not only between two saves of one
+run.
 """
 import hashlib
 
@@ -18,7 +22,7 @@ from conftest import make_tiny_spec, make_two_stage_spec, random_input
 
 from diracdelta.accel.perf import CostModelParams, build_report
 from diracdelta.accel.subgraph import SimulatorExecutor
-from diracdelta.bundle import random_bundle
+from diracdelta.bundle import random_bundle, save_bundle
 from diracdelta.net import NetworkSpec, build_diracdeltanet, forward
 from diracdelta.quant import NetworkQuantParams
 from diracdelta.tensor import FeatureMap
@@ -36,6 +40,7 @@ STATS_FIELDS = (
 
 GOLDEN_SHA256 = "0bc9048882f33e39aa10b19f75109624849d8260868445cceb8b4a4f3c52b4cb"
 REPORT_SHA256 = "180599fb009df5d71faab361a772e117f7bb03c3cc1484dc9b43440e7e2cfcda"
+BUNDLE_SHA256 = "da2be6a229061b50a4538873bec9d9f13129999b865cb7bd1db8fe7c9c87a70a"
 
 
 def _frames(spec):
@@ -91,3 +96,14 @@ def test_cost_model_report_reproduces_the_golden_digest():
         digest.update(report.to_text().encode())
         digest.update(report.to_json().encode())
     assert digest.hexdigest() == REPORT_SHA256
+
+
+def test_saved_bundles_reproduce_the_golden_digest(tmp_path):
+    digest = hashlib.sha256()
+    for i, spec in enumerate((build_diracdeltanet(), _three_stage_spec())):
+        bundle = random_bundle(spec, NetworkQuantParams(s=1.0), seed=7)
+        root = save_bundle(bundle, tmp_path / f"bundle{i}")
+        for p in sorted(root.iterdir()):
+            digest.update(p.name.encode())
+            digest.update(p.read_bytes())
+    assert digest.hexdigest() == BUNDLE_SHA256
