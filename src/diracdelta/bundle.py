@@ -15,10 +15,12 @@ On disk a bundle is a directory:
 The manifest holds only what the graph cannot supply: the format version,
 the network dimensions, the shared scale and the code widths (both 4, the
 only width the engine runs), one ``{name, alpha, weight_scale}`` row per
-conv step in `compile_steps` order, and the classifier's ``scale``. Layer
-shapes, fused post-ops and blob names follow from the graph that the network
-dimensions compile to, and the tables are rebuilt when the loaded bundle is
-constructed, so no stored value can disagree with another.
+conv step in `compile_steps` order, and the classifier's ``scale``. The
+network object and each row's numbers are the fields of `NetworkSpec` and
+`LayerQuantParams`, written and read back by the dataclasses' own field
+lists. Layer shapes, fused post-ops and blob names follow from the graph
+that the network dimensions compile to, and the tables are rebuilt when the
+loaded bundle is constructed, so no stored value can disagree with another.
 
 `manifest.json` is written with sorted keys and a fixed layout so that the
 same bundle saves byte-identically every time. A manifest field that is
@@ -35,7 +37,7 @@ import shutil
 import struct
 import uuid
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -153,28 +155,13 @@ def save_bundle(bundle: ModelBundle, path) -> Path:
             f"{root} is a non-empty directory without manifest.json, not a bundle "
             "to replace"
         )
-    spec = bundle.spec
-    steps = conv_steps(spec)
+    steps = conv_steps(bundle.spec)
     manifest = {
         "fc": {"scale": bundle.fc_scale},
         "format_version": FORMAT_VERSION,
-        "layers": [
-            {
-                "alpha": bundle.layer_params[step.name].alpha,
-                "name": step.name,
-                "weight_scale": bundle.layer_params[step.name].weight_scale,
-            }
-            for step in steps
-        ],
-        "network": {
-            "conv5_channels": spec.conv5_channels,
-            "input_channels": spec.input_channels,
-            "input_size": spec.input_size,
-            "num_classes": spec.num_classes,
-            "stage_channels": list(spec.stage_channels),
-            "stage_repeats": list(spec.stage_repeats),
-            "stem_channels": list(spec.stem_channels),
-        },
+        "layers": [{"name": step.name, **asdict(bundle.layer_params[step.name])}
+                   for step in steps],
+        "network": asdict(bundle.spec),  # json writes its tuples as lists
         "quant": {"k_a": CODE_BITS, "k_w": CODE_BITS, "s": bundle.net.s},
     }
     root.parent.mkdir(parents=True, exist_ok=True)
@@ -276,15 +263,13 @@ def load_bundle(path) -> ModelBundle:
     if version != FORMAT_VERSION:
         raise BundleError(f"unsupported bundle format_version {version!r}")
     n = _field(manifest, "", "network", "an object")
-    spec = NetworkSpec(
-        input_size=_field(n, "network", "input_size", "an integer"),
-        input_channels=_field(n, "network", "input_channels", "an integer"),
-        stem_channels=tuple(_field(n, "network", "stem_channels", "a list of integers")),
-        stage_channels=tuple(_field(n, "network", "stage_channels", "a list of integers")),
-        stage_repeats=tuple(_field(n, "network", "stage_repeats", "a list of integers")),
-        conv5_channels=_field(n, "network", "conv5_channels", "an integer"),
-        num_classes=_field(n, "network", "num_classes", "an integer"),
-    )
+    dims = {}
+    for f in fields(NetworkSpec):
+        if isinstance(f.default, tuple):
+            dims[f.name] = tuple(_field(n, "network", f.name, "a list of integers"))
+        else:
+            dims[f.name] = _field(n, "network", f.name, "an integer")
+    spec = NetworkSpec(**dims)
     q = _field(manifest, "", "quant", "an object")
     net = NetworkQuantParams(s=_number(q, "quant", "s"))
     for key in ("k_w", "k_a"):
@@ -312,9 +297,7 @@ def load_bundle(path) -> ModelBundle:
             )
         try:
             layer_params[step.name] = LayerQuantParams(
-                alpha=_number(row, where, "alpha"),
-                weight_scale=_number(row, where, "weight_scale"),
-            )
+                **{f.name: _number(row, where, f.name) for f in fields(LayerQuantParams)})
         except DomainError as e:
             raise BundleError(f"manifest.json {where}: {e}") from None
         weights[step.name] = _read_weights(root, step.name, step.out_channels,
@@ -345,6 +328,30 @@ def _read_weights(root: Path, layer: str, out_channels: int, in_channels: int,
     return WeightMatrix.from_packed(buf, out_channels, in_channels)
 
 
+def _assemble(spec: NetworkSpec, net: NetworkQuantParams, layer, alpha) -> ModelBundle:
+    """The bundle whose weights come from ``layer`` and whose clip bounds from ``alpha``.
+
+    ``layer(name, (out, in))`` returns a layer's (`WeightMatrix`, weight
+    scale) and ``alpha(name)`` its clip bound. For each conv step in graph
+    order ``layer`` is called, then ``alpha``; the classifier's ``layer``
+    call comes last, and its weight scale sets ``fc_scale``.
+    """
+    weights = {}
+    layer_params = {}
+    for step in conv_steps(spec):
+        weights[step.name], w_scale = layer(step.name, (step.out_channels, step.in_channels))
+        layer_params[step.name] = LayerQuantParams(alpha=alpha(step.name), weight_scale=w_scale)
+    fc_weights, fc_w_scale = layer("fc", (spec.num_classes, spec.conv5_channels))
+    return ModelBundle(
+        spec=spec,
+        net=net,
+        weights=weights,
+        layer_params=layer_params,
+        fc_weights=fc_weights,
+        fc_scale=fc_w_scale * net.s / CODE_MAX,
+    )
+
+
 def random_bundle(spec: NetworkSpec, net: NetworkQuantParams, seed: int) -> ModelBundle:
     """A structurally valid bundle with seeded random weights.
 
@@ -355,40 +362,12 @@ def random_bundle(spec: NetworkSpec, net: NetworkQuantParams, seed: int) -> Mode
     saves byte-identical bundles.
     """
     rng = np.random.default_rng(seed)
-    w_scale = 1.0 / CODE_MAX
-    weights = {}
-    layer_params = {}
-    for step in conv_steps(spec):
-        codes = rng.integers(0, CODE_MAX + 1,
-                             size=(step.out_channels, step.in_channels), dtype=np.uint8)
-        weights[step.name] = WeightMatrix(step.out_channels, step.in_channels, codes)
-        alpha = net.s * float(rng.uniform(0.5, 1.5))
-        layer_params[step.name] = LayerQuantParams(alpha=alpha, weight_scale=w_scale)
-    fc_codes = rng.integers(0, CODE_MAX + 1,
-                            size=(spec.num_classes, spec.conv5_channels), dtype=np.uint8)
-    fc_weights = WeightMatrix(spec.num_classes, spec.conv5_channels, fc_codes)
-    fc_scale = w_scale * net.s / CODE_MAX
-    return ModelBundle(
-        spec=spec,
-        net=net,
-        weights=weights,
-        layer_params=layer_params,
-        fc_weights=fc_weights,
-        fc_scale=fc_scale,
-    )
 
+    def layer(name, shape):
+        codes = rng.integers(0, CODE_MAX + 1, size=shape, dtype=np.uint8)
+        return WeightMatrix(*shape, codes), 1.0 / CODE_MAX
 
-def _quantize_layer(float_weights: dict, name: str, shape: tuple):
-    """One layer's float (out, in) weights as (`WeightMatrix`, weight scale)."""
-    if name not in float_weights:
-        raise BundleError(f"no float weights supplied for layer {name}")
-    w = np.asarray(float_weights[name], dtype=np.float64)
-    if w.shape != shape:
-        raise BundleError(f"layer {name}: float weights have shape {w.shape}, expected {shape}")
-    if not np.all(np.isfinite(w)):
-        raise BundleError(f"layer {name}: float weights must be finite")
-    codes, w_scale = quantize_weights(w)
-    return WeightMatrix(shape[0], shape[1], codes.astype(np.uint8)), w_scale
+    return _assemble(spec, net, layer, lambda name: net.s * float(rng.uniform(0.5, 1.5)))
 
 
 def quantize_bundle(spec: NetworkSpec, net: NetworkQuantParams, float_weights: dict,
@@ -401,24 +380,19 @@ def quantize_bundle(spec: NetworkSpec, net: NetworkQuantParams, float_weights: d
     be overridden per layer through ``alphas``.
     """
     alphas = alphas or {}
-    weights = {}
-    layer_params = {}
-    for step in conv_steps(spec):
-        weights[step.name], w_scale = _quantize_layer(
-            float_weights, step.name, (step.out_channels, step.in_channels))
-        layer_params[step.name] = LayerQuantParams(
-            alpha=float(alphas.get(step.name, net.s)), weight_scale=w_scale
-        )
-    fc_weights, fc_w_scale = _quantize_layer(float_weights, "fc",
-                                             (spec.num_classes, spec.conv5_channels))
-    return ModelBundle(
-        spec=spec,
-        net=net,
-        weights=weights,
-        layer_params=layer_params,
-        fc_weights=fc_weights,
-        fc_scale=fc_w_scale * net.s / CODE_MAX,
-    )
+
+    def layer(name, shape):
+        if name not in float_weights:
+            raise BundleError(f"no float weights supplied for layer {name}")
+        w = np.asarray(float_weights[name], dtype=np.float64)
+        if w.shape != shape:
+            raise BundleError(f"layer {name}: float weights have shape {w.shape}, expected {shape}")
+        if not np.all(np.isfinite(w)):
+            raise BundleError(f"layer {name}: float weights must be finite")
+        codes, w_scale = quantize_weights(w)
+        return WeightMatrix(*shape, codes.astype(np.uint8)), w_scale
+
+    return _assemble(spec, net, layer, lambda name: float(alphas.get(name, net.s)))
 
 
 def read_float_weights(path, spec: NetworkSpec) -> dict:
