@@ -208,11 +208,8 @@ def _pass_result(x: np.ndarray, out: np.ndarray, params: CostModelParams, **occu
 
 def pool_pass(x: np.ndarray, params: CostModelParams = CostModelParams()):
     """Standalone pooling of a stored tensor (the downsample skip path)."""
-    h, w, _c = x.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"pooling needs even spatial dims, got {h}x{w}")
     return _pass_result(x, ops.maxpool2x2(x), params,
-                        pool_occupancy=PoolLane.full_occupancy(w))
+                        pool_occupancy=PoolLane.full_occupancy(x.shape[1]))
 
 
 def shift_pass(x: np.ndarray, params: CostModelParams = CostModelParams()):

@@ -47,10 +47,12 @@ def conv1x1(x: np.ndarray, weights: WeightMatrix) -> np.ndarray:
 
 
 def maxpool2x2(arr: np.ndarray) -> np.ndarray:
-    """2x2 stride-2 max pooling; a trailing odd row or column is dropped."""
-    h, w = arr.shape[0] // 2, arr.shape[1] // 2
-    rows = np.maximum(arr[0 : 2 * h : 2], arr[1 : 2 * h : 2])
-    return np.maximum(rows[:, 0 : 2 * w : 2], rows[:, 1 : 2 * w : 2])
+    """2x2 stride-2 max pooling of a map whose height and width are even."""
+    h, w = arr.shape[:2]
+    if h % 2 or w % 2:
+        raise ShapeError(f"pooling needs even spatial dims, got {h}x{w}")
+    rows = np.maximum(arr[0::2], arr[1::2])
+    return np.maximum(rows[:, 0::2], rows[:, 1::2])
 
 
 def shift(arr: np.ndarray) -> np.ndarray:

@@ -264,6 +264,12 @@ def test_pool_pass_matches_reference_with_traffic():
         pool_pass(np.zeros((3, 4, 2), dtype=np.uint8))
 
 
+def test_both_executors_refuse_an_odd_map_at_a_pool():
+    for executor in (ReferenceExecutor(), SimulatorExecutor()):
+        with pytest.raises(ShapeError, match="pooling needs even spatial dims, got 3x4"):
+            executor.pool_pass(np.zeros((3, 4, 2), dtype=np.uint8))
+
+
 def test_shift_pass_matches_reference_with_traffic():
     rng = np.random.default_rng(73)
     fm = rng.integers(0, 16, size=(5, 7, 11), dtype=np.uint8)

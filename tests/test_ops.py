@@ -133,13 +133,11 @@ def test_maxpool_matches_nested_loop_oracle():
         )
 
 
-def test_maxpool_drops_trailing_odd_row_and_column():
+def test_maxpool_refuses_odd_spatial_dims():
     rng = np.random.default_rng(32)
-    fm = _random_codes(rng, 5, 7, 2)
-    out = maxpool2x2(fm)
-    assert out.shape[:2] == (2, 3)
-    trimmed = fm[:4, :6]
-    np.testing.assert_array_equal(out, maxpool2x2(trimmed))
+    for h, w in [(5, 7), (3, 4), (4, 3)]:
+        with pytest.raises(ShapeError, match=f"pooling needs even spatial dims, got {h}x{w}"):
+            maxpool2x2(_random_codes(rng, h, w, 2))
 
 
 def test_maxpool_ramp():
