@@ -386,7 +386,8 @@ def quantize_bundle(spec: NetworkSpec, net: NetworkQuantParams, float_weights: d
             raise BundleError(f"no float weights supplied for layer {name}")
         w = np.asarray(float_weights[name], dtype=np.float64)
         if w.shape != shape:
-            raise BundleError(f"layer {name}: float weights have shape {w.shape}, expected {shape}")
+            raise BundleError(
+                f"layer {name}: float weights have shape {w.shape}, expected {shape}")
         if not np.all(np.isfinite(w)):
             raise BundleError(f"layer {name}: float weights must be finite")
         codes, w_scale = quantize_weights(w)

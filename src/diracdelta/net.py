@@ -35,7 +35,7 @@ float32 GEMV over the weight codes. The `ModelBundle` it runs lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -113,10 +113,6 @@ class NetworkSpec:
         return self.input_size // 4
 
     @property
-    def head_spatial(self) -> int:
-        return self.input_size // (4 * (2 ** len(self.stage_channels)))
-
-    @property
     def conv_count(self) -> int:
         """Conv steps in the graph: conv1, conv2, conv5, three per stage, two per block."""
         return 3 + 3 * len(self.stage_channels) + 2 * sum(self.stage_repeats)
@@ -182,9 +178,6 @@ class HeadStep:
     in_channels: int
     num_classes: int
     spatial: int
-
-
-Step = Union[ConvStep, PoolStep, ShiftStep, SplitStep, HeadStep]
 
 
 def compile_steps(spec: NetworkSpec) -> tuple:

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -119,19 +118,13 @@ class LayerQuantParams:
                 raise DomainError(f"{name} must be positive and finite, got {v}")
 
 
-class ActQuant(NamedTuple):
-    code: object
-    value: object
+def quantize_activation(x, params: LayerQuantParams) -> np.ndarray:
+    """Clip to [0, alpha] and round onto the code grid; returns the int64 codes.
 
-
-def quantize_activation(x, params: LayerQuantParams, net: NetworkQuantParams) -> ActQuant:
-    """Clip to [0, alpha], round onto the code grid, and rescale by s.
-
-    Returns the int64 code array and its real value ``(code / 15) * s``.
+    A code stands for the real value ``(code / 15) * s`` of the shared scale s.
     """
     y = pact_clip(x, params.alpha)
-    code = quantize_uniform(np.asarray(y, dtype=np.float64) / params.alpha)
-    return ActQuant(code, code / CODE_MAX * net.s)
+    return quantize_uniform(np.asarray(y, dtype=np.float64) / params.alpha)
 
 
 def accumulator_scale(params: LayerQuantParams, net: NetworkQuantParams) -> float:
@@ -172,10 +165,6 @@ class ThresholdTable:
         lut = np.repeat(np.arange(len(t) + 1).astype(np.uint8), gaps)
         lut.flags.writeable = False
         object.__setattr__(self, "_lut", lut)
-
-    @property
-    def levels(self) -> int:
-        return len(self.thresholds)
 
     def apply(self, acc) -> np.ndarray:
         """Vectorized lookup; returns uint8 codes with the input's shape.
@@ -225,7 +214,7 @@ def build_threshold_table(params: LayerQuantParams, net: NetworkQuantParams) -> 
         boundary = np.ceil((targets - 0.5) * (params.alpha / np.float64(CODE_MAX * f)))
     c = np.clip(boundary, 1, ACC_LIMIT).astype(np.int64)
     window = np.clip(c[:, None] + np.arange(-2, 2), 1, ACC_LIMIT)
-    codes = _codes_at(np.append(window, ACC_LIMIT), f, params, net)
+    codes = _codes_at(np.append(window, ACC_LIMIT), f, params)
     if codes[-1] < CODE_MAX:
         raise ConstructionError(
             f"top code unreachable within accumulator range +-{ACC_LIMIT}; "
@@ -239,7 +228,7 @@ def build_threshold_table(params: LayerQuantParams, net: NetworkQuantParams) -> 
         # finds the same boundary. The upper midpoint leaves a settled pair
         # (hi = lo + 1) where it is and never probes acc = 0.
         mid = (lo + hi + 1) // 2
-        reached = _codes_at(mid, f, params, net) >= targets
+        reached = _codes_at(mid, f, params) >= targets
         hi = np.where(reached, mid, hi)
         lo = np.where(reached, lo, mid)
     thresholds = hi.tolist()
@@ -252,8 +241,8 @@ def build_threshold_table(params: LayerQuantParams, net: NetworkQuantParams) -> 
     return ThresholdTable(tuple(thresholds))
 
 
-def _codes_at(accs, f: float, params: LayerQuantParams, net: NetworkQuantParams) -> np.ndarray:
+def _codes_at(accs, f: float, params: LayerQuantParams) -> np.ndarray:
     """Codes of positive integer accumulators; a product that overflows is +inf, the top code."""
     with np.errstate(over="ignore"):
         x = accs * f
-    return quantize_activation(x, params, net).code
+    return quantize_activation(x, params)

@@ -117,10 +117,6 @@ class FeatureMap:
         codes = unpack(self.packed, self.height * self.width * self.channels)
         return codes.reshape(self.height, self.width, self.channels)
 
-    @property
-    def num_codes(self) -> int:
-        return self.height * self.width * self.channels
-
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
@@ -165,8 +161,6 @@ def blocked_channel_count(channels: int, block: int = DEFAULT_BLOCK) -> int:
     """Channel count after zero padding up to a whole number of blocks."""
     if block < 1:
         raise ValidationError("block must be >= 1")
-    if channels == 0:
-        return 0
     return ((channels + block - 1) // block) * block
 
 

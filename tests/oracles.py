@@ -86,7 +86,7 @@ def scalar_threshold_table(params: LayerQuantParams, net: NetworkQuantParams,
     f = accumulator_scale(params, net)
 
     def code_at(acc: int) -> int:
-        return quantize_activation(acc * f, params, net).code
+        return quantize_activation(acc * f, params)
 
     if code_at(acc_limit) < CODE_MAX:
         raise ConstructionError(

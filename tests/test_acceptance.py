@@ -181,7 +181,7 @@ def test_criterion_05_exhaustive_conversion_sweep():
     table = build_threshold_table(p, NET)
     accs = np.arange(-115200, 115201, dtype=np.int64)
     f = accumulator_scale(p, NET)
-    want = quantize_activation(accs * f, p, NET).code.astype(np.uint8)
+    want = quantize_activation(accs * f, p).astype(np.uint8)
     np.testing.assert_array_equal(table.apply(accs), want)
     tree = conversion_unit(accs, table)
     linear = np.array([conversion_linear(int(a), table.thresholds) for a in accs], dtype=np.uint8)

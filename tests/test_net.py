@@ -60,7 +60,7 @@ def test_default_spec_is_the_published_shape():
     assert spec.conv5_channels == 1024
     assert spec.num_classes == 1000
     assert spec.stem_spatial == 56
-    assert spec.head_spatial == 7
+    assert compile_steps(spec)[-1].spatial == 7
 
 
 def test_spec_rejects_inconsistent_shapes():
@@ -323,7 +323,8 @@ def _hand_wired_tiny_forward(bundle, fm):
     r = conv("s2b0_res_conv1", second, shifted=True)
     x = conv("s2b0_res_conv2", r, skip=first)
     x = conv("conv5", x)
-    codes = documented_head_codes(x, net, bundle.spec.head_spatial)
+    spec = bundle.spec
+    codes = documented_head_codes(x, net, spec.input_size // (4 * 2 ** len(spec.stage_channels)))
     ints = fc_bit_serial(codes, bundle.fc_weights)
     return ints * bundle.fc_scale, ints
 

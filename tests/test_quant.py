@@ -180,31 +180,24 @@ def test_abs_form_close_but_not_trusted_bitwise():
 
 def test_quantize_activation_spots():
     p = LayerQuantParams(alpha=1.0, weight_scale=1.0)
-    net = NetworkQuantParams(s=1.0)
-    assert quantize_activation(-3.0, p, net) == (0, 0.0)
-    assert quantize_activation(5.0, p, net) == (15, 1.0)
-    code, value = quantize_activation(0.97, p, net)
-    assert code == 15 and value == 1.0
-    code, value = quantize_activation(0.5, p, net)
-    assert code == 8
-    assert value == pytest.approx(8 / 15)
+    assert quantize_activation(-3.0, p) == 0
+    assert quantize_activation(5.0, p) == 15
+    assert quantize_activation(0.97, p) == 15
+    assert quantize_activation(0.5, p) == 8
 
 
 def test_quantize_activation_refuses_nan():
     p = LayerQuantParams(alpha=1.0, weight_scale=1.0)
-    net = NetworkQuantParams(s=1.0)
     with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
-        quantize_activation(float("nan"), p, net)
+        quantize_activation(float("nan"), p)
     with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
-        quantize_activation(np.array([0.2, np.nan]), p, net)
+        quantize_activation(np.array([0.2, np.nan]), p)
 
 
-def test_quantize_activation_rescales_by_shared_s():
+def test_quantize_activation_divides_by_alpha():
     p = LayerQuantParams(alpha=2.0, weight_scale=1.0)
-    net = NetworkQuantParams(s=6.0)
-    code, value = quantize_activation(1.0, p, net)
-    assert code == 8  # half of alpha
-    assert value == pytest.approx(6.0 * 8 / 15)
+    assert quantize_activation(1.0, p) == 8  # half of alpha
+    assert quantize_activation(2.0, p) == 15
 
 
 def test_accumulator_scale():
@@ -276,7 +269,7 @@ def test_table_agrees_with_float_quantizer_on_a_sweep():
     table = build_threshold_table(p, net)
     f = accumulator_scale(p, net)
     accs = np.arange(-300, 2000)
-    want = quantize_activation(accs * f, p, net).code
+    want = quantize_activation(accs * f, p)
     np.testing.assert_array_equal(table.apply(accs), want.astype(np.uint8))
 
 
@@ -389,7 +382,7 @@ def test_table_construction_guards():
 
 def test_lookup_semantics():
     table = ThresholdTable(tuple(range(1, 16)))
-    assert table.levels == 15
+    assert len(table.thresholds) == 15
     # thresholds are inclusive: 1 reaches the first one
     assert table.apply(np.array([-10, 0, 1, 15, ACC_LIMIT])).tolist() == [0, 0, 1, 15, 15]
 
@@ -453,13 +446,13 @@ def test_apply_saturates_integer_extremes_without_wrapping():
             got = table.apply(accs)
             np.testing.assert_array_equal(got, searchsorted_apply(table, accs))
             assert got.tolist()[:3] == [0, 0, 0]
-            assert got.tolist()[3:] == [table.levels] * 3
+            assert got.tolist()[3:] == [len(table.thresholds)] * 3
     # uint64 values at and above 2**63 would wrap negative on a cast to int64
     accs = np.array([0, ACC_LIMIT + 2, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64)
     for table in _lookup_oracle_tables():
         got = table.apply(accs)
         np.testing.assert_array_equal(got, searchsorted_apply(table, accs))
-        assert got.tolist()[1:] == [table.levels] * 5
+        assert got.tolist()[1:] == [len(table.thresholds)] * 5
     assert ThresholdTable(tuple(range(-7, 8))).apply(accs[-2:]).tolist() == [15, 15]
     # float32 integers at the largest magnitude a float32 GEMM sums exactly,
     # and on and just beyond each end of the table's window
@@ -471,7 +464,7 @@ def test_apply_saturates_integer_extremes_without_wrapping():
         got = table.apply(ints.astype(np.float32))
         np.testing.assert_array_equal(got, searchsorted_apply(table, ints))
         assert got.tolist()[:3] == [0, 0, 0]
-        assert got.tolist()[-3:] == [table.levels] * 3
+        assert got.tolist()[-3:] == [len(table.thresholds)] * 3
 
 
 def test_max_pooling_commutes_with_the_lookup():

@@ -93,7 +93,7 @@ def test_feature_map_round_trip():
     arr = rng.integers(0, 16, size=(5, 3, 9), dtype=np.uint8)
     fm = FeatureMap.from_array(arr)
     assert (fm.height, fm.width, fm.channels) == (5, 3, 9)
-    assert fm.num_codes == 135
+    assert len(fm.packed) == (135 + 1) // 2
     np.testing.assert_array_equal(fm.to_array(), arr)
 
 
@@ -108,7 +108,6 @@ def test_feature_map_equality_is_byte_equality():
 
 def test_feature_map_zero_channels_is_legal():
     fm = FeatureMap.from_array(np.zeros((4, 4, 0), dtype=np.uint8))
-    assert fm.num_codes == 0
     assert fm.packed == b""
 
 
