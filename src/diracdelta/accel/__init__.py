@@ -1,1 +1,1 @@
-"""Engine-side models: FIFO pipeline, unit lanes, subgraph runs, cost model."""
+"""Engine-side models: FIFO pipeline, subgraph runs with pool and shift stages, cost model."""

@@ -23,11 +23,17 @@ occupancy accounting of a real run. Each stage works on a whole row at
 once: the loader streams one row of the map's real channels per item, the
 conv stage runs one exact float32 GEMM per row, which the conversion stage
 hands to `ThresholdTable.apply` as the reference engine hands its own, and
-the pool and shift lanes take rows while reporting the
-occupancy of the pixel-serial line buffers the hardware would build. Unlike
-the reference engine, the simulator converts before it pools, in the
-hardware's order: the line buffer holds 4-bit codes. A standalone pass
-fills its lane with a whole stored map, so it runs the reference operator.
+the pool and shift stages are line buffers over whole rows. Unlike the
+reference engine, the simulator converts before it pools, in the hardware's
+order: the line buffer holds 4-bit codes.
+
+The occupancies reported are those of the pixel-serial line buffers the
+hardware would build, whose oracles live with the tests: width + 1 pixels
+for the pooler (the previous row and the pixel to its left), and two padded
+rows plus one pixel, 2 * (width + 2) + 1, for the shifter, inside the
+2 * (width + 2) + 2 the hardware reserves. Every stage and every standalone
+pass is fed a whole map, so each buffer fills: the reported figure is its
+closed form, and a standalone pass runs the reference operator.
 """
 from __future__ import annotations
 
@@ -42,7 +48,6 @@ from ..quant import ThresholdTable
 from ..tensor import WeightMatrix, check_accumulators, check_f32_exact
 from .fifo import FifoChannel, run_network
 from .perf import CostModelParams, copy_bytes, map_bytes, weight_bytes
-from .units import PoolLane, ShiftLane
 
 
 # Rows each FIFO holds: double buffering, the depth every stage is built for.
@@ -110,20 +115,53 @@ def _conversion_stage(table: ThresholdTable, height,
         yield ("put", out_fifo, table.apply(acc))
 
 
-def _pool_stage(lane: PoolLane, height, in_fifo: FifoChannel, out_fifo: FifoChannel):
-    for _y in range(height):
-        row = yield ("get", in_fifo)
-        for out in lane.feed_row(row):
-            yield ("put", out_fifo, out)
+def _pool_occupancy(width: int) -> int:
+    """Pixels the pooler's line buffer holds once full: the previous row and one pixel."""
+    return width + 1
 
 
-def _shift_stage(lane: ShiftLane, height, in_fifo: FifoChannel, out_fifo: FifoChannel):
+def _shift_occupancy(width: int) -> int:
+    """Pixels the shifter's line buffer holds once full: two padded rows and one pixel."""
+    return 2 * (width + 2) + 1
+
+
+def _pool_stage(height, in_fifo: FifoChannel, out_fifo: FifoChannel):
+    """2x2 stride-2 max pooling: the max over each row pair, then over column pairs."""
+    for _y in range(height // 2):
+        upper = yield ("get", in_fifo)
+        lower = yield ("get", in_fifo)
+        pair = np.maximum(upper, lower)
+        yield ("put", out_fifo, np.maximum(pair[0::2], pair[1::2]))
+
+
+def _shift_stage(width, height, in_fifo: FifoChannel, out_fifo: FifoChannel):
+    """The fixed shift, `ops.shift`, over a window of three zero-padded rows.
+
+    Output row y draws channel c from the padded row above, at or below it
+    and one column left, at or right, as ``SHIFT_CYCLE[c % 5]`` fixes, so it
+    is complete once row y + 1 arrives; the bottom zero ring completes the
+    last row.
+    """
+    window = []
+
+    def shifted():
+        out = np.empty_like(window[1][1:-1])
+        for k, (dy, dx) in enumerate(ops.SHIFT_CYCLE):
+            out[:, k::5] = window[1 + dy][1 + dx : 1 + dx + width, k::5]
+        del window[0]
+        return out
+
     for _y in range(height):
         row = yield ("get", in_fifo)
-        for out in lane.feed_row(row):
-            yield ("put", out_fifo, out)
-    for out in lane.finish():
-        yield ("put", out_fifo, out)
+        padded = np.zeros((width + 2, row.shape[1]), dtype=row.dtype)
+        padded[1:-1] = row
+        if not window:
+            window.append(np.zeros_like(padded))
+        window.append(padded)
+        if len(window) == 3:
+            yield ("put", out_fifo, shifted())
+    window.append(np.zeros_like(window[-1]))
+    yield ("put", out_fifo, shifted())
 
 
 def _store_stage(height, in_fifo: FifoChannel, sink: list):
@@ -144,6 +182,8 @@ def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
     reference operator composition produces; the stats describe the run.
     """
     h, w, c = x.shape
+    if h == 0 or w == 0:
+        raise ShapeError(f"the map must have at least one row and one column, got {h}x{w}")
     if c != weights.in_channels:
         raise ShapeError(
             f"input has {c} channels, weights expect {weights.in_channels}"
@@ -154,7 +194,6 @@ def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
     stats = SubgraphStats()
     stats.weight_bytes = weight_bytes(c, weights.out_channels, params)
     stats.dram_read_bytes = map_bytes(x.shape, params) + stats.weight_bytes
-    oc = weights.out_channels
     out_h, out_w = (h // 2, w // 2) if pool else (h, w)
 
     f_in = FifoChannel("loader_to_conv", FIFO_CAPACITY)
@@ -164,22 +203,22 @@ def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
         _loader_stage(x, f_in),
         _conv_stage(_weight_slab(weights), h, stats, f_in, f_acc),
     ]
-    pool_lane = PoolLane(w, oc) if pool else None
-    shift_lane = ShiftLane(out_w, oc) if shift else None
 
     f_codes = FifoChannel("convert_to_next", FIFO_CAPACITY)
     fifos.append(f_codes)
     stages.append(_conversion_stage(table, h, f_acc, f_codes))
     tail = f_codes
-    if pool_lane is not None:
+    if pool:
         f_pool = FifoChannel("pool_to_next", FIFO_CAPACITY)
         fifos.append(f_pool)
-        stages.append(_pool_stage(pool_lane, h, tail, f_pool))
+        stages.append(_pool_stage(h, tail, f_pool))
+        stats.pool_occupancy = _pool_occupancy(w)
         tail = f_pool
-    if shift_lane is not None:
+    if shift:
         f_shift = FifoChannel("shift_to_store", FIFO_CAPACITY)
         fifos.append(f_shift)
-        stages.append(_shift_stage(shift_lane, out_h, tail, f_shift))
+        stages.append(_shift_stage(out_w, out_h, tail, f_shift))
+        stats.shift_occupancy = _shift_occupancy(out_w)
         tail = f_shift
     sink = []
     stages.append(_store_stage(out_h, tail, sink))
@@ -191,16 +230,12 @@ def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
         output = ops.concat_shuffle(shuffle_with, output)
         stats.memcpy_bytes = copy_bytes(shuffle_with.shape)
     stats.dram_write_bytes = map_bytes(output.shape, params)
-    if pool_lane is not None:
-        stats.pool_occupancy = pool_lane.max_occupancy
-    if shift_lane is not None:
-        stats.shift_occupancy = shift_lane.max_occupancy
     stats.fifo_depths = {f.name: f.max_depth for f in fifos}
     return SubgraphResult(output=output, stats=stats)
 
 
 def _pass_result(x: np.ndarray, out: np.ndarray, params: CostModelParams, **occupancy):
-    """A standalone pass: ``x`` read, ``out`` stored, and its full lane's occupancy."""
+    """A standalone pass: ``x`` read, ``out`` stored, and its full line buffer's occupancy."""
     stats = SubgraphStats(dram_read_bytes=map_bytes(x.shape, params),
                           dram_write_bytes=map_bytes(out.shape, params), **occupancy)
     return SubgraphResult(output=out, stats=stats)
@@ -209,13 +244,13 @@ def _pass_result(x: np.ndarray, out: np.ndarray, params: CostModelParams, **occu
 def pool_pass(x: np.ndarray, params: CostModelParams = CostModelParams()):
     """Standalone pooling of a stored tensor (the downsample skip path)."""
     return _pass_result(x, ops.maxpool2x2(x), params,
-                        pool_occupancy=PoolLane.full_occupancy(x.shape[1]))
+                        pool_occupancy=_pool_occupancy(x.shape[1]))
 
 
 def shift_pass(x: np.ndarray, params: CostModelParams = CostModelParams()):
     """Standalone shift of a stored tensor (the downsample skip path)."""
     return _pass_result(x, ops.shift(x), params,
-                        shift_occupancy=ShiftLane.full_occupancy(x.shape[1]))
+                        shift_occupancy=_shift_occupancy(x.shape[1]))
 
 
 class SimulatorExecutor:

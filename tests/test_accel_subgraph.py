@@ -19,7 +19,6 @@ from diracdelta.accel.subgraph import (
     run_subgraph,
     shift_pass,
 )
-from diracdelta.accel.units import PoolLane, ShiftLane
 from diracdelta import tensor
 from diracdelta.bundle import random_bundle
 from diracdelta.errors import ConfigurationError, ShapeError, ValidationError
@@ -33,7 +32,7 @@ from diracdelta.ops import (
 from diracdelta.quant import LayerQuantParams, NetworkQuantParams, build_threshold_table
 from diracdelta.tensor import ACC_LIMIT, FeatureMap, WeightMatrix, blocked_channel_count
 
-from oracles import searchsorted_apply
+from oracles import PixelPoolLane, PixelShiftLane, searchsorted_apply
 
 
 def _table(seed):
@@ -78,6 +77,13 @@ FUSED_CASES = [
     (5, 5, 7, 9, False, False, False),    # bare conv, nothing fused
     (4, 6, 5, 12, True, False, False),    # non-square with pooling
     (3, 3, 33, 40, False, False, False),  # both channel counts straddle a tile
+    # shift on its own over the line-buffer shapes: odd and narrow maps, one row
+    (4, 4, 10, 10, False, True, False),
+    (3, 7, 6, 6, False, True, False),
+    (6, 2, 5, 5, False, True, False),
+    (2, 28, 3, 3, False, True, False),
+    (1, 1, 5, 5, False, True, False),
+    (1, 9, 7, 7, False, True, False),
 ]
 
 
@@ -246,6 +252,9 @@ def test_shape_guards():
     odd = np.zeros((3, 4, 8), dtype=np.uint8)
     with pytest.raises(ShapeError, match="pooling needs even spatial dims"):
         run_subgraph(odd, wm, table, pool=True)
+    for empty in (np.zeros((0, 4, 8), dtype=np.uint8), np.zeros((4, 0, 8), dtype=np.uint8)):
+        with pytest.raises(ShapeError, match="at least one row and one column, got "):
+            run_subgraph(empty, wm, table, shift=True)
 
 
 # =========================================================================
@@ -282,16 +291,16 @@ def test_shift_pass_matches_reference_with_traffic():
 @pytest.mark.parametrize("shape", [(2, 2, 1), (2, 8, 3), (6, 4, 12), (1, 1, 5), (1, 9, 7),
                                    (5, 7, 11)])
 def test_standalone_passes_report_what_a_lane_fed_the_whole_map_reports(shape):
-    # a pass feeds its lane every row of the stored map, so the lane's peak is
-    # the line buffer's closed-form full occupancy
+    # a pass feeds its line buffer every row of the stored map, so the
+    # pixel-serial oracle's peak is the closed-form full occupancy
     fm = np.random.default_rng(83).integers(0, 16, size=shape, dtype=np.uint8)
     h, w, c = shape
-    shift_lane = ShiftLane(w, c)
+    shift_lane = PixelShiftLane(w, c)
     rows = [out for row in fm for out in shift_lane.feed_row(row)] + shift_lane.finish()
     assert _same(shift_pass(fm).output, np.stack(rows))
     assert shift_pass(fm).stats.shift_occupancy == shift_lane.max_occupancy
     if h % 2 == 0 and w % 2 == 0:
-        pool_lane = PoolLane(w, c)
+        pool_lane = PixelPoolLane(w, c)
         rows = [out for row in fm for out in pool_lane.feed_row(row)]
         assert _same(pool_pass(fm).output, np.stack(rows))
         assert pool_pass(fm).stats.pool_occupancy == pool_lane.max_occupancy

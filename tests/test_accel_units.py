@@ -1,5 +1,5 @@
-"""Row lanes against their pixel-serial oracles, the conversion unit oracles,
-the shuffle's copy traffic, and FIFOs."""
+"""The simulator's pool and shift stages against their pixel-serial oracles,
+the conversion unit oracles, the shuffle's copy traffic, and FIFOs."""
 import pickle
 import threading
 import time
@@ -9,15 +9,17 @@ import pytest
 
 from diracdelta.accel.fifo import FifoChannel, run_network, run_round_robin, run_threaded
 from diracdelta.accel.perf import copy_bytes
-from diracdelta.accel.units import PoolLane, ShiftLane
-from diracdelta.errors import (
-    ConfigurationError,
-    ConstructionError,
-    DeadlockError,
-    ShapeError,
+from diracdelta.accel.subgraph import (
+    _pool_stage,
+    _shift_stage,
+    pool_pass,
+    run_subgraph,
+    shift_pass,
 )
+from diracdelta.errors import ConfigurationError, ConstructionError, DeadlockError
 from diracdelta.ops import concat_shuffle, maxpool2x2, shift
 from diracdelta.quant import LayerQuantParams, NetworkQuantParams, ThresholdTable, build_threshold_table
+from diracdelta.tensor import WeightMatrix
 
 from oracles import (
     SHIFT_BY_HAND,
@@ -81,30 +83,54 @@ def test_conversion_unit_scalar_and_array_forms():
 
 
 # =========================================================================
-# pool lane
+# pool lane: the simulator's pool stage
 # =========================================================================
 
-def _drive_pool(fm):
-    lane = PoolLane(fm.shape[1], fm.shape[2])
-    rows = []
-    for row in fm:
-        rows.extend(lane.feed_row(row))
-    return np.stack(rows), lane
+def _drive(stage, fm):
+    """Step a stage generator by hand, answering each get with the next row of ``fm``.
+
+    Returns the kinds of effect it yields, in order, and the rows it puts.
+    """
+    rows = iter(fm)
+    effects, puts, value = [], [], None
+    while True:
+        try:
+            kind, _fifo, *item = stage.send(value)
+        except StopIteration:
+            return effects, puts
+        effects.append(kind)
+        puts.extend(item)
+        value = next(rows) if kind == "get" else None
+
+
+def _pool(fm):
+    return _drive(_pool_stage(fm.shape[0], "in", "out"), fm)
+
+
+def _shift(fm):
+    return _drive(_shift_stage(fm.shape[1], fm.shape[0], "in", "out"), fm)
+
+
+def _feed_whole_map(lane, fm):
+    """Feed a pixel-serial oracle every row of ``fm``; returns its output rows."""
+    rows = [out for row in fm for out in lane.feed_row(row)]
+    return rows + (lane.finish() if isinstance(lane, PixelShiftLane) else [])
 
 
 @pytest.mark.parametrize("h,w,c", [(4, 4, 3), (8, 8, 5), (6, 10, 1), (2, 2, 7)])
 def test_pool_lane_matches_reference(h, w, c):
     rng = np.random.default_rng(h * 100 + w * 10 + c)
     fm = rng.integers(0, 16, size=(h, w, c), dtype=np.uint8)
-    got, _ = _drive_pool(fm)
-    np.testing.assert_array_equal(got, maxpool2x2(fm))
+    _, rows = _pool(fm)
+    np.testing.assert_array_equal(np.stack(rows), maxpool2x2(fm))
 
 
 def test_pool_lane_occupancy_is_one_row_plus_one_pixel():
     rng = np.random.default_rng(0)
     fm = rng.integers(0, 16, size=(8, 8, 4), dtype=np.uint8)
-    _, lane = _drive_pool(fm)
-    assert lane.max_occupancy == 9  # width + 1
+    lane = PixelPoolLane(8, 4)
+    _feed_whole_map(lane, fm)
+    assert lane.max_occupancy == pool_pass(fm).stats.pool_occupancy == 9  # width + 1
 
 
 def test_pool_lane_emits_only_on_odd_row_odd_column():
@@ -120,125 +146,89 @@ def test_pool_lane_emits_only_on_odd_row_odd_column():
 
 
 def test_pool_lane_emits_one_row_on_odd_rows_only():
-    lane = PoolLane(6, 3)
     arr = np.arange(72, dtype=np.uint8).reshape(4, 6, 3) % 16
-    for y in range(4):
-        out = lane.feed_row(arr[y])
-        if y % 2:
-            assert len(out) == 1 and out[0].shape == (3, 3)
-        else:
-            assert out == []
-
-
-def test_pool_lane_guards():
-    with pytest.raises(ShapeError, match="even and >= 2, got 5"):
-        PoolLane(5, 3)
-    with pytest.raises(ShapeError, match="even and >= 2, got 0"):
-        PoolLane(0, 3)
-    lane = PoolLane(4, 3)
-    with pytest.raises(ShapeError, match="lane expects"):
-        lane.feed_row(np.zeros((3, 3), dtype=np.uint8))
+    effects, rows = _pool(arr)
+    assert effects == ["get", "get", "put"] * 2
+    assert [row.shape for row in rows] == [(3, 3)] * 2
 
 
 # =========================================================================
-# shift lane
+# shift lane: the simulator's shift stage
 # =========================================================================
-
-def _drive_shift(fm):
-    lane = ShiftLane(fm.shape[1], fm.shape[2])
-    rows = []
-    for row in fm:
-        rows.extend(lane.feed_row(row))
-    rows.extend(lane.finish())
-    return np.stack(rows), lane
-
-
-@pytest.mark.parametrize("h,w,c", [(4, 4, 10), (3, 7, 6), (6, 2, 5), (2, 28, 3)])
-def test_shift_lane_matches_reference(h, w, c):
-    rng = np.random.default_rng(h * 100 + w * 10 + c)
-    fm = rng.integers(0, 16, size=(h, w, c), dtype=np.uint8)
-    got, _ = _drive_shift(fm)
-    np.testing.assert_array_equal(got, shift(fm))
-
 
 @pytest.mark.parametrize("direction", [pytest.param(k, id=f"direction{k}") for k in range(5)])
 def test_shift_lane_single_direction(direction):
     """Channel ``direction`` of the hand-worked map moves as worked by hand."""
-    got, _ = _drive_shift(SHIFT_BY_HAND_INPUT)
+    got = np.stack(_shift(SHIFT_BY_HAND_INPUT)[1])
     assert got[:, :, direction].tolist() == SHIFT_BY_HAND[direction]
 
 
 def test_shift_lane_needs_finish_to_flush():
     rng = np.random.default_rng(78)
-    for lane_type in (ShiftLane, PixelShiftLane):
-        for height in (1, 2, 3):
-            fm = rng.integers(0, 16, size=(height, 3, 2), dtype=np.uint8)
-            lane = lane_type(3, 2)
-            rows = []
-            for row in fm:
-                rows.extend(lane.feed_row(row))
-            assert len(rows) == height - 1  # the last row waits for the bottom padding
-            rows.extend(lane.finish())
-            assert len(rows) == height
-            np.testing.assert_array_equal(np.stack(rows), shift(fm))
-            occupancy = lane.max_occupancy
-            state = pickle.dumps(vars(lane))
-            assert lane.finish() == []  # the flush happens once
-            assert lane.max_occupancy == occupancy
-            assert pickle.dumps(vars(lane)) == state
+    for height in (1, 2, 3):
+        fm = rng.integers(0, 16, size=(height, 3, 2), dtype=np.uint8)
+        # the last row waits for the bottom padding, which follows the last get
+        effects, rows = _shift(fm)
+        assert effects == ["get"] + ["get", "put"] * (height - 1) + ["put"]
+        np.testing.assert_array_equal(np.stack(rows), shift(fm))
+        lane = PixelShiftLane(3, 2)
+        rows = [out for row in fm for out in lane.feed_row(row)]
+        assert len(rows) == height - 1
+        rows.extend(lane.finish())
+        np.testing.assert_array_equal(np.stack(rows), shift(fm))
+        occupancy = lane.max_occupancy
+        state = pickle.dumps(vars(lane))
+        assert lane.finish() == []  # the flush happens once
+        assert lane.max_occupancy == occupancy
+        assert pickle.dumps(vars(lane)) == state
 
 
 def test_shift_lane_occupancy_stays_in_the_two_row_budget():
     rng = np.random.default_rng(79)
     width = 28
     fm = rng.integers(0, 16, size=(4, width, 8), dtype=np.uint8)
-    _, lane = _drive_shift(fm)
+    lane = PixelShiftLane(width, 8)
+    _feed_whole_map(lane, fm)
     budget = 2 * (width + 2) + 2
-    assert lane.max_occupancy == 2 * (width + 2) + 1
+    assert lane.max_occupancy == shift_pass(fm).stats.shift_occupancy == 2 * (width + 2) + 1
     assert lane.max_occupancy <= budget
-
-
-def test_shift_lane_guards():
-    with pytest.raises(ShapeError, match="width must be >= 1"):
-        ShiftLane(0, 1)
-    lane = ShiftLane(4, 2)
-    with pytest.raises(ShapeError, match="lane expects"):
-        lane.feed_row(np.zeros((5, 2), dtype=np.uint8))
 
 
 # =========================================================================
 # row lanes against the pixel-serial oracles
 # =========================================================================
 
-def _same_calls(row_lane, pixel_lane, call, *args):
-    got, want = getattr(row_lane, call)(*args), getattr(pixel_lane, call)(*args)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype
-        np.testing.assert_array_equal(g, w)
-    assert row_lane.max_occupancy == pixel_lane.max_occupancy
-    return got
-
-
-def _drive_both(row_lane, pixel_lane, fm):
-    """Feed both lanes the same rows; outputs and occupancy must match after every call."""
-    for row in fm:
-        _same_calls(row_lane, pixel_lane, "feed_row", row)
-
-
 @pytest.mark.parametrize("c", [1, 5, 7])
 @pytest.mark.parametrize("w", [1, 2, 3, 6])
 @pytest.mark.parametrize("h", [1, 2, 3, 4, 7])
 def test_row_lanes_equal_the_pixel_serial_oracles(h, w, c):
+    """The stages and the oracles compute the `ops` operators, and each oracle,
+    fed a whole map, peaks at the occupancy the simulator reports for it."""
     rng = np.random.default_rng(h * 100 + w * 10 + c)
     fm = rng.integers(0, 16, size=(h, w, c), dtype=np.uint8)
-    if h % 2 == 0 and w % 2 == 0:
-        _drive_both(PoolLane(w, c), PixelPoolLane(w, c), fm)
-    row_lane, pixel_lane = ShiftLane(w, c), PixelShiftLane(w, c)
-    _drive_both(row_lane, pixel_lane, fm)
-    assert len(_same_calls(row_lane, pixel_lane, "finish")) == 1
+    pool = h % 2 == 0 and w % 2 == 0
+    if pool:
+        pool_lane = PixelPoolLane(w, c)
+        np.testing.assert_array_equal(np.stack(_feed_whole_map(pool_lane, fm)), maxpool2x2(fm))
+        np.testing.assert_array_equal(np.stack(_pool(fm)[1]), maxpool2x2(fm))
+        assert pool_lane.max_occupancy == pool_pass(fm).stats.pool_occupancy
+    shift_lane = PixelShiftLane(w, c)
+    np.testing.assert_array_equal(np.stack(_feed_whole_map(shift_lane, fm)), shift(fm))
+    np.testing.assert_array_equal(np.stack(_shift(fm)[1]), shift(fm))
+    assert shift_lane.max_occupancy == shift_pass(fm).stats.shift_occupancy
     # the zero rings count as fed pixels, so even one image row reaches 2D+1
-    assert row_lane.max_occupancy == 2 * (w + 2) + 1
+    assert shift_lane.max_occupancy == 2 * (w + 2) + 1
+
+    # in a subgraph the shift runs at the pooled width
+    pooled_lane = PixelShiftLane(w // 2, c) if pool else shift_lane
+    if pool:
+        _feed_whole_map(pooled_lane, maxpool2x2(fm))
+    wm = WeightMatrix(c, c, rng.integers(0, 16, size=(c, c), dtype=np.uint8))
+    for scheduler in ("single-thread", "concurrent"):
+        stats = run_subgraph(fm, wm, _production_table(), pool=pool, shift=True,
+                             scheduler=scheduler).stats
+        assert stats.shift_occupancy == pooled_lane.max_occupancy
+        assert stats.pool_occupancy == (pool_lane.max_occupancy if pool else 0)
 
 
 # =========================================================================

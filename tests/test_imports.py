@@ -32,5 +32,4 @@ def test_every_module_imports_standalone():
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     names = set(proc.stdout.split())
-    assert {"diracdelta.cli", "diracdelta.accel", "diracdelta.accel.perf",
-            "diracdelta.accel.units"} <= names
+    assert {"diracdelta.cli", "diracdelta.accel", "diracdelta.accel.perf"} <= names
