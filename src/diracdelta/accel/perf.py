@@ -434,6 +434,9 @@ def build_report(spec: NetworkSpec, params: CostModelParams,
                  batches=(1, 2, 4, 8, 16, 32)) -> PerfReport:
     """The report of ``spec``; a figure that is not finite is a `ConfigurationError`.
 
+    The block ablation has one row per stage with basic blocks, at that
+    stage's spatial size and width.
+
     The check covers every float of `to_dict`, params first and then in the
     text's order, so the error names the first figure the text would print
     as ``inf`` or ``nan``.
@@ -443,10 +446,10 @@ def build_report(spec: NetworkSpec, params: CostModelParams,
         summary=roofline(params),
         layers=layer_roofline(spec, params),
         batches=batch_sweep(spec, params, batches),
-        ablations=(
-            block_breakdown(params, 28, 128),
-            block_breakdown(params, 7, 512),
-        ),
+        ablations=tuple(
+            block_breakdown(params, spec.stem_spatial // 2 ** (i + 1), channels)
+            for i, (channels, reps) in enumerate(zip(spec.stage_channels, spec.stage_repeats))
+            if reps),
     )
     rows = [("params", params), ("roofline", report.summary)] + [
         (f"{section}[{i}]", row) for section in ("layers", "batches", "ablations")

@@ -35,6 +35,13 @@ def make_two_stage_spec() -> NetworkSpec:
     )
 
 
+def make_three_stage_spec() -> NetworkSpec:
+    # Its middle stage has no basic block, and its late convs read maps of two
+    # rows or fewer that span more than one 32-channel input tile
+    # (s3d_res_conv2 reads 2x2x40, s4d_res_conv1 2x2x40).
+    return NetworkSpec(32, 3, (6, 10), (20, 40, 80), (1, 0, 1), 50, 11)
+
+
 def random_input(spec: NetworkSpec, seed: int) -> FeatureMap:
     rng = np.random.default_rng(seed)
     arr = rng.integers(

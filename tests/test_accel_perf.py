@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from conftest import make_tiny_spec, make_two_stage_spec, random_input
+from conftest import make_three_stage_spec, make_tiny_spec, make_two_stage_spec, random_input
 
 from diracdelta.accel.perf import (
     CYCLES_PER_IC_ITER_RANGE,
@@ -253,6 +253,14 @@ def test_early_and_late_blocks_compare_as_expected():
     assert early.with_shuffle_s > late.with_shuffle_s
 
 
+def test_the_report_ablates_one_block_per_stage_with_basic_blocks():
+    def rows(spec):
+        return [(a.spatial, a.channels) for a in build_report(spec, CostModelParams()).ablations]
+    assert rows(build_diracdeltanet()) == [(28, 128), (14, 256), (7, 512)]
+    # the 32-px spec's middle stage has a downsample block only
+    assert rows(make_three_stage_spec()) == [(4, 20), (1, 80)]
+
+
 def test_full_overlap_hides_the_copy():
     a = block_breakdown(CostModelParams(memcpy_overlap=1.0), 28, 128)
     assert a.with_shuffle_s == a.conv_s
@@ -343,4 +351,4 @@ def test_report_text_contains_the_headline_numbers():
     assert "conv1" in text and "conv5" in text
     assert "batch sweep:" in text
     assert "block ablation" in text
-    assert "28x28 c128" in text and "7x7 c512" in text
+    assert "28x28 c128" in text and "14x14 c256" in text and "7x7 c512" in text

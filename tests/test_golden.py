@@ -18,12 +18,12 @@ import hashlib
 
 import numpy as np
 
-from conftest import make_tiny_spec, make_two_stage_spec, random_input
+from conftest import make_three_stage_spec, make_tiny_spec, make_two_stage_spec, random_input
 
 from diracdelta.accel.perf import CostModelParams, build_report
 from diracdelta.accel.subgraph import SimulatorExecutor
 from diracdelta.bundle import random_bundle, save_bundle
-from diracdelta.net import NetworkSpec, build_diracdeltanet, forward
+from diracdelta.net import build_diracdeltanet, forward
 from diracdelta.quant import NetworkQuantParams
 from diracdelta.tensor import FeatureMap
 
@@ -39,7 +39,7 @@ STATS_FIELDS = (
 )
 
 GOLDEN_SHA256 = "0bc9048882f33e39aa10b19f75109624849d8260868445cceb8b4a4f3c52b4cb"
-REPORT_SHA256 = "180599fb009df5d71faab361a772e117f7bb03c3cc1484dc9b43440e7e2cfcda"
+REPORT_SHA256 = "29575e027dc6f217c047bb76ae5cc2b87609cdd21be84e80ebb8c6451d38cd2d"
 BUNDLE_SHA256 = "da2be6a229061b50a4538873bec9d9f13129999b865cb7bd1db8fe7c9c87a70a"
 
 
@@ -48,15 +48,9 @@ def _frames(spec):
     return [random_input(spec, 1), random_input(spec, 2), FeatureMap.from_array(full)]
 
 
-def _three_stage_spec():
-    # Its late convs read maps of two rows or fewer that span more than one
-    # 32-channel input tile (s3d_res_conv2 reads 2x2x40, s4d_res_conv1 2x2x40).
-    return NetworkSpec(32, 3, (6, 10), (20, 40, 80), (1, 0, 1), 50, 11)
-
-
 def _cases():
     yield build_diracdeltanet(), 1.0
-    for make_spec in (make_tiny_spec, make_two_stage_spec, _three_stage_spec):
+    for make_spec in (make_tiny_spec, make_two_stage_spec, make_three_stage_spec):
         for s in (1.0, 0.1, 0.37):
             yield make_spec(), s
 
@@ -100,7 +94,7 @@ def test_cost_model_report_reproduces_the_golden_digest():
 
 def test_saved_bundles_reproduce_the_golden_digest(tmp_path):
     digest = hashlib.sha256()
-    for i, spec in enumerate((build_diracdeltanet(), _three_stage_spec())):
+    for i, spec in enumerate((build_diracdeltanet(), make_three_stage_spec())):
         bundle = random_bundle(spec, NetworkQuantParams(s=1.0), seed=7)
         root = save_bundle(bundle, tmp_path / f"bundle{i}")
         for p in sorted(root.iterdir()):
