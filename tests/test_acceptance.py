@@ -5,7 +5,6 @@ is the pass/fail record for that criterion. Each test also prints a [PASS]
 summary visible under `-s`.
 """
 import numpy as np
-import pytest
 
 from conftest import make_tiny_spec, make_two_stage_spec, random_input
 
@@ -21,7 +20,6 @@ from diracdelta.bundle import random_bundle
 from diracdelta.net import (
     ReferenceExecutor,
     build_diracdeltanet,
-    compile_steps,
     conv_steps,
     count_params_macs,
     forward,

@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import make_tiny_spec, random_input
+from conftest import random_input
 
 from diracdelta import bundle as bundle_module
 from diracdelta.bundle import (
@@ -18,11 +18,7 @@ from diracdelta.bundle import (
 )
 from diracdelta.errors import BundleError, ChecksumError, ConstructionError, GraphError
 from diracdelta.net import conv_steps, forward
-from diracdelta.quant import (
-    LayerQuantParams,
-    NetworkQuantParams,
-    build_threshold_table,
-)
+from diracdelta.quant import LayerQuantParams, build_threshold_table
 
 
 def _tree_bytes(root):
