@@ -114,7 +114,7 @@ def _shift(fm):
 def _feed_whole_map(lane, fm):
     """Feed a pixel-serial oracle every row of ``fm``; returns its output rows."""
     rows = [out for row in fm for out in lane.feed_row(row)]
-    return rows + (lane.finish() if isinstance(lane, PixelShiftLane) else [])
+    return rows + lane.finish() if isinstance(lane, PixelShiftLane) else rows
 
 
 @pytest.mark.parametrize("h,w,c", [(4, 4, 3), (8, 8, 5), (6, 10, 1), (2, 2, 7)])
@@ -220,9 +220,9 @@ def test_row_lanes_equal_the_pixel_serial_oracles(h, w, c):
     assert shift_lane.max_occupancy == 2 * (w + 2) + 1
 
     # in a subgraph the shift runs at the pooled width
-    pooled_lane = PixelShiftLane(w // 2, c) if pool else shift_lane
-    if pool:
-        _feed_whole_map(pooled_lane, maxpool2x2(fm))
+    pooled = maxpool2x2(fm) if pool else fm
+    pooled_lane = PixelShiftLane(pooled.shape[1], c)
+    _feed_whole_map(pooled_lane, pooled)
     wm = WeightMatrix(c, c, rng.integers(0, 16, size=(c, c), dtype=np.uint8))
     for scheduler in ("single-thread", "concurrent"):
         stats = run_subgraph(fm, wm, _production_table(), pool=pool, shift=True,
