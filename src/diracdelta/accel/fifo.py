@@ -10,13 +10,13 @@ A channel is a plain bounded deque with no synchronisation of its own; the
 scheduler completes every effect through one step, `_attempt`, and decides
 what a stage that cannot advance does. Because stages only communicate
 through bounded FIFOs, the network computes the same values under any
-scheduling, so the round-robin scheduler and the threaded one are
-interchangeable. The round-robin run doubles as a deadlock checker: if no
-stage can advance it names exactly who is stuck on what. The threaded run
-completes effects under one lock and runs stage bodies outside it.
+scheduling, so the round-robin scheduler and the seeded shuffled one are
+interchangeable. Both double as deadlock checkers: if no stage can advance
+they name exactly who is stuck on what.
 """
 from __future__ import annotations
 
+import random
 from collections import deque
 
 from ..errors import ConfigurationError, DeadlockError
@@ -76,13 +76,8 @@ def _waiting(name: str, effect) -> str:
     return f"{name} waiting to {effect[0]} {to} {effect[1].name!r}"
 
 
-def run_round_robin(stages) -> None:
-    """Drive all stage generators to completion on a single thread.
-
-    Each pass resumes every stage whose pending effect can complete. A full
-    pass with no progress while stages remain is a deadlock and raises with
-    a description of every stuck stage.
-    """
+def _start(stages) -> list:
+    """Run each stage to its first effect: [name, generator, effect] per live stage."""
     live = []
     for gen in stages:
         try:
@@ -90,6 +85,22 @@ def run_round_robin(stages) -> None:
             live.append([_stage_name(gen), gen, effect])
         except StopIteration:
             pass
+    return live
+
+
+def _deadlock(live) -> DeadlockError:
+    stuck = ", ".join(_waiting(name, eff) for name, _, eff in live)
+    return DeadlockError(f"no stage can advance: {stuck}")
+
+
+def run_round_robin(stages) -> None:
+    """Drive all stage generators to completion on a single thread.
+
+    Each pass resumes every stage whose pending effect can complete. A full
+    pass with no progress while stages remain is a deadlock and raises with
+    a description of every stuck stage.
+    """
+    live = _start(stages)
     while live:
         progressed = False
         still = []
@@ -107,81 +118,38 @@ def run_round_robin(stages) -> None:
                 still.append(entry)
         live = still
         if live and not progressed:
-            stuck = ", ".join(_waiting(name, eff) for name, _, eff in live)
-            raise DeadlockError(f"no stage can advance: {stuck}")
+            raise _deadlock(live)
 
 
-def run_threaded(stages) -> None:
-    """Drive the stages on real threads that share one lock.
+_SHUFFLE_SEED = 20181107  # fixes the interleaving, so every run repeats exactly
 
-    Effects complete under the lock and stage bodies run outside it. A stage
-    that cannot advance waits on its channel's condition until the stage at
-    the other end completes an effect there. When the last running stage
-    waits, or finishes while others wait, no stage can advance: the run
-    raises `DeadlockError` at once, naming every stuck stage. The first
-    failure from any stage wakes every waiter, and is re-raised on the
-    caller's thread once all workers have stopped.
+
+def run_shuffled(stages) -> None:
+    """Drive the stages on one thread in a seeded random interleaving.
+
+    Each step completes the effect of the first stage, in a fresh random
+    order, whose channel allows it, so any stage can run ahead until its
+    FIFO fills or empties. A deadlock raises as in the round robin.
     """
-    import threading  # the only scheduler that needs it
-
-    stages = list(stages)
-    lock = threading.Lock()
-    conditions = {}  # channel -> Condition on `lock`, made at first use
-    stuck = {}  # stage -> the effect it waits for, until its channel moves
-    finished, failures = [], []
-
-    def fail(error):  # under the lock
-        failures.append(error)
-        for cond in conditions.values():
-            cond.notify_all()
-
-    def check_progress():  # under the lock
-        if stuck and len(stuck) + len(finished) == len(stages):
-            names = ", ".join(_waiting(_stage_name(g), e) for g, e in stuck.items())
-            fail(DeadlockError(f"no stage can advance: {names}"))
-
-    def drive(gen):
-        try:
-            effect = next(gen)
-            while True:
-                with lock:
-                    while True:
-                        if failures:
-                            return
-                        done, value = _attempt(gen, effect)
-                        channel = effect[1]
-                        cond = conditions.get(channel) or conditions.setdefault(
-                            channel, threading.Condition(lock))
-                        if done:
-                            break
-                        stuck[gen] = effect
-                        check_progress()
-                        if not failures:
-                            cond.wait()
-                    for g in [g for g, e in stuck.items() if e[1] is channel]:
-                        del stuck[g]  # about to be woken; it counts as running
-                    cond.notify_all()
-                effect = gen.send(value)
-        except StopIteration:
-            with lock:
-                finished.append(gen)
-                check_progress()
-        except BaseException as e:  # noqa: BLE001 - reported to the caller
-            with lock:
-                fail(e)
-
-    threads = [threading.Thread(target=drive, args=(g,), daemon=True) for g in stages]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if failures:
-        raise failures[0]
+    rng = random.Random(_SHUFFLE_SEED)
+    live = _start(stages)
+    while live:
+        for entry in rng.sample(live, len(live)):
+            gen = entry[1]
+            ready, value = _attempt(gen, entry[2])
+            if ready:
+                try:
+                    entry[2] = gen.send(value)
+                except StopIteration:
+                    live.remove(entry)
+                break
+        else:
+            raise _deadlock(live)
 
 
 SCHEDULERS = {
     "single-thread": run_round_robin,
-    "concurrent": run_threaded,
+    "concurrent": run_shuffled,
 }
 
 

@@ -257,6 +257,8 @@ def batch_point(spec: NetworkSpec, params: CostModelParams, batch: int) -> Batch
     """
     if batch < 1:
         raise ConfigurationError(f"batch must be >= 1, got {batch}")
+    if batch > 2**53:  # past this a float no longer counts frames exactly
+        raise ConfigurationError(f"batch must be <= 2**53, got {batch}")
     fc = frame_cost(spec, params)
     weight_s = fc.weight_bytes / params.dram_bandwidth
     overhead_s = fc.calls * params.invocation_overhead_s

@@ -1,13 +1,13 @@
 """The simulator's pool and shift stages against their pixel-serial oracles,
 the conversion unit oracles, the shuffle's copy traffic, and FIFOs."""
+import itertools
 import pickle
 import threading
-import time
 
 import numpy as np
 import pytest
 
-from diracdelta.accel.fifo import FifoChannel, run_network, run_round_robin, run_threaded
+from diracdelta.accel.fifo import FifoChannel, run_network, run_round_robin, run_shuffled
 from diracdelta.accel.perf import copy_bytes
 from diracdelta.accel.subgraph import (
     _pool_stage,
@@ -285,36 +285,68 @@ def test_fifo_channel_refuses_a_capacity_below_one():
         FifoChannel("t", capacity=0)
 
 
-def _pipeline(n, scheduler):
+def _pipeline(n, scheduler, order=(0, 1, 2)):
+    """Run source -> doubler -> sink, the stages listed in `order`.
+
+    Returns what the sink saw, both channels, and every completed effect as
+    (stage, kind, value), in the order the scheduler completed them.
+    """
     a = FifoChannel("a", capacity=2)
     b = FifoChannel("b", capacity=2)
-    seen = []
+    seen, effects = [], []
 
     def source():
         for i in range(n):
             yield ("put", a, i)
+            effects.append(("source", "put", i))
 
     def doubler():
         for _ in range(n):
             v = yield ("get", a)
+            effects.append(("doubler", "get", v))
             yield ("put", b, 2 * v)
+            effects.append(("doubler", "put", 2 * v))
 
     def sink():
         for _ in range(n):
             v = yield ("get", b)
+            effects.append(("sink", "get", v))
             seen.append(v)
 
-    run_network([source(), doubler(), sink()], scheduler=scheduler)
-    return seen, a, b
+    stages = [source(), doubler(), sink()]
+    run_network([stages[i] for i in order], scheduler=scheduler)
+    return seen, a, b, effects
 
 
 @pytest.mark.parametrize("scheduler", ["single-thread", "concurrent"])
 def test_pipeline_preserves_order_and_respects_capacity(scheduler):
-    seen, a, b = _pipeline(25, scheduler)
+    seen, a, b, _ = _pipeline(25, scheduler)
     assert seen == [2 * i for i in range(25)]
     assert a.max_depth <= a.capacity
     assert b.max_depth <= b.capacity
     assert a.put_count == 25
+
+
+def test_the_shuffled_interleaving_differs_from_the_round_robin():
+    # otherwise the schedulers' byte-for-byte agreement compares one schedule with itself
+    _, a_rr, b_rr, rr = _pipeline(25, "single-thread")
+    _, a_sh, b_sh, sh = _pipeline(25, "concurrent")
+    assert sorted(sh) == sorted(rr) and sh != rr
+    assert (a_sh.max_depth, b_sh.max_depth) != (a_rr.max_depth, b_rr.max_depth)
+
+
+def test_shuffled_runs_repeat_exactly():
+    _, a1, b1, first = _pipeline(25, "concurrent")
+    _, a2, b2, second = _pipeline(25, "concurrent")
+    assert first == second
+    assert (a1.max_depth, b1.max_depth) == (a2.max_depth, b2.max_depth)
+
+
+@pytest.mark.parametrize("scheduler", ["single-thread", "concurrent"])
+def test_every_order_of_the_stage_list_gives_the_same_output(scheduler):
+    for order in itertools.permutations(range(3)):
+        seen, *_ = _pipeline(9, scheduler, order)
+        assert seen == [2 * i for i in range(9)], order
 
 
 def test_round_robin_reports_deadlock_with_names():
@@ -344,7 +376,7 @@ def test_round_robin_reports_full_cycle_deadlock():
         run_round_robin([left(), right()])
 
 
-def test_threaded_scheduler_reports_a_full_cycle_deadlock():
+def test_shuffled_scheduler_names_a_full_cycle_deadlock_in_stage_order():
     a = FifoChannel("a", capacity=1)
     b = FifoChannel("b", capacity=1)
 
@@ -356,11 +388,10 @@ def test_threaded_scheduler_reports_a_full_cycle_deadlock():
         yield ("get", b)
         yield ("put", a, 1)
 
-    with pytest.raises(DeadlockError, match="^no stage can advance: ") as caught:
-        run_threaded([left(), right()])
-    # the last stage to wait names both, in whichever order they stopped
-    stuck = str(caught.value).split(": ", 1)[1].split(", ")
-    assert sorted(stuck) == ["left waiting to get from 'a'", "right waiting to get from 'b'"]
+    message = ("^no stage can advance: left waiting to get from 'a', "
+               "right waiting to get from 'b'$")
+    with pytest.raises(DeadlockError, match=message):
+        run_shuffled([left(), right()])
 
 
 @pytest.mark.parametrize("scheduler", ["single-thread", "concurrent"])
@@ -369,7 +400,6 @@ def test_a_consumer_that_outlasts_its_producer_is_a_deadlock_at_once(scheduler):
 
     def producer():
         yield ("put", short, 1)
-        time.sleep(0.05)  # the consumer is waiting again before this stage finishes
 
     def consumer():
         for _ in range(2):
@@ -398,18 +428,31 @@ def test_unknown_effect_is_rejected():
         yield ("peek", ch)
 
     message = "^stage 'bad' yielded unknown effect 'peek'$"
-    for runner in (run_round_robin, run_threaded):
+    for runner in (run_round_robin, run_shuffled):
         with pytest.raises(ConfigurationError, match=message):
             runner([bad()])
 
 
-def test_threaded_scheduler_propagates_stage_failures():
+def test_shuffled_scheduler_propagates_stage_failures():
+    ch = FifoChannel("c", capacity=2)
+
     def boom():
         raise ValueError("stage exploded")
         yield  # pragma: no cover
 
-    with pytest.raises(ValueError, match="stage exploded"):
-        run_threaded([boom()])
+    def late_boom():
+        for i in range(3):
+            yield ("put", ch, i)
+        raise ValueError("stage exploded late")
+
+    def drain():
+        while True:
+            yield ("get", ch)
+
+    with pytest.raises(ValueError, match="^stage exploded$"):
+        run_shuffled([boom()])
+    with pytest.raises(ValueError, match="^stage exploded late$"):
+        run_shuffled([drain(), late_boom()])
 
 
 def test_unknown_scheduler():

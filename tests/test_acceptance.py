@@ -320,9 +320,9 @@ def test_criterion_09_scheduler_determinism():
         bundle = random_bundle(spec, NET, seed=900 + i)
         fm = random_input(spec, seed=40 + i)
         single = forward(bundle, fm, executor=SimulatorExecutor(scheduler="single-thread"))
-        threaded = forward(bundle, fm, executor=SimulatorExecutor(scheduler="concurrent"))
-        assert single.logits.tobytes() == threaded.logits.tobytes()
-        assert single.class_index == threaded.class_index
+        shuffled = forward(bundle, fm, executor=SimulatorExecutor(scheduler="concurrent"))
+        assert single.logits.tobytes() == shuffled.logits.tobytes()
+        assert single.class_index == shuffled.class_index
     print("[PASS] criterion 9: both schedulers byte-identical on 10 random "
           "networks with default fifo capacities, no deadlocks")
 

@@ -1,7 +1,7 @@
 """End-to-end command-line flows: build, validate, infer, quantize, simulate, report.
 
 Commands run in-process through `main` so exit codes and printed lines are
-asserted exactly; two subprocess tests check the module entry point.
+asserted exactly; subprocess tests check the module entry point.
 """
 import contextlib
 import io
@@ -518,6 +518,25 @@ def test_simulate_prints_per_invocation_stats(bundle_dir, tmp_path, capsys):
     assert any(row.startswith("s4b2_res_conv2") for row in lines)
 
 
+def test_simulate_concurrent_repeats_and_differs_from_single_thread_only_in_fifo_depths(
+        tiny_bundle_dir, capsys):
+    def simulate(scheduler):
+        argv = ["simulate", "--bundle", str(tiny_bundle_dir), "--seed", "5",
+                "--scheduler", scheduler]
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out
+
+    def without_fifo_depths(stdout, scheduler):
+        *table, peak, verdict = stdout.splitlines()
+        assert verdict.endswith(f" ({scheduler} scheduler)")
+        return [row.rsplit(None, 1)[0] for row in table], peak, verdict.rsplit(" (", 1)[0]
+
+    first = simulate("concurrent")
+    assert simulate("concurrent") == first
+    assert (without_fifo_depths(first, "concurrent")
+            == without_fifo_depths(simulate("single-thread"), "single-thread"))
+
+
 # =========================================================================
 # report
 # =========================================================================
@@ -565,6 +584,14 @@ def test_report_rejects_an_empty_or_zero_batch(capsys, batch, fragment):
     out = capsys.readouterr()
     assert out.out == ""
     assert fragment in out.err
+
+
+def test_report_refuses_a_batch_past_the_float_range_without_a_traceback():
+    proc = _run_module("report", "--batch", "1" + "0" * 400)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: batch must be <= 2**53, got 1000")
+    assert "Traceback" not in proc.stderr
 
 
 def test_report_missing_cost_config(tmp_path, capsys):

@@ -220,6 +220,22 @@ def test_total_counts():
     assert abs(report.total_macs - 330e6) / 330e6 < 0.02
 
 
+# VGG16's published counts (Simonyan and Zisserman, 2014)
+VGG16_PARAMS = 138_357_544
+VGG16_MACS = 15.47e9
+
+
+def test_the_abstracts_ratios_to_vgg16():
+    report = count_params_macs(build_diracdeltanet())
+    rows = {l.name: l for l in report.layers}
+    # "42x fewer parameters" is reproduced
+    assert f"{VGG16_PARAMS / report.total_params:.1f}" == "42.2"
+    # "48x fewer OPs" is not: 46.9x as counted, 47.7x without conv1 and fc
+    assert f"{VGG16_MACS / report.total_macs:.1f}" == "46.9"
+    convs_inside = report.total_macs - rows["conv1"].macs - rows["fc"].macs
+    assert f"{VGG16_MACS / convs_inside:.1f}" == "47.7"
+
+
 def test_count_report_layer_rows():
     report = count_params_macs(build_diracdeltanet())
     rows = {l.name: l for l in report.layers}
