@@ -6,8 +6,9 @@ dominates; fused pooling, shifting, and re-quantization ride along for free;
 the channel shuffle costs a host-side copy of the skip half (`copy_bytes`,
 timed by `CostModelParams.copy_s`); weights are fetched once per engine
 invocation and amortize over the batch. `CostModelParams` describes the
-board for the simulator (`accel.subgraph`) too, which streams its tiles and
-reports `map_bytes`, `weight_bytes` and `copy_bytes`. A report whose figures
+board for the simulator (`accel.subgraph`) too, which streams whole rows of
+a map's real channels and reports `map_bytes`, `weight_bytes` and
+`copy_bytes`: tiles exist only in those byte counts. A report whose figures
 are not all finite is refused.
 """
 from __future__ import annotations

@@ -4,14 +4,12 @@ These are deliberately schedule-free: plain array math, one function per
 operator, exact integer accumulators. The pipeline model is required to match
 each of them bit for bit, so they double as oracles for the accelerator
 tests. Every operator takes and returns ``(height, width, channels)`` arrays:
-uint8 codes in the reference engine (and float32 accumulators for the pool
-before a lookup), floats in the float graph of the test oracles
-(`tests/oracles.py`), which shares the pool, shift, shuffle and split
-operators. The conv and the FC are exact float32 GEMMs; the conv's float32
-result, every value an integer, is the one accumulator form that both
-engines hand to `ThresholdTable.apply`. The shift has no parameters: each
-channel's direction is fixed by its index. Nibble packing happens only at
-the file and API edges (`FeatureMap`).
+uint8 codes in the reference engine, and float32 accumulators for the pool
+before a lookup. The conv and the FC are exact float32 GEMMs; the conv's
+float32 result, every value an integer, is the one accumulator form that
+both engines hand to `ThresholdTable.apply`. The shift has no parameters:
+each channel's direction is fixed by its index. Nibble packing happens only
+at the file and API edges (`FeatureMap`).
 """
 from __future__ import annotations
 

@@ -1,10 +1,10 @@
-"""Shared fixtures: desk-scale network shapes and seeded random bundles."""
+"""Shared fixtures: desk-scale network shapes, seeded random bundles and tables."""
 import numpy as np
 import pytest
 
 from diracdelta.bundle import random_bundle
 from diracdelta.net import NetworkSpec
-from diracdelta.quant import NetworkQuantParams
+from diracdelta.quant import LayerQuantParams, NetworkQuantParams, build_threshold_table
 from diracdelta.tensor import FeatureMap
 
 
@@ -48,6 +48,22 @@ def random_input(spec: NetworkSpec, seed: int) -> FeatureMap:
         0, 16, size=(spec.input_size, spec.input_size, spec.input_channels), dtype=np.uint8
     )
     return FeatureMap.from_array(arr)
+
+
+def threshold_table(rng=None):
+    """The table of a layer with weight scale 1/15 at s = 1.
+
+    Its alpha is 1, which puts threshold i at 15 i - 7, or a draw from
+    [0.5, 1.5) when ``rng`` is given.
+    """
+    alpha = 1.0 if rng is None else float(rng.uniform(0.5, 1.5))
+    return build_threshold_table(LayerQuantParams(alpha=alpha, weight_scale=1 / 15),
+                                 NetworkQuantParams(s=1.0))
+
+
+def tree_bytes(root) -> dict:
+    """The bytes of every file in a directory, by name."""
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 
 
 @pytest.fixture

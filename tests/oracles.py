@@ -7,14 +7,14 @@ over the whole accumulator range instead of the probes around each code's
 closed-form boundary that build a threshold table (a construction that
 shares nothing with the package's but the float quantizer), an int64
 matmul instead of the float32 GEMM, exact rationals instead of the integer
-head pool, int64 bit planes instead of the one-GEMV FC head, an
-operator-by-operator composition that stores every intermediate as a packed
-`FeatureMap` (and looks accumulators up before it pools them) instead of the
-engines' step interpreter over uint8 arrays, and pixel-serial line buffers
-instead of the simulator's row lanes.
-The float graph (`float_forward`, the quantized network with its rounding
-removed) and the clip and weight-grid identities the package does not use
-are here too, as statements the tests check.
+head pool, int64 bit planes instead of the one-GEMV FC head, nested loops
+instead of the vectorized pool and shift, an operator-by-operator
+composition that stores every intermediate as a packed `FeatureMap` (and
+looks accumulators up before it pools them) instead of the engines' step
+interpreter over uint8 arrays, the reference operators composed in a row
+instead of the simulator's fused conv pipeline, and pixel-serial line
+buffers instead of the simulator's row lanes. The weight-grid
+dequantization the package does not use is here too.
 """
 import math
 from collections import deque
@@ -22,11 +22,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from diracdelta.errors import ConstructionError, DomainError, ShapeError
+from diracdelta.errors import ConstructionError, ShapeError
 from diracdelta.net import ConvStep, PoolStep, ShiftStep, SplitStep, compile_steps
 from diracdelta.ops import (
     channel_split,
     concat_shuffle,
+    conv1x1,
     maxpool2x2,
     shift,
 )
@@ -35,7 +36,6 @@ from diracdelta.quant import (
     NetworkQuantParams,
     ThresholdTable,
     accumulator_scale,
-    pact_clip,
     quantize_activation,
 )
 from diracdelta.tensor import (ACC_DTYPE, ACC_LIMIT, CODE_MAX, FeatureMap, WeightMatrix,
@@ -59,10 +59,6 @@ def conversion_tree(acc: int, thresholds) -> int:
     Walks offsets 8, 4, 2, 1 through the 1-indexed table, which is how a
     pipelined comparator tree resolves a 4-bit code in four stages.
     """
-    if len(thresholds) != 15:
-        raise ConstructionError(
-            f"the comparison tree needs exactly 15 thresholds, got {len(thresholds)}"
-        )
     code = 0
     for step in (8, 4, 2, 1):
         probe = code + step
@@ -71,11 +67,9 @@ def conversion_tree(acc: int, thresholds) -> int:
     return code
 
 
-def conversion_unit(acc, table: ThresholdTable):
-    """The comparison tree on every accumulator: an int for a scalar, else uint8 codes."""
+def conversion_unit(acc, table: ThresholdTable) -> np.ndarray:
+    """The comparison tree on every accumulator, as uint8 codes."""
     arr = np.asarray(acc)
-    if arr.ndim == 0:
-        return conversion_tree(int(arr), table.thresholds)
     flat = [conversion_tree(int(v), table.thresholds) for v in arr.reshape(-1)]
     return np.array(flat, dtype=np.uint8).reshape(arr.shape)
 
@@ -112,17 +106,6 @@ def scalar_threshold_table(params: LayerQuantParams, net: NetworkQuantParams,
     return ThresholdTable(tuple(thresholds))
 
 
-def pact_clip_abs_form(x, alpha: float):
-    """The absolute-value identity (|x| - |x - alpha| + alpha) / 2.
-
-    Algebraically equal to `pact_clip` for alpha > 0; in float64 the two can
-    differ by an ulp, which is why the pipeline uses the explicit clip.
-    """
-    if not alpha > 0:
-        raise DomainError(f"clip bound alpha must be positive, got {alpha}")
-    return (np.abs(x) - np.abs(x - alpha) + alpha) / 2
-
-
 def dequantize_weight_codes(codes) -> np.ndarray:
     """Grid values in [-1, 1] for weight codes: (2*code - 15) / 15."""
     return (2.0 * np.asarray(codes, dtype=np.float64) - CODE_MAX) / CODE_MAX
@@ -150,22 +133,6 @@ def fc_bit_serial(codes, weights: WeightMatrix) -> np.ndarray:
     return 2 * total - 15 * int(a.sum())
 
 
-def global_avgpool(x: np.ndarray, net: NetworkQuantParams, size: int = 7) -> np.ndarray:
-    """Correctly rounded mean of the dequantized activations, per channel.
-
-    The code sum is exact, so the mean is computed as the rational
-    ``sum * s / (size * size * 15)`` and rounded once to float64.
-    """
-    if x.shape[:2] != (size, size):
-        raise ShapeError(
-            f"global pool expects a {size}x{size} map, got {x.shape[0]}x{x.shape[1]}"
-        )
-    sums = x.astype(np.int64).sum(axis=(0, 1))
-    den = size * size * CODE_MAX
-    s = Fraction(net.s)
-    return np.array([float(Fraction(int(v)) * s / den) for v in sums], dtype=np.float64)
-
-
 def documented_head_codes(x: np.ndarray, net: NetworkQuantParams, size: int) -> np.ndarray:
     """Head codes by the documented rule, in exact rationals.
 
@@ -180,6 +147,47 @@ def documented_head_codes(x: np.ndarray, net: NetworkQuantParams, size: int) -> 
         mean = Fraction(int(v)) * s / den
         codes.append(math.floor(mean / s * CODE_MAX + Fraction(1, 2)))
     return np.array(codes, dtype=np.uint8)
+
+
+def pool_oracle(arr: np.ndarray) -> np.ndarray:
+    """2x2 stride-2 max pooling, one output element at a time."""
+    h, w, c = arr.shape
+    out = np.zeros((h // 2, w // 2, c), dtype=arr.dtype)
+    for y in range(h // 2):
+        for x in range(w // 2):
+            for ch in range(c):
+                out[y, x, ch] = max(arr[2 * y, 2 * x, ch], arr[2 * y, 2 * x + 1, ch],
+                                    arr[2 * y + 1, 2 * x, ch], arr[2 * y + 1, 2 * x + 1, ch])
+    return out
+
+
+def shift_oracle(arr: np.ndarray) -> np.ndarray:
+    """The shift one output element at a time: out[y, x] = in[y + dy, x + dx], zero fill."""
+    h, w, c = arr.shape
+    out = np.zeros_like(arr)
+    for ch in range(c):
+        # identity, up, down, left, right, repeating every five channels
+        dy, dx = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))[ch % 5]
+        for y in range(h):
+            for x in range(w):
+                sy, sx = y + dy, x + dx
+                if 0 <= sy < h and 0 <= sx < w:
+                    out[y, x, ch] = arr[sy, sx, ch]
+    return out
+
+
+def composed_subgraph(fm: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
+                      pool=False, shifted=False, shuffle_with=None) -> np.ndarray:
+    """One fused conv step as the reference operators in a row: conv, lookup,
+    then the pool, the shift and the shuffle it names."""
+    out = table.apply(conv1x1(fm, weights))
+    if pool:
+        out = maxpool2x2(out)
+    if shifted:
+        out = shift(out)
+    if shuffle_with is not None:
+        out = concat_shuffle(shuffle_with, out)
+    return out
 
 
 def composed_forward(bundle, fm: FeatureMap) -> np.ndarray:
@@ -209,53 +217,6 @@ def composed_forward(bundle, fm: FeatureMap) -> np.ndarray:
         else:
             codes = documented_head_codes(bufs[step.src].to_array(), bundle.net, step.spatial)
             return fc_bit_serial(codes, bundle.fc_weights)
-    raise AssertionError("network has no head step")
-
-
-def float_forward(spec, weights: dict, net: NetworkQuantParams, alphas,
-                  x: np.ndarray) -> np.ndarray:
-    """Float twin of `forward`: same graph, real arithmetic, no rounding.
-
-    ``weights`` maps conv step names (plus "fc") to float (out, in) arrays.
-    After every conv the activation is clipped to [0, alpha] and rescaled by
-    s / alpha, which is the quantizer with the rounding removed. ``alphas``
-    is a mapping from layer name to clip bound, or a single float for all.
-    Pool, shift, split and shuffle are the engines' `ops` functions on floats.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.shape != (spec.input_size, spec.input_size, spec.input_channels):
-        raise ShapeError(
-            f"input shape {arr.shape} does not match "
-            f"({spec.input_size}, {spec.input_size}, {spec.input_channels})"
-        )
-
-    bufs = {"input": arr}
-    for step in compile_steps(spec):
-        if isinstance(step, ConvStep):
-            w = np.asarray(weights[step.name], dtype=np.float64)
-            if w.shape != (step.out_channels, step.in_channels):
-                raise ShapeError(
-                    f"layer {step.name}: float weights {w.shape} do not match "
-                    f"({step.out_channels}, {step.in_channels})"
-                )
-            a = alphas[step.name] if isinstance(alphas, dict) else float(alphas)
-            out = pact_clip(bufs[step.src] @ w.T, a) * (net.s / a)
-            if step.pool:
-                out = maxpool2x2(out)
-            if step.shift:
-                out = shift(out)
-            if step.shuffle_with:
-                out = concat_shuffle(bufs[step.shuffle_with], out)
-            bufs[step.dst] = out
-        elif isinstance(step, PoolStep):
-            bufs[step.dst] = maxpool2x2(bufs[step.src])
-        elif isinstance(step, ShiftStep):
-            bufs[step.dst] = shift(bufs[step.src])
-        elif isinstance(step, SplitStep):
-            bufs[step.dst_skip], bufs[step.dst_residual] = channel_split(bufs[step.src])
-        else:
-            fc = np.asarray(weights["fc"], dtype=np.float64)
-            return bufs[step.src].mean(axis=(0, 1)) @ fc.T
     raise AssertionError("network has no head step")
 
 
@@ -341,7 +302,6 @@ class PixelShiftLane:
         self._center = 0        # next padded position to resolve
         self._pending = []
         self._dtype = None
-        self._finished = False
 
     def _push(self, px) -> list:
         self._buf.append(px)
@@ -401,9 +361,6 @@ class PixelShiftLane:
         return done
 
     def finish(self) -> list:
-        """Push the bottom zero ring once, which flushes the last output row."""
-        if self._dtype is None or self._finished:
-            return []
-        self._finished = True
+        """Push the bottom zero ring, which flushes the last output row."""
         zero = np.zeros(self.channels, dtype=self._dtype)
         return self._feed_padded_row([zero] * self._pad_w)

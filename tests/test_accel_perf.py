@@ -1,6 +1,8 @@
-"""Cost model: rooflines, per-step cycle counts, batch amortization, ablations."""
+"""Cost model: rooflines, per-step cycle counts, shuffle copy bytes, batch amortization,
+ablations."""
 import json
 
+import numpy as np
 import pytest
 
 from conftest import make_three_stage_spec, make_tiny_spec, make_two_stage_spec, random_input
@@ -13,6 +15,7 @@ from diracdelta.accel.perf import (
     block_breakdown,
     build_report,
     conv_cycles,
+    copy_bytes,
     frame_cost,
     layer_roofline,
     load_cost_config,
@@ -32,6 +35,7 @@ from diracdelta.net import (
     conv_steps,
     forward,
 )
+from diracdelta.ops import concat_shuffle
 from diracdelta.quant import NetworkQuantParams
 from diracdelta.tensor import blocked_channel_count
 
@@ -240,6 +244,30 @@ def test_shuffle_cost_is_the_host_copy():
     a = block_breakdown(p, 28, 128)
     assert a.memcpy_bytes == 25088
     assert a.with_shuffle_s - a.conv_s == pytest.approx(25088 / 9.0e7)
+
+
+def test_writeback_copy_traffic_for_the_two_shuffle_stages():
+    """Early blocks move 4x the bytes of late ones: same code count as volume shrinks."""
+    rng = np.random.default_rng(81)
+    early_skip = rng.integers(0, 16, size=(28, 28, 64), dtype=np.uint8)
+    early_res = rng.integers(0, 16, size=(28, 28, 64), dtype=np.uint8)
+    assert concat_shuffle(early_skip, early_res).shape == (28, 28, 128)
+    early = copy_bytes(early_skip.shape)
+    assert early == 25088
+
+    late_skip = rng.integers(0, 16, size=(7, 7, 256), dtype=np.uint8)
+    late_res = rng.integers(0, 16, size=(7, 7, 256), dtype=np.uint8)
+    assert concat_shuffle(late_skip, late_res).shape == (7, 7, 512)
+    late = copy_bytes(late_skip.shape)
+    assert late == 6272
+    assert early == 4 * late
+
+
+def test_writeback_zero_channels_means_zero_copy():
+    empty = np.zeros((4, 4, 0), dtype=np.uint8)
+    out = concat_shuffle(empty, empty)
+    assert copy_bytes(empty.shape) == 0
+    assert out.shape[2] == 0
 
 
 def test_early_and_late_blocks_compare_as_expected():

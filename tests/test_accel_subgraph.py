@@ -2,19 +2,23 @@
 
 Every configuration the network uses (bare conv, conv+pool+shift, conv+shift,
 conv+shuffle) must produce byte-identical tensors under both schedulers, with
-traffic counters that match closed-form expectations.
+traffic counters that match closed-form expectations. The pool and shift
+stages are also driven row by row against the `ops` operators, and their
+reported occupancies against pixel-serial line-buffer oracles.
 """
 import time
 
 import numpy as np
 import pytest
 
-from conftest import make_tiny_spec, random_input
+from conftest import make_tiny_spec, random_input, threshold_table
 
 from diracdelta.accel.perf import CostModelParams
 from diracdelta.accel.subgraph import (
     FIFO_CAPACITY,
     SimulatorExecutor,
+    _pool_stage,
+    _shift_stage,
     pool_pass,
     run_subgraph,
     shift_pass,
@@ -23,45 +27,29 @@ from diracdelta import tensor
 from diracdelta.bundle import random_bundle
 from diracdelta.errors import ConfigurationError, ShapeError, ValidationError
 from diracdelta.net import ReferenceExecutor, forward
-from diracdelta.ops import (
-    concat_shuffle,
-    conv1x1,
-    maxpool2x2,
-    shift,
-)
-from diracdelta.quant import LayerQuantParams, NetworkQuantParams, build_threshold_table
+from diracdelta.ops import conv1x1, maxpool2x2, shift
 from diracdelta.tensor import ACC_LIMIT, FeatureMap, WeightMatrix, blocked_channel_count
 
-from oracles import PixelPoolLane, PixelShiftLane, searchsorted_apply
-
-
-def _table(seed):
-    rng = np.random.default_rng(seed)
-    p = LayerQuantParams(alpha=float(rng.uniform(0.5, 1.5)), weight_scale=1 / 15)
-    return build_threshold_table(p, NetworkQuantParams(s=1.0))
+from oracles import (
+    SHIFT_BY_HAND,
+    SHIFT_BY_HAND_INPUT,
+    PixelPoolLane,
+    PixelShiftLane,
+    composed_subgraph,
+    searchsorted_apply,
+)
 
 
 def _random_case(seed, h, w, ic, oc):
     rng = np.random.default_rng(seed)
     fm = rng.integers(0, 16, size=(h, w, ic), dtype=np.uint8)
     wm = WeightMatrix(oc, ic, rng.integers(0, 16, size=(oc, ic), dtype=np.uint8))
-    return fm, wm, _table(seed + 1)
+    return fm, wm, threshold_table(np.random.default_rng(seed + 1))
 
 
 def _same(got, want):
     """Equal uint8 code arrays."""
     return got.dtype == want.dtype == np.uint8 and np.array_equal(got, want)
-
-
-def _reference(fm, wm, table, pool=False, shifted=False, shuffle_with=None):
-    out = table.apply(conv1x1(fm, wm))
-    if pool:
-        out = maxpool2x2(out)
-    if shifted:
-        out = shift(out)
-    if shuffle_with is not None:
-        out = concat_shuffle(shuffle_with, out)
-    return out
 
 
 # =========================================================================
@@ -96,7 +84,7 @@ def test_pipeline_matches_reference_composition(h, w, ic, oc, pool, shifted, shu
         out_h, out_w = (h // 2, w // 2) if pool else (h, w)
         skip = rng.integers(0, 16, size=(out_h, out_w, oc), dtype=np.uint8)
     got = run_subgraph(fm, wm, table, pool=pool, shift=shifted, shuffle_with=skip)
-    want = _reference(fm, wm, table, pool=pool, shifted=shifted, shuffle_with=skip)
+    want = composed_subgraph(fm, wm, table, pool=pool, shifted=shifted, shuffle_with=skip)
     assert _same(got.output, want)
 
 
@@ -104,7 +92,7 @@ def test_pipeline_matches_reference_composition(h, w, ic, oc, pool, shifted, shu
 def test_both_schedulers_compute_identical_bytes(scheduler):
     fm, wm, table = _random_case(7, 8, 8, 5, 24)
     got = run_subgraph(fm, wm, table, pool=True, shift=True, scheduler=scheduler)
-    want = _reference(fm, wm, table, pool=True, shifted=True)
+    want = composed_subgraph(fm, wm, table, pool=True, shifted=True)
     assert _same(got.output, want)
 
 
@@ -126,14 +114,14 @@ def test_a_stage_failure_is_re_raised_promptly(scheduler):
     wm = WeightMatrix(8, 600, np.full((8, 600), 15, dtype=np.uint8))
     t0 = time.perf_counter()
     with pytest.raises(ValidationError, match="accumulator magnitude 135000 exceeds bound"):
-        run_subgraph(fm, wm, _table(1), scheduler=scheduler)
+        run_subgraph(fm, wm, threshold_table(np.random.default_rng(1)), scheduler=scheduler)
     assert time.perf_counter() - t0 < 5.0
 
 
 def test_small_tiles_still_bit_exact():
     fm, wm, table = _random_case(31, 6, 6, 20, 12)
     got = run_subgraph(fm, wm, table, CostModelParams(ic_parallel=8, oc_parallel=8))
-    assert _same(got.output, _reference(fm, wm, table))
+    assert _same(got.output, composed_subgraph(fm, wm, table))
     assert all(d <= FIFO_CAPACITY for d in got.stats.fifo_depths.values())
 
 
@@ -142,7 +130,7 @@ def test_the_loader_fifo_holds_rows_not_channel_tiles():
     # item per row, where one item per row and tile made it peak at 2
     fm, wm, table = _random_case(37, 2, 2, 64, 8)
     got = run_subgraph(fm, wm, table)
-    assert _same(got.output, _reference(fm, wm, table))
+    assert _same(got.output, composed_subgraph(fm, wm, table))
     assert got.stats.fifo_depths["loader_to_conv"] == 1
 
 
@@ -150,7 +138,7 @@ def test_half_tiles_with_pool_and_shift_match_reference():
     fm, wm, table = _random_case(33, 6, 8, 20, 24)
     params = CostModelParams(ic_parallel=16, oc_parallel=16)
     got = run_subgraph(fm, wm, table, params, pool=True, shift=True)
-    assert _same(got.output, _reference(fm, wm, table, pool=True, shifted=True))
+    assert _same(got.output, composed_subgraph(fm, wm, table, pool=True, shifted=True))
     assert all(d <= FIFO_CAPACITY for d in got.stats.fifo_depths.values())
     assert got.stats.pool_occupancy == 8 + 1
     assert got.stats.shift_occupancy == 2 * (4 + 2) + 1  # at the pooled width
@@ -168,7 +156,7 @@ def test_input_rows_too_wide_for_an_exact_float32_gemm_are_refused():
     # one GEMM spans a row's real channels, however many tiles they fill
     fm, wm, table = _random_case(36, 1, 1, 40001, 4)
     assert _same(run_subgraph(fm, wm, table, CostModelParams(ic_parallel=40000)).output,
-                 _reference(fm, wm, table))
+                 composed_subgraph(fm, wm, table))
     fm, wm, table = _random_case(36, 1, 1, tensor.MAX_F32_TERMS + 1, 4)
     with pytest.raises(ValidationError, match="^input width of 74566 channels: "):
         run_subgraph(fm, wm, table)
@@ -229,7 +217,7 @@ def test_zero_weights_produce_the_zero_accumulator_code_everywhere():
     rng = np.random.default_rng(61)
     fm = rng.integers(0, 16, size=(4, 4, 10), dtype=np.uint8)
     wm = WeightMatrix(6, 10, np.zeros((6, 10), dtype=np.uint8))
-    table = _table(62)
+    table = threshold_table(np.random.default_rng(62))
     res = run_subgraph(fm, wm, table)
     assert set(np.unique(res.output)) == {searchsorted_apply(table, 0)}
     assert searchsorted_apply(table, 0) == 0
@@ -239,7 +227,7 @@ def test_zero_activations_produce_the_zero_accumulator_code():
     rng = np.random.default_rng(63)
     fm = np.zeros((4, 4, 10), dtype=np.uint8)
     wm = WeightMatrix(6, 10, rng.integers(0, 16, size=(6, 10), dtype=np.uint8))
-    table = _table(64)
+    table = threshold_table(np.random.default_rng(64))
     res = run_subgraph(fm, wm, table)
     assert set(np.unique(res.output)) == {searchsorted_apply(table, 0)}
 
@@ -255,6 +243,125 @@ def test_shape_guards():
     for empty in (np.zeros((0, 4, 8), dtype=np.uint8), np.zeros((4, 0, 8), dtype=np.uint8)):
         with pytest.raises(ShapeError, match="at least one row and one column, got "):
             run_subgraph(empty, wm, table, shift=True)
+
+
+# =========================================================================
+# pool and shift stages against their pixel-serial oracles
+# =========================================================================
+
+def _drive(stage, fm):
+    """Step a stage generator by hand, answering each get with the next row of ``fm``.
+
+    Returns the kinds of effect it yields, in order, and the rows it puts.
+    """
+    rows = iter(fm)
+    effects, puts, value = [], [], None
+    while True:
+        try:
+            kind, _fifo, *item = stage.send(value)
+        except StopIteration:
+            return effects, puts
+        effects.append(kind)
+        puts.extend(item)
+        value = next(rows) if kind == "get" else None
+
+
+def _pool(fm):
+    return _drive(_pool_stage(fm.shape[0], "in", "out"), fm)
+
+
+def _shift(fm):
+    return _drive(_shift_stage(fm.shape[1], fm.shape[0], "in", "out"), fm)
+
+
+def _feed_whole_map(lane, fm):
+    """Feed a pixel-serial oracle every row of ``fm``; returns its output rows."""
+    rows = [out for row in fm for out in lane.feed_row(row)]
+    return rows + lane.finish() if isinstance(lane, PixelShiftLane) else rows
+
+
+@pytest.mark.parametrize("h,w,c", [(4, 4, 3), (8, 8, 5), (6, 10, 1), (2, 2, 7)])
+def test_pool_lane_matches_reference(h, w, c):
+    rng = np.random.default_rng(h * 100 + w * 10 + c)
+    fm = rng.integers(0, 16, size=(h, w, c), dtype=np.uint8)
+    _, rows = _pool(fm)
+    np.testing.assert_array_equal(np.stack(rows), maxpool2x2(fm))
+
+
+def test_pool_lane_occupancy_is_one_row_plus_one_pixel():
+    rng = np.random.default_rng(0)
+    fm = rng.integers(0, 16, size=(8, 8, 4), dtype=np.uint8)
+    lane = PixelPoolLane(8, 4)
+    _feed_whole_map(lane, fm)
+    assert lane.max_occupancy == pool_pass(fm).stats.pool_occupancy == 9  # width + 1
+
+
+def test_pool_lane_emits_one_row_on_odd_rows_only():
+    arr = np.arange(72, dtype=np.uint8).reshape(4, 6, 3) % 16
+    effects, rows = _pool(arr)
+    assert effects == ["get", "get", "put"] * 2
+    assert [row.shape for row in rows] == [(3, 3)] * 2
+
+
+@pytest.mark.parametrize("direction", [pytest.param(k, id=f"direction{k}") for k in range(5)])
+def test_shift_lane_single_direction(direction):
+    """Channel ``direction`` of the hand-worked map moves as worked by hand."""
+    got = np.stack(_shift(SHIFT_BY_HAND_INPUT)[1])
+    assert got[:, :, direction].tolist() == SHIFT_BY_HAND[direction]
+
+
+def test_shift_lane_needs_finish_to_flush():
+    rng = np.random.default_rng(78)
+    for height in (1, 2, 3):
+        fm = rng.integers(0, 16, size=(height, 3, 2), dtype=np.uint8)
+        # the last row waits for the bottom padding, which follows the last get
+        effects, rows = _shift(fm)
+        assert effects == ["get"] + ["get", "put"] * (height - 1) + ["put"]
+        np.testing.assert_array_equal(np.stack(rows), shift(fm))
+
+
+def test_shift_lane_occupancy_stays_in_the_two_row_budget():
+    rng = np.random.default_rng(79)
+    width = 28
+    fm = rng.integers(0, 16, size=(4, width, 8), dtype=np.uint8)
+    lane = PixelShiftLane(width, 8)
+    _feed_whole_map(lane, fm)
+    budget = 2 * (width + 2) + 2
+    assert lane.max_occupancy == shift_pass(fm).stats.shift_occupancy == 2 * (width + 2) + 1
+    assert lane.max_occupancy <= budget
+
+
+@pytest.mark.parametrize("c", [1, 5, 7])
+@pytest.mark.parametrize("w", [1, 2, 3, 6])
+@pytest.mark.parametrize("h", [1, 2, 3, 4, 7])
+def test_row_lanes_equal_the_pixel_serial_oracles(h, w, c):
+    """The stages and the oracles compute the `ops` operators, and each oracle,
+    fed a whole map, peaks at the occupancy the simulator reports for it."""
+    rng = np.random.default_rng(h * 100 + w * 10 + c)
+    fm = rng.integers(0, 16, size=(h, w, c), dtype=np.uint8)
+    pool = h % 2 == 0 and w % 2 == 0
+    if pool:
+        pool_lane = PixelPoolLane(w, c)
+        np.testing.assert_array_equal(np.stack(_feed_whole_map(pool_lane, fm)), maxpool2x2(fm))
+        np.testing.assert_array_equal(np.stack(_pool(fm)[1]), maxpool2x2(fm))
+        assert pool_lane.max_occupancy == pool_pass(fm).stats.pool_occupancy
+    shift_lane = PixelShiftLane(w, c)
+    np.testing.assert_array_equal(np.stack(_feed_whole_map(shift_lane, fm)), shift(fm))
+    np.testing.assert_array_equal(np.stack(_shift(fm)[1]), shift(fm))
+    assert shift_lane.max_occupancy == shift_pass(fm).stats.shift_occupancy
+    # the zero rings count as fed pixels, so even one image row reaches 2D+1
+    assert shift_lane.max_occupancy == 2 * (w + 2) + 1
+
+    # in a subgraph the shift runs at the pooled width
+    pooled = maxpool2x2(fm) if pool else fm
+    pooled_lane = PixelShiftLane(pooled.shape[1], c)
+    _feed_whole_map(pooled_lane, pooled)
+    wm = WeightMatrix(c, c, rng.integers(0, 16, size=(c, c), dtype=np.uint8))
+    for scheduler in ("single-thread", "concurrent"):
+        stats = run_subgraph(fm, wm, threshold_table(), pool=pool, shift=True,
+                             scheduler=scheduler).stats
+        assert stats.shift_occupancy == pooled_lane.max_occupancy
+        assert stats.pool_occupancy == (pool_lane.max_occupancy if pool else 0)
 
 
 # =========================================================================
@@ -296,13 +403,11 @@ def test_standalone_passes_report_what_a_lane_fed_the_whole_map_reports(shape):
     fm = np.random.default_rng(83).integers(0, 16, size=shape, dtype=np.uint8)
     h, w, c = shape
     shift_lane = PixelShiftLane(w, c)
-    rows = [out for row in fm for out in shift_lane.feed_row(row)] + shift_lane.finish()
-    assert _same(shift_pass(fm).output, np.stack(rows))
+    assert _same(shift_pass(fm).output, np.stack(_feed_whole_map(shift_lane, fm)))
     assert shift_pass(fm).stats.shift_occupancy == shift_lane.max_occupancy
     if h % 2 == 0 and w % 2 == 0:
         pool_lane = PixelPoolLane(w, c)
-        rows = [out for row in fm for out in pool_lane.feed_row(row)]
-        assert _same(pool_pass(fm).output, np.stack(rows))
+        assert _same(pool_pass(fm).output, np.stack(_feed_whole_map(pool_lane, fm)))
         assert pool_pass(fm).stats.pool_occupancy == pool_lane.max_occupancy
 
 

@@ -6,7 +6,7 @@ summary visible under `-s`.
 """
 import numpy as np
 
-from conftest import make_tiny_spec, make_two_stage_spec, random_input
+from conftest import make_tiny_spec, make_two_stage_spec, random_input, threshold_table
 
 from diracdelta import cli
 from diracdelta.accel.perf import (
@@ -42,14 +42,16 @@ from diracdelta.quant import (
 )
 from diracdelta.tensor import ACC_LIMIT, WeightMatrix, check_accumulators
 
-from oracles import conversion_linear, conversion_unit, dequantize_weight_codes
+from oracles import (
+    composed_subgraph,
+    conversion_linear,
+    conversion_unit,
+    dequantize_weight_codes,
+    pool_oracle,
+    shift_oracle,
+)
 
 NET = NetworkQuantParams(s=1.0)
-
-
-def _random_table(rng):
-    p = LayerQuantParams(alpha=float(rng.uniform(0.5, 1.5)), weight_scale=1 / 15)
-    return build_threshold_table(p, NET)
 
 
 # -------------------------------------------------------------------------
@@ -97,7 +99,7 @@ def test_criterion_03_accumulator_bound():
     check_accumulators(acc)
 
     rng = np.random.default_rng(2026)
-    result = run_subgraph(fm, wm, _random_table(rng))
+    result = run_subgraph(fm, wm, threshold_table(rng))
     assert result.stats.max_abs_acc == 115200
 
     # the bound holds across random layers
@@ -117,19 +119,6 @@ def test_criterion_03_accumulator_bound():
 # criterion 4: bit-exact engine equivalence
 # -------------------------------------------------------------------------
 
-def _reference_composition(fm, wm, table, pool, shifted, skip):
-    acc = conv1x1(fm, wm)
-    check_accumulators(acc)
-    out = table.apply(acc)
-    if pool:
-        out = maxpool2x2(out)
-    if shifted:
-        out = shift(out)
-    if skip is not None:
-        out = concat_shuffle(skip, out)
-    return out
-
-
 def test_criterion_04_subgraphs_match_reference_ops():
     spec = build_diracdeltanet()
     shapes = sorted({
@@ -144,14 +133,14 @@ def test_criterion_04_subgraphs_match_reference_ops():
             fm = rng.integers(0, 16, size=(spatial, spatial, ic), dtype=np.uint8)
             wm = WeightMatrix(
                 oc, ic, rng.integers(0, 16, size=(oc, ic), dtype=np.uint8))
-            table = _random_table(rng)
+            table = threshold_table(rng)
             out_sp = spatial // 2 if pool else spatial
             skip = None
             if shuffled:
                 skip = rng.integers(0, 16, size=(out_sp, out_sp, oc), dtype=np.uint8)
             got = run_subgraph(fm, wm, table, pool=pool, shift=shifted,
                                shuffle_with=skip)
-            want = _reference_composition(fm, wm, table, pool, shifted, skip)
+            want = composed_subgraph(fm, wm, table, pool, shifted, skip)
             assert got.output.dtype == want.dtype == np.uint8
             assert np.array_equal(got.output, want)
             runs += 1
@@ -216,31 +205,6 @@ def test_criterion_06_quantizer_properties():
 # criterion 7: shuffle, shift, and pool against brute-force oracles
 # -------------------------------------------------------------------------
 
-def _pool_oracle(arr):
-    h, w, c = arr.shape
-    out = np.zeros((h // 2, w // 2, c), dtype=arr.dtype)
-    for y in range(h // 2):
-        for x in range(w // 2):
-            for ch in range(c):
-                out[y, x, ch] = max(arr[2 * y, 2 * x, ch], arr[2 * y, 2 * x + 1, ch],
-                                    arr[2 * y + 1, 2 * x, ch], arr[2 * y + 1, 2 * x + 1, ch])
-    return out
-
-
-def _shift_oracle(arr):
-    h, w, c = arr.shape
-    out = np.zeros_like(arr)
-    for ch in range(c):
-        # identity, up, down, left, right, repeating every five channels
-        dy, dx = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))[ch % 5]
-        for y in range(h):
-            for x in range(w):
-                sy, sx = y + dy, x + dx
-                if 0 <= sy < h and 0 <= sx < w:
-                    out[y, x, ch] = arr[sy, sx, ch]
-    return out
-
-
 def test_criterion_07_shuffle_shift_pool_oracles():
     rng = np.random.default_rng(7)
 
@@ -267,8 +231,8 @@ def test_criterion_07_shuffle_shift_pool_oracles():
     for _ in range(1000):
         c = int(rng.integers(1, 7))
         arr = rng.integers(0, 16, size=(4, 4, c), dtype=np.uint8)
-        np.testing.assert_array_equal(maxpool2x2(arr), _pool_oracle(arr))
-        np.testing.assert_array_equal(shift(arr), _shift_oracle(arr))
+        np.testing.assert_array_equal(maxpool2x2(arr), pool_oracle(arr))
+        np.testing.assert_array_equal(shift(arr), shift_oracle(arr))
     print("[PASS] criterion 7: shuffle is a quarter rotation exchanging C/4 "
           "channels per branch; shift and pool match nested-loop oracles on "
           "1000 random maps")

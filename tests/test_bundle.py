@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import random_input
+from conftest import random_input, tree_bytes
 
 from diracdelta import bundle as bundle_module
 from diracdelta.bundle import (
@@ -19,10 +19,6 @@ from diracdelta.bundle import (
 from diracdelta.errors import BundleError, ChecksumError, ConstructionError, GraphError
 from diracdelta.net import conv_steps, forward
 from diracdelta.quant import LayerQuantParams, build_threshold_table
-
-
-def _tree_bytes(root):
-    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 
 
 # =========================================================================
@@ -55,13 +51,13 @@ def test_round_trip_forward_is_bit_identical(tmp_path, tiny_bundle):
 def test_same_seed_saves_byte_identical_trees(tmp_path, tiny_spec, quant_params):
     a = save_bundle(random_bundle(tiny_spec, quant_params, seed=3), tmp_path / "a")
     b = save_bundle(random_bundle(tiny_spec, quant_params, seed=3), tmp_path / "b")
-    assert _tree_bytes(a) == _tree_bytes(b)
+    assert tree_bytes(a) == tree_bytes(b)
 
 
 def test_different_seeds_differ(tmp_path, tiny_spec, quant_params):
     a = save_bundle(random_bundle(tiny_spec, quant_params, seed=3), tmp_path / "a")
     b = save_bundle(random_bundle(tiny_spec, quant_params, seed=4), tmp_path / "b")
-    assert _tree_bytes(a) != _tree_bytes(b)
+    assert tree_bytes(a) != tree_bytes(b)
 
 
 def test_manifest_shape(tmp_path, tiny_bundle):
@@ -102,7 +98,7 @@ def test_saving_over_a_bundle_leaves_no_stale_blobs(tmp_path, tiny_spec, quant_p
     newer = random_bundle(tiny_spec, quant_params, seed=4)
     save_bundle(newer, root)
     fresh = save_bundle(newer, tmp_path / "fresh")
-    assert _tree_bytes(root) == _tree_bytes(fresh)
+    assert tree_bytes(root) == tree_bytes(fresh)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["b", "fresh"]
 
 
@@ -114,14 +110,14 @@ def test_saving_through_a_symlink_replaces_the_linked_bundle(tmp_path, tiny_spec
     newer = random_bundle(tiny_spec, quant_params, seed=4)
     assert save_bundle(newer, link) == link
     assert link.is_symlink()
-    assert _tree_bytes(real) == _tree_bytes(save_bundle(newer, tmp_path / "fresh"))
+    assert tree_bytes(real) == tree_bytes(save_bundle(newer, tmp_path / "fresh"))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "link", "real"]
 
 
 def test_a_failed_save_leaves_the_previous_bundle_in_place(tmp_path, tiny_spec,
                                                            quant_params, monkeypatch):
     root = save_bundle(random_bundle(tiny_spec, quant_params, seed=3), tmp_path / "b")
-    before = _tree_bytes(root)
+    before = tree_bytes(root)
     frame = bundle_module._frame
     calls = []
 
@@ -136,7 +132,7 @@ def test_a_failed_save_leaves_the_previous_bundle_in_place(tmp_path, tiny_spec,
         save_bundle(random_bundle(tiny_spec, quant_params, seed=4), root)
     monkeypatch.undo()
     assert len(calls) == 3
-    assert _tree_bytes(root) == before
+    assert tree_bytes(root) == before
     assert [p.name for p in tmp_path.iterdir()] == ["b"]
     load_bundle(root)
 
@@ -147,7 +143,7 @@ def test_save_refuses_a_non_empty_directory_without_a_manifest(tmp_path, tiny_bu
     (root / "todo.txt").write_text("keep me")
     with pytest.raises(BundleError, match="non-empty directory without manifest.json"):
         save_bundle(tiny_bundle, root)
-    assert _tree_bytes(root) == {"todo.txt": b"keep me"}
+    assert tree_bytes(root) == {"todo.txt": b"keep me"}
     assert [p.name for p in tmp_path.iterdir()] == ["notes"]
     # an empty directory is a fine target
     (root / "todo.txt").unlink()

@@ -22,13 +22,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import tree_bytes
+
 from diracdelta import cli
 from diracdelta.accel.perf import CostModelParams
 from diracdelta.tensor import FeatureMap, write_tensor_blob
-
-
-def _tree_bytes(root):
-    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +66,7 @@ def test_build_is_deterministic_per_seed(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli.main(["build", "--out", str(a), "--seed", "5"]) == 0
     assert cli.main(["build", "--out", str(b), "--seed", "5"]) == 0
-    assert _tree_bytes(a) == _tree_bytes(b)
+    assert tree_bytes(a) == tree_bytes(b)
 
 
 def test_validate_reports_the_bundle_summary(bundle_dir, capsys):
@@ -170,22 +168,19 @@ def test_malformed_manifest_field_fails_validation_naming_it(
     assert "Traceback" not in err
 
 
-def _key_paths(obj, path=""):
-    """Every key path in a parsed manifest, with list indices written as [0]."""
-    paths = set()
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            sub = f"{path}.{k}" if path else k
-            paths |= {sub} | _key_paths(v, sub)
-    elif isinstance(obj, list):
-        for v in obj:
-            paths |= _key_paths(v, f"{path}[0]")
-    return paths
+def _paths(obj, path=()):
+    """Every key path in a parsed manifest, list elements included."""
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    return [p for k, v in items for p in [path + (k,)] + _paths(v, path + (k,))]
 
 
 def test_manifest_holds_only_fields_the_loader_reads(tiny_bundle_dir):
     manifest = json.loads((tiny_bundle_dir / "manifest.json").read_text())
-    assert _key_paths(manifest) == {_field_path(keys) for keys, _ in MANIFEST_FIELDS}
+    # the paths that end in a key, with every list index written as 0
+    fields = {tuple(0 if isinstance(k, int) else k for k in p)
+              for p in _paths(manifest) if isinstance(p[-1], str)}
+    assert fields == {keys for keys, _ in MANIFEST_FIELDS}
 
 
 @pytest.mark.parametrize("keys", [("fc", "scale"), ("quant", "s"), ("layers", 0, "alpha"),
@@ -669,13 +664,6 @@ def test_report_refuses_a_cost_config_whose_figures_are_not_finite(tmp_path, cap
 # =========================================================================
 # fuzz gate: every input the CLI reads ends as exit 0, 1 or 2
 # =========================================================================
-
-def _paths(obj, path=()):
-    """Every key path in a parsed manifest, list elements included."""
-    items = obj.items() if isinstance(obj, dict) else (
-        enumerate(obj) if isinstance(obj, list) else ())
-    return [p for k, v in items for p in [path + (k,)] + _paths(v, path + (k,))]
-
 
 _JSON_VALUES = st.one_of(
     st.sampled_from([2**64, -2**64, 2**63, float("nan"), float("inf"), float("-inf"),

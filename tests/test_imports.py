@@ -1,4 +1,5 @@
-"""Every module imports on its own, in a fresh interpreter.
+"""Every module imports on its own, in a fresh interpreter, and every test file
+is named for the module it checks.
 
 The package `__init__` files bind nothing but `__version__`, so a module
 that leans on something another module imported first, or an import cycle
@@ -33,3 +34,17 @@ def test_every_module_imports_standalone():
     assert proc.returncode == 0, proc.stderr
     names = set(proc.stdout.split())
     assert {"diracdelta.cli", "diracdelta.accel", "diracdelta.accel.perf"} <= names
+
+
+# test files that check the package as a whole rather than one module
+CROSS_MODULE_SUITES = {"acceptance", "differential", "golden", "imports", "readme"}
+
+
+def test_every_test_file_names_a_module_or_a_cross_module_suite():
+    """`tests/test_<name>.py` checks `diracdelta/<name>.py`, with each `_` of the
+    name read as `/`, so deleting a module cannot leave a test file named after it."""
+    package = Path(diracdelta.__file__).resolve().parent
+    names = [p.stem.removeprefix("test_") for p in Path(__file__).parent.glob("test_*.py")]
+    stale = sorted(name for name in names if name not in CROSS_MODULE_SUITES
+                   and not (package / f"{name.replace('_', '/')}.py").is_file())
+    assert stale == []

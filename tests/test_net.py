@@ -2,8 +2,7 @@
 
 The forward tests re-wire the tiny one-stage network by hand, step by step,
 so a wiring mistake in the compiled step list cannot hide behind the step
-list itself. The float graph, `float_forward`, is a test oracle in
-`oracles.py`; it is checked against the same kind of hand wiring here.
+list itself.
 """
 from types import SimpleNamespace
 
@@ -13,10 +12,10 @@ import pytest
 from conftest import make_tiny_spec, make_two_stage_spec, random_input
 from oracles import (
     composed_forward,
+    composed_subgraph,
     conv1x1_int64,
     documented_head_codes,
     fc_bit_serial,
-    float_forward,
     searchsorted_apply,
 )
 
@@ -37,13 +36,7 @@ from diracdelta.net import (
     count_params_macs,
     forward,
 )
-from diracdelta.ops import (
-    channel_split,
-    concat_shuffle,
-    conv1x1,
-    maxpool2x2,
-    shift,
-)
+from diracdelta.ops import channel_split, conv1x1, maxpool2x2, shift
 from diracdelta.quant import LayerQuantParams, NetworkQuantParams, ThresholdTable
 from diracdelta.tensor import MAX_INPUT_SIZE, FeatureMap, WeightMatrix
 
@@ -316,17 +309,9 @@ def test_bundle_validate_checks_fc_shape(tiny_bundle):
 
 def _hand_wired_tiny_forward(bundle, fm):
     """The tiny network written out longhand, without compile_steps."""
-    net = bundle.net
-
     def conv(name, fm_in, pool=False, shifted=False, skip=None):
-        out = bundle.tables[name].apply(conv1x1(fm_in, bundle.weights[name]))
-        if pool:
-            out = maxpool2x2(out)
-        if shifted:
-            out = shift(out)
-        if skip is not None:
-            out = concat_shuffle(skip, out)
-        return out
+        return composed_subgraph(fm_in, bundle.weights[name], bundle.tables[name],
+                                 pool, shifted, skip)
 
     x = conv("conv1", fm.to_array(), pool=True, shifted=True)
     x = conv("conv2", x, pool=True, shifted=True)
@@ -340,7 +325,8 @@ def _hand_wired_tiny_forward(bundle, fm):
     x = conv("s2b0_res_conv2", r, skip=first)
     x = conv("conv5", x)
     spec = bundle.spec
-    codes = documented_head_codes(x, net, spec.input_size // (4 * 2 ** len(spec.stage_channels)))
+    head = spec.input_size // (4 * 2 ** len(spec.stage_channels))
+    codes = documented_head_codes(x, bundle.net, head)
     ints = fc_bit_serial(codes, bundle.fc_weights)
     return ints * bundle.fc_scale, ints
 
@@ -516,69 +502,3 @@ def test_forward_on_two_stage_network_runs(quant_params):
     out = forward(bundle, random_input(spec, seed=6))
     assert out.logits.shape == (spec.num_classes,)
     assert 0 <= out.class_index < spec.num_classes
-
-
-# =========================================================================
-# float forward
-# =========================================================================
-
-def _hand_wired_tiny_float(spec, weights, net, alpha, x):
-    def conv(name, v, pool=False, shifted=False, skip=None):
-        out = np.clip(v @ weights[name].T, 0.0, alpha) * (net.s / alpha)
-        if pool:
-            out = maxpool2x2(out)
-        if shifted:
-            out = shift(out)
-        if skip is not None:
-            out = concat_shuffle(skip, out)
-        return out
-
-    x = conv("conv1", x, pool=True, shifted=True)
-    x = conv("conv2", x, pool=True, shifted=True)
-    sp = maxpool2x2(x)
-    ss = shift(sp)
-    skip = conv("s2d_skip_conv", ss)
-    r = conv("s2d_res_conv1", x, pool=True, shifted=True)
-    x = conv("s2d_res_conv2", r, skip=skip)
-    first, second = x[:, :, :8], x[:, :, 8:]
-    r = conv("s2b0_res_conv1", second, shifted=True)
-    x = conv("s2b0_res_conv2", r, skip=first)
-    x = conv("conv5", x)
-    return x.mean(axis=(0, 1)) @ weights["fc"].T
-
-
-def _random_float_weights(spec, seed):
-    rng = np.random.default_rng(seed)
-    out = {s.name: rng.normal(size=(s.out_channels, s.in_channels))
-           for s in conv_steps(spec)}
-    out["fc"] = rng.normal(size=(spec.num_classes, spec.conv5_channels))
-    return out
-
-
-def test_float_forward_matches_hand_wired_oracle(tiny_spec, quant_params):
-    weights = _random_float_weights(tiny_spec, seed=44)
-    rng = np.random.default_rng(45)
-    x = rng.uniform(0, 1, size=(16, 16, 3))
-    got = float_forward(tiny_spec, weights, quant_params, 1.0, x)
-    want = _hand_wired_tiny_float(tiny_spec, weights, quant_params, 1.0, x)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-
-
-def test_float_forward_per_layer_alphas(tiny_spec, quant_params):
-    weights = _random_float_weights(tiny_spec, seed=46)
-    x = np.random.default_rng(47).uniform(0, 1, size=(16, 16, 3))
-    alphas = {s.name: 0.5 + 0.1 * i for i, s in enumerate(conv_steps(tiny_spec))}
-    a = float_forward(tiny_spec, weights, quant_params, alphas, x)
-    b = float_forward(tiny_spec, weights, quant_params, 1.0, x)
-    assert a.shape == (tiny_spec.num_classes,)
-    assert not np.allclose(a, b)
-
-
-def test_float_forward_shape_guards(tiny_spec, quant_params):
-    weights = _random_float_weights(tiny_spec, seed=48)
-    with pytest.raises(ShapeError, match="does not match"):
-        float_forward(tiny_spec, weights, quant_params, 1.0, np.zeros((8, 8, 3)))
-    bad = dict(weights)
-    bad["conv2"] = np.zeros((3, 3))
-    with pytest.raises(ShapeError, match="layer conv2: float weights"):
-        float_forward(tiny_spec, bad, quant_params, 1.0, np.zeros((16, 16, 3)))

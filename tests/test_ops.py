@@ -1,7 +1,8 @@
 """Reference operators against brute-force oracles and hand-worked examples."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
 
 from diracdelta.errors import ShapeError, ValidationError
 from diracdelta.ops import (
@@ -22,7 +23,8 @@ from oracles import (
     conv1x1_int64,
     documented_head_codes,
     fc_bit_serial,
-    global_avgpool,
+    pool_oracle,
+    shift_oracle,
 )
 
 
@@ -109,28 +111,11 @@ def test_conv_channel_mismatch():
 # max pooling
 # =========================================================================
 
-def _pool_oracle(arr):
-    h, w, c = arr.shape
-    out = np.zeros((h // 2, w // 2, c), dtype=arr.dtype)
-    for y in range(h // 2):
-        for x in range(w // 2):
-            for ch in range(c):
-                out[y, x, ch] = max(
-                    arr[2 * y, 2 * x, ch],
-                    arr[2 * y, 2 * x + 1, ch],
-                    arr[2 * y + 1, 2 * x, ch],
-                    arr[2 * y + 1, 2 * x + 1, ch],
-                )
-    return out
-
-
 def test_maxpool_matches_nested_loop_oracle():
     rng = np.random.default_rng(31)
     for h, w, c in [(4, 4, 3), (6, 8, 5), (2, 2, 1)]:
         fm = _random_codes(rng, h, w, c)
-        np.testing.assert_array_equal(
-            maxpool2x2(fm), _pool_oracle(fm)
-        )
+        np.testing.assert_array_equal(maxpool2x2(fm), pool_oracle(fm))
 
 
 def test_maxpool_refuses_odd_spatial_dims():
@@ -150,19 +135,6 @@ def test_maxpool_ramp():
 # shift
 # =========================================================================
 
-def _shift_oracle(arr, directions):
-    h, w, c = arr.shape
-    out = np.zeros_like(arr)
-    for y in range(h):
-        for x in range(w):
-            for ch in range(c):
-                dy, dx = directions[ch]
-                sy, sx = y + dy, x + dx
-                if 0 <= sy < h and 0 <= sx < w:
-                    out[y, x, ch] = arr[sy, sx, ch]
-    return out
-
-
 def test_shift_direction_semantics_by_hand():
     got = shift(SHIFT_BY_HAND_INPUT)
     for c, want in enumerate(SHIFT_BY_HAND):
@@ -171,11 +143,9 @@ def test_shift_direction_semantics_by_hand():
 
 def test_shift_matches_nested_loop_oracle():
     rng = np.random.default_rng(33)
-    cycle = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))  # identity, up, down, left, right
     for h, w, c in [(4, 4, 10), (3, 7, 6), (5, 2, 5), (3, 3, 16), (6, 2, 1), (1, 1, 7)]:
         fm = _random_codes(rng, h, w, c)
-        dirs = [cycle[ch % 5] for ch in range(c)]
-        np.testing.assert_array_equal(shift(fm), _shift_oracle(fm, dirs))
+        np.testing.assert_array_equal(shift(fm), shift_oracle(fm))
 
 
 def test_default_directions_cycle_with_period_five():
@@ -263,36 +233,6 @@ def test_split_then_shuffle_round_trips_through_the_block_wiring():
 # head ops
 # =========================================================================
 
-def test_global_avgpool_exact_rational_rounding():
-    rng = np.random.default_rng(38)
-    arr = rng.integers(0, 16, size=(7, 7, 5), dtype=np.uint8)
-    net = NetworkQuantParams(s=0.7)
-    out = global_avgpool(arr, net)
-    sums = arr.astype(np.int64).sum(axis=(0, 1))
-    want = [float(Fraction(int(v)) * Fraction(0.7) / (49 * 15)) for v in sums]
-    assert out.tolist() == want
-
-
-def test_global_avgpool_constant_map():
-    net = NetworkQuantParams(s=1.0)
-    fm = np.full((7, 7, 3), 15, dtype=np.uint8)
-    np.testing.assert_array_equal(global_avgpool(fm, net), np.ones(3))
-
-
-def test_global_avgpool_size_check():
-    net = NetworkQuantParams(s=1.0)
-    fm = np.zeros((6, 7, 3), dtype=np.uint8)
-    with pytest.raises(ShapeError, match="expects a 7x7 map, got 6x7"):
-        global_avgpool(fm, net)
-
-
-def test_global_avgpool_custom_size():
-    net = NetworkQuantParams(s=1.0)
-    arr = np.arange(8, dtype=np.uint8).reshape(2, 2, 2)
-    out = global_avgpool(arr, net, size=2)
-    assert out.tolist() == [float(Fraction(0 + 2 + 4 + 6) / 60), float(Fraction(1 + 3 + 5 + 7) / 60)]
-
-
 def _maps_with_every_code_sum(size: int) -> np.ndarray:
     """A size x size map whose channel v has code sum v, for every reachable v."""
     n = size * size
@@ -320,8 +260,10 @@ def test_global_avgpool_codes_fixes_the_even_head_double_rounding():
     fm = np.array([[[3], [3]], [[0], [0]]], dtype=np.uint8)
     net = NetworkQuantParams(s=0.1)
     assert global_avgpool_codes(fm, 2).tolist() == [2]
-    # dequantize, divide by s, quantize: the float path lands below the tie
-    assert quantize_uniform(global_avgpool(fm, net, size=2) / net.s).tolist() == [1]
+    # dequantize the mean, rounded once to a float, divide by s, quantize:
+    # the float path lands below the tie
+    mean = float(Fraction(6) * Fraction(net.s) / (2 * 2 * 15))
+    assert quantize_uniform(mean / net.s) == 1
 
 
 def test_global_avgpool_codes_size_check():

@@ -1,4 +1,4 @@
-"""Quantizer semantics, threshold table construction, and the bit-width tag.
+"""Quantizer semantics, threshold tables and their lookup, and the bit-width tag.
 
 The threshold tests lean on an independent rational oracle: the boundary for
 code i sits at the smallest integer accumulator acc with
@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import make_tiny_spec, make_two_stage_spec
+from conftest import make_tiny_spec, make_two_stage_spec, threshold_table
 from diracdelta import quant
 from diracdelta.bundle import random_bundle
 from diracdelta.errors import (
@@ -41,8 +41,10 @@ from diracdelta.quant import (
 from diracdelta.tensor import ACC_LIMIT, CODE_MAX
 
 from oracles import (
+    conversion_linear,
+    conversion_tree,
+    conversion_unit,
     dequantize_weight_codes,
-    pact_clip_abs_form,
     scalar_threshold_table,
     searchsorted_apply,
 )
@@ -129,13 +131,6 @@ def test_dequantized_weights_within_half_level():
     assert np.max(np.abs(deq - t / np.max(np.abs(t)))) <= half_level + 1e-12
 
 
-def test_dequantize_weight_codes_grid():
-    np.testing.assert_allclose(
-        dequantize_weight_codes(np.array([0, 7, 8, 15])),
-        np.array([-1.0, -1 / 15, 1 / 15, 1.0]),
-    )
-
-
 # =========================================================================
 # activation clip
 # =========================================================================
@@ -153,25 +148,6 @@ def test_pact_clip_scalar_and_domain():
     assert pact_clip(9.0, 1.0) == 1.0
     with pytest.raises(DomainError, match="must be positive"):
         pact_clip(0.5, 0.0)
-    with pytest.raises(DomainError, match="must be positive"):
-        pact_clip_abs_form(0.5, -1.0)
-
-
-def test_abs_form_identity_is_exact_over_rationals():
-    alpha = Fraction(7, 5)
-    for num in range(-40, 41):
-        x = Fraction(num, 11)
-        direct = min(max(x, Fraction(0)), alpha)
-        via_abs = (abs(x) - abs(x - alpha) + alpha) / 2
-        assert direct == via_abs
-
-
-def test_abs_form_close_but_not_trusted_bitwise():
-    rng = np.random.default_rng(5)
-    x = rng.normal(scale=2.0, size=10_000)
-    a = pact_clip(x, 1.3)
-    b = pact_clip_abs_form(x, 1.3)
-    assert np.max(np.abs(a - b)) <= 4 * np.finfo(np.float64).eps
 
 
 # =========================================================================
@@ -394,6 +370,26 @@ def test_apply_matches_scalar_lookup():
     out = table.apply(accs)
     assert out.dtype == np.uint8
     assert out.tolist() == [bisect_right(table.thresholds, int(a)) for a in accs]
+
+
+def test_conversion_forms_agree_everywhere_near_the_table():
+    table = threshold_table()
+    span = np.arange(table.thresholds[0] - 30, table.thresholds[-1] + 30)
+    tree = conversion_unit(span, table)
+    linear = [conversion_linear(int(a), table.thresholds) for a in span]
+    vector = table.apply(span)
+    np.testing.assert_array_equal(tree, linear)
+    np.testing.assert_array_equal(tree, vector)
+
+
+def test_conversion_saturation():
+    table = threshold_table()
+    lo, hi = table.thresholds[0], table.thresholds[-1]
+    for convert in (conversion_tree, conversion_linear, lambda a, t: table.apply(a)):
+        assert convert(lo - 1, table.thresholds) == 0
+        assert convert(-115200, table.thresholds) == 0
+        assert convert(hi, table.thresholds) == 15
+        assert convert(115200, table.thresholds) == 15
 
 
 def _lookup_oracle_tables():
