@@ -364,3 +364,9 @@ class PixelShiftLane:
         """Push the bottom zero ring, which flushes the last output row."""
         zero = np.zeros(self.channels, dtype=self._dtype)
         return self._feed_padded_row([zero] * self._pad_w)
+
+
+def feed_whole_map(lane, fm) -> list:
+    """Feed a pixel-serial lane every row of ``fm``; returns its output rows."""
+    rows = [out for row in fm for out in lane.feed_row(row)]
+    return rows + lane.finish() if isinstance(lane, PixelShiftLane) else rows

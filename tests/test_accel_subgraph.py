@@ -2,9 +2,7 @@
 
 Every configuration the network uses (bare conv, conv+pool+shift, conv+shift,
 conv+shuffle) must produce byte-identical tensors under both schedulers, with
-traffic counters that match closed-form expectations. The pool and shift
-stages are also driven row by row against the `ops` operators, and their
-reported occupancies against pixel-serial line-buffer oracles.
+traffic counters that match closed-form expectations.
 """
 import time
 
@@ -17,8 +15,6 @@ from diracdelta.accel.perf import CostModelParams
 from diracdelta.accel.subgraph import (
     FIFO_CAPACITY,
     SimulatorExecutor,
-    _pool_stage,
-    _shift_stage,
     pool_pass,
     run_subgraph,
     shift_pass,
@@ -31,11 +27,10 @@ from diracdelta.ops import conv1x1, maxpool2x2, shift
 from diracdelta.tensor import ACC_LIMIT, FeatureMap, WeightMatrix, blocked_channel_count
 
 from oracles import (
-    SHIFT_BY_HAND,
-    SHIFT_BY_HAND_INPUT,
     PixelPoolLane,
     PixelShiftLane,
     composed_subgraph,
+    feed_whole_map,
     searchsorted_apply,
 )
 
@@ -246,125 +241,6 @@ def test_shape_guards():
 
 
 # =========================================================================
-# pool and shift stages against their pixel-serial oracles
-# =========================================================================
-
-def _drive(stage, fm):
-    """Step a stage generator by hand, answering each get with the next row of ``fm``.
-
-    Returns the kinds of effect it yields, in order, and the rows it puts.
-    """
-    rows = iter(fm)
-    effects, puts, value = [], [], None
-    while True:
-        try:
-            kind, _fifo, *item = stage.send(value)
-        except StopIteration:
-            return effects, puts
-        effects.append(kind)
-        puts.extend(item)
-        value = next(rows) if kind == "get" else None
-
-
-def _pool(fm):
-    return _drive(_pool_stage(fm.shape[0], "in", "out"), fm)
-
-
-def _shift(fm):
-    return _drive(_shift_stage(fm.shape[1], fm.shape[0], "in", "out"), fm)
-
-
-def _feed_whole_map(lane, fm):
-    """Feed a pixel-serial oracle every row of ``fm``; returns its output rows."""
-    rows = [out for row in fm for out in lane.feed_row(row)]
-    return rows + lane.finish() if isinstance(lane, PixelShiftLane) else rows
-
-
-@pytest.mark.parametrize("h,w,c", [(4, 4, 3), (8, 8, 5), (6, 10, 1), (2, 2, 7)])
-def test_pool_lane_matches_reference(h, w, c):
-    rng = np.random.default_rng(h * 100 + w * 10 + c)
-    fm = rng.integers(0, 16, size=(h, w, c), dtype=np.uint8)
-    _, rows = _pool(fm)
-    np.testing.assert_array_equal(np.stack(rows), maxpool2x2(fm))
-
-
-def test_pool_lane_occupancy_is_one_row_plus_one_pixel():
-    rng = np.random.default_rng(0)
-    fm = rng.integers(0, 16, size=(8, 8, 4), dtype=np.uint8)
-    lane = PixelPoolLane(8, 4)
-    _feed_whole_map(lane, fm)
-    assert lane.max_occupancy == pool_pass(fm).stats.pool_occupancy == 9  # width + 1
-
-
-def test_pool_lane_emits_one_row_on_odd_rows_only():
-    arr = np.arange(72, dtype=np.uint8).reshape(4, 6, 3) % 16
-    effects, rows = _pool(arr)
-    assert effects == ["get", "get", "put"] * 2
-    assert [row.shape for row in rows] == [(3, 3)] * 2
-
-
-@pytest.mark.parametrize("direction", [pytest.param(k, id=f"direction{k}") for k in range(5)])
-def test_shift_lane_single_direction(direction):
-    """Channel ``direction`` of the hand-worked map moves as worked by hand."""
-    got = np.stack(_shift(SHIFT_BY_HAND_INPUT)[1])
-    assert got[:, :, direction].tolist() == SHIFT_BY_HAND[direction]
-
-
-def test_shift_lane_needs_finish_to_flush():
-    rng = np.random.default_rng(78)
-    for height in (1, 2, 3):
-        fm = rng.integers(0, 16, size=(height, 3, 2), dtype=np.uint8)
-        # the last row waits for the bottom padding, which follows the last get
-        effects, rows = _shift(fm)
-        assert effects == ["get"] + ["get", "put"] * (height - 1) + ["put"]
-        np.testing.assert_array_equal(np.stack(rows), shift(fm))
-
-
-def test_shift_lane_occupancy_stays_in_the_two_row_budget():
-    rng = np.random.default_rng(79)
-    width = 28
-    fm = rng.integers(0, 16, size=(4, width, 8), dtype=np.uint8)
-    lane = PixelShiftLane(width, 8)
-    _feed_whole_map(lane, fm)
-    budget = 2 * (width + 2) + 2
-    assert lane.max_occupancy == shift_pass(fm).stats.shift_occupancy == 2 * (width + 2) + 1
-    assert lane.max_occupancy <= budget
-
-
-@pytest.mark.parametrize("c", [1, 5, 7])
-@pytest.mark.parametrize("w", [1, 2, 3, 6])
-@pytest.mark.parametrize("h", [1, 2, 3, 4, 7])
-def test_row_lanes_equal_the_pixel_serial_oracles(h, w, c):
-    """The stages and the oracles compute the `ops` operators, and each oracle,
-    fed a whole map, peaks at the occupancy the simulator reports for it."""
-    rng = np.random.default_rng(h * 100 + w * 10 + c)
-    fm = rng.integers(0, 16, size=(h, w, c), dtype=np.uint8)
-    pool = h % 2 == 0 and w % 2 == 0
-    if pool:
-        pool_lane = PixelPoolLane(w, c)
-        np.testing.assert_array_equal(np.stack(_feed_whole_map(pool_lane, fm)), maxpool2x2(fm))
-        np.testing.assert_array_equal(np.stack(_pool(fm)[1]), maxpool2x2(fm))
-        assert pool_lane.max_occupancy == pool_pass(fm).stats.pool_occupancy
-    shift_lane = PixelShiftLane(w, c)
-    np.testing.assert_array_equal(np.stack(_feed_whole_map(shift_lane, fm)), shift(fm))
-    np.testing.assert_array_equal(np.stack(_shift(fm)[1]), shift(fm))
-    assert shift_lane.max_occupancy == shift_pass(fm).stats.shift_occupancy
-    # the zero rings count as fed pixels, so even one image row reaches 2D+1
-    assert shift_lane.max_occupancy == 2 * (w + 2) + 1
-
-    # in a subgraph the shift runs at the pooled width
-    pooled = maxpool2x2(fm) if pool else fm
-    pooled_lane = PixelShiftLane(pooled.shape[1], c)
-    _feed_whole_map(pooled_lane, pooled)
-    wm = WeightMatrix(c, c, rng.integers(0, 16, size=(c, c), dtype=np.uint8))
-    for scheduler in ("single-thread", "concurrent"):
-        stats = run_subgraph(fm, wm, threshold_table(), pool=pool, shift=True,
-                             scheduler=scheduler).stats
-        assert stats.shift_occupancy == pooled_lane.max_occupancy
-        assert stats.pool_occupancy == (pool_lane.max_occupancy if pool else 0)
-
-
-# =========================================================================
 # standalone pool / shift passes
 # =========================================================================
 
@@ -403,11 +279,11 @@ def test_standalone_passes_report_what_a_lane_fed_the_whole_map_reports(shape):
     fm = np.random.default_rng(83).integers(0, 16, size=shape, dtype=np.uint8)
     h, w, c = shape
     shift_lane = PixelShiftLane(w, c)
-    assert _same(shift_pass(fm).output, np.stack(_feed_whole_map(shift_lane, fm)))
+    assert _same(shift_pass(fm).output, np.stack(feed_whole_map(shift_lane, fm)))
     assert shift_pass(fm).stats.shift_occupancy == shift_lane.max_occupancy
     if h % 2 == 0 and w % 2 == 0:
         pool_lane = PixelPoolLane(w, c)
-        assert _same(pool_pass(fm).output, np.stack(_feed_whole_map(pool_lane, fm)))
+        assert _same(pool_pass(fm).output, np.stack(feed_whole_map(pool_lane, fm)))
         assert pool_pass(fm).stats.pool_occupancy == pool_lane.max_occupancy
 
 

@@ -36,8 +36,10 @@ def test_every_module_imports_standalone():
     assert {"diracdelta.cli", "diracdelta.accel", "diracdelta.accel.perf"} <= names
 
 
-# test files that check the package as a whole rather than one module
-CROSS_MODULE_SUITES = {"acceptance", "differential", "golden", "imports", "readme"}
+# test files that check more than one module: the package as a whole, and
+# `accel_units`, the simulator's pool and shift units (the stage generators
+# of `accel.subgraph`) against the `ops` operators and pixel-serial oracles
+CROSS_MODULE_SUITES = {"acceptance", "accel_units", "differential", "golden", "imports", "readme"}
 
 
 def test_every_test_file_names_a_module_or_a_cross_module_suite():
