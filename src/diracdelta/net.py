@@ -28,9 +28,9 @@ reference engine runs a conv of at most three input channels as one gather
 from its code book (the codes of all 16^c pixels, built once per bundle) and
 pools the codes; every other conv keeps its exact float32 GEMM result, pools
 it and hands it to `ThresholdTable.apply`, the lookup the simulator's
-conversion stage calls on its own float32 GEMM rows. The head's FC is one
-float32 GEMV over the weight codes. The `ModelBundle` it runs lives in
-`bundle`.
+conversion stage calls on its own float32 GEMM rows. The head's FC runs
+exact float32 GEMVs over row blocks of the weight codes. The `ModelBundle`
+it runs lives in `bundle`.
 """
 from __future__ import annotations
 
@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import GraphError, ShapeError
 from .ops import (
+    BLOCK_ELEMENTS,
     channel_split,
     concat_shuffle,
     conv1x1,
@@ -340,9 +341,9 @@ class ReferenceExecutor:
         `ThresholdTable.apply`: every value is an exact integer below 2**24,
         so nothing rounds on the way to the index.
         """
-        # Row blocks keep every temporary under the 4 MiB at which numpy asks for
-        # huge pages; an even count pools on its own.
-        rows = max(2, 2**18 // (x.shape[1] * step.out_channels)) & ~1
+        # Row blocks of `BLOCK_ELEMENTS` keep every temporary under the 4 MiB at
+        # which numpy asks for huge pages; an even count pools on its own.
+        rows = max(2, BLOCK_ELEMENTS // (x.shape[1] * step.out_channels)) & ~1
         blocks = [x[y : y + rows] for y in range(0, len(x), rows)]
         pool = maxpool2x2 if step.pool else np.asarray
         if step.in_channels <= CODE_BOOK_CHANNELS:
@@ -379,9 +380,9 @@ def forward(bundle, fm: FeatureMap, executor=None) -> ForwardResult:
     between named buffers. The executor runs the conv subgraphs and the
     standalone pool and shift passes; splits are channel slices. The head
     (global average pool rounded onto the code grid in integers, then the FC
-    as one exact float32 GEMV over the weight codes) is host-side arithmetic
-    and is common to every executor. The class is the argmax of the integer
-    logits, ties resolving to the lowest index.
+    as exact float32 GEMVs over row blocks of the weight codes) is host-side
+    arithmetic and is common to every executor. The class is the argmax of
+    the integer logits, ties resolving to the lowest index.
     """
     spec = bundle.spec
     if (fm.height, fm.width) != (spec.input_size, spec.input_size):

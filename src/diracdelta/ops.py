@@ -24,6 +24,10 @@ from .tensor import CODE_MAX, WeightMatrix, check_accumulators, check_f32_exact
 # is fixed, so the hardware is a line buffer with fixed taps.
 SHIFT_CYCLE = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
 
+# Elements per row block of a float32 temporary: 1 MiB, under the 4 MiB from
+# which numpy asks the kernel for huge pages, so no frame faults one in.
+BLOCK_ELEMENTS = 2**18
+
 
 def conv1x1(x: np.ndarray, weights: WeightMatrix) -> np.ndarray:
     """Integer 1x1 convolution: acc[y, x, o] = sum_i (2*w[o, i] - 15) * a[y, x, i].
@@ -116,11 +120,14 @@ def global_avgpool_codes(x: np.ndarray, size: int) -> np.ndarray:
 
 
 def fully_connected(codes, weights: WeightMatrix) -> np.ndarray:
-    """Fully connected layer as one float32 GEMV over the raw weight codes.
+    """Fully connected layer as float32 GEMVs over the raw weight codes.
 
     With d[o] = sum_i w[o, i] * a[i], the result is ``2 * d - 15 * sum_i a[i]``,
-    the integer dot product with effective weights 2*w - 15. The float32 copy
-    of the codes lives for one call, so none stays resident.
+    the integer dot product with effective weights 2*w - 15. The codes are
+    cast to float32 and multiplied in blocks of rows of at most
+    `BLOCK_ELEMENTS` codes, so no float32 copy of the whole matrix is made
+    and none stays resident. Each d[o] is one exact float32 dot product
+    (`check_f32_exact`), so the blocks do not change a bit of it.
     """
     a = np.asarray(codes)
     if a.ndim != 1 or a.shape[0] != weights.in_channels:
@@ -130,5 +137,10 @@ def fully_connected(codes, weights: WeightMatrix) -> np.ndarray:
     if a.size and (a.min() < 0 or a.max() > CODE_MAX):
         raise ValidationError("activation codes outside [0, 15]")
     check_f32_exact(weights.in_channels, f"{weights.in_channels} inputs")
-    d = weights.codes.astype(np.float32) @ a.astype(np.float32)
+    a32 = a.astype(np.float32)
+    # check_f32_exact bounds the row length below BLOCK_ELEMENTS: a block has a row.
+    rows = BLOCK_ELEMENTS // max(1, weights.in_channels)
+    d = np.empty(weights.out_channels, dtype=np.float32)
+    for o in range(0, weights.out_channels, rows):
+        np.matmul(weights.codes[o : o + rows].astype(np.float32), a32, out=d[o : o + rows])
     return 2 * d.astype(np.int64) - CODE_MAX * int(a.sum(dtype=np.int64))

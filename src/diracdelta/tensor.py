@@ -120,7 +120,11 @@ class FeatureMap:
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """1x1 convolution (or FC) weights as a dense (out, in) grid of 4-bit codes."""
+    """1x1 convolution (or FC) weights as a dense (out, in) grid of 4-bit codes.
+
+    Each engine's form of the signed weights is cached on first use:
+    `effective_f32` for the reference convs, `slab_int8` for the simulator's.
+    """
 
     out_channels: int
     in_channels: int
@@ -147,6 +151,19 @@ class WeightMatrix:
         eff = self.effective().astype(np.float32)
         eff.flags.writeable = False
         return eff
+
+    @cached_property
+    def slab_int8(self) -> np.ndarray:
+        """`effective` as a read-only C-ordered (in, out) int8 array, built on first use.
+
+        The simulator's conv slab, which an input row multiplies once cast to
+        float32. int8 holds every effective weight exactly at a quarter of
+        float32's bytes, so the default net keeps 2.1 MiB resident instead of
+        8.6 MiB.
+        """
+        slab = np.ascontiguousarray(self.effective().T, dtype=np.int8)
+        slab.flags.writeable = False
+        return slab
 
     def packed(self) -> bytes:
         return pack(self.codes.reshape(-1))

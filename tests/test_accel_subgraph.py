@@ -361,6 +361,14 @@ def test_simulator_forward_concurrent_scheduler(tiny_bundle):
     np.testing.assert_array_equal(a.int_logits, b.int_logits)
 
 
+def test_simulator_keeps_no_float32_weights_resident(quant_params):
+    bundle = random_bundle(make_tiny_spec(), quant_params, seed=207)
+    forward(bundle, random_input(bundle.spec, seed=208), executor=SimulatorExecutor())
+    layers = [*bundle.weights.values(), bundle.fc_weights]
+    assert all("slab_int8" in w.__dict__ for w in bundle.weights.values())
+    assert not any("effective_f32" in w.__dict__ for w in layers)
+
+
 def test_simulator_runs_networks_with_asymmetric_stages(quant_params):
     spec = make_tiny_spec(input_size=24, stage_repeats=(2,))
     bundle = random_bundle(spec, quant_params, seed=205)

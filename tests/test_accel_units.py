@@ -43,7 +43,7 @@ def _shift(fm):
     return _drive(_shift_stage(fm.shape[1], fm.shape[0], "in", "out"), fm)
 
 
-@pytest.mark.parametrize("h,w,c", [(4, 4, 3), (8, 8, 5), (6, 10, 1), (2, 2, 7)])
+@pytest.mark.parametrize("h,w,c", [(4, 4, 3), (8, 8, 5), (6, 10, 1)])
 def test_pool_lane_matches_reference(h, w, c):
     rng = np.random.default_rng(h * 100 + w * 10 + c)
     fm = rng.integers(0, 16, size=(h, w, c), dtype=np.uint8)

@@ -1,4 +1,5 @@
 """Reference operators against brute-force oracles and hand-worked examples."""
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from diracdelta.errors import ShapeError, ValidationError
 from diracdelta.ops import (
+    BLOCK_ELEMENTS,
     channel_split,
     concat_shuffle,
     conv1x1,
@@ -311,6 +313,32 @@ def test_fully_connected_equals_the_bit_plane_oracle_at_the_extremes():
         got = fully_connected(a, w)
         np.testing.assert_array_equal(got, fc_bit_serial(a, w))
         assert got.tolist() == [effective * 15 * n] * 3  # +-230400, past the conv bound
+
+
+@pytest.mark.parametrize("out_channels", [600, 100])
+def test_fully_connected_row_blocks_equal_the_bit_plane_oracle(out_channels):
+    # 2**18 // 1024 = 256 rows a block: 600 is two full blocks and a partial
+    # one, 100 is less than one block
+    assert BLOCK_ELEMENTS // 1024 == 256
+    rng = np.random.default_rng(41)
+    w = WeightMatrix(out_channels, 1024,
+                     rng.integers(0, 16, size=(out_channels, 1024), dtype=np.uint8))
+    a = rng.integers(0, 16, size=1024, dtype=np.uint8)
+    np.testing.assert_array_equal(fully_connected(a, w), fc_bit_serial(a, w))
+
+
+def test_fully_connected_never_casts_the_whole_matrix():
+    rng = np.random.default_rng(42)
+    w = WeightMatrix(1000, 1024, rng.integers(0, 16, size=(1000, 1024), dtype=np.uint8))
+    a = rng.integers(0, 16, size=1024, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        fully_connected(a, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one 256 x 1024 float32 block is 1 MiB; the whole matrix would be 3.9 MiB
+    assert peak <= 1.1 * 2**20
 
 
 def test_fully_connected_refuses_inputs_a_float32_gemv_cannot_sum_exactly():

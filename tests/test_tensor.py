@@ -239,3 +239,13 @@ def test_check_accumulators_catches_the_most_negative_int32():
     lowest = np.iinfo(ACC_DTYPE).min
     with pytest.raises(ValidationError, match=f"magnitude {-lowest} exceeds bound"):
         check_accumulators(np.array([0, lowest], dtype=ACC_DTYPE))
+
+
+def test_slab_int8_is_the_cached_read_only_in_out_form_of_effective():
+    rng = np.random.default_rng(22)
+    w = WeightMatrix(7, 5, rng.integers(0, 16, size=(7, 5), dtype=np.uint8))
+    slab = w.slab_int8
+    assert slab.dtype == np.int8 and slab.shape == (5, 7)
+    assert slab.flags.c_contiguous and not slab.flags.writeable
+    np.testing.assert_array_equal(slab, w.effective().T)
+    assert w.slab_int8 is slab
