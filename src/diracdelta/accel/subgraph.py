@@ -20,10 +20,13 @@ The stages are independent processes joined by FIFOs of `FIFO_CAPACITY`
 whole rows, so the computed bytes are identical under any scheduler; what
 the simulator adds over the reference operators is the traffic and
 occupancy accounting of a real run. Each stage works on a whole row at
-once: the loader streams one row of the map's real channels per item, the
-conv stage runs one exact float32 GEMM per row, which the conversion stage
-hands to `ThresholdTable.apply` as the reference engine hands its own, and
-the pool and shift stages are line buffers over whole rows. The GEMM's
+once. The loader streams float32 rows of the map's real channels, the map
+cast once per call; the conv stage runs one exact float32 GEMM per row,
+which the conversion stage hands to `ThresholdTable.apply` as the reference
+engine hands its own; the pool stage is a line buffer over whole rows; the
+shift stage keeps one ring of three zero-padded rows per call and gathers
+each output row from it in one `take` through flat taps cached per (width,
+channels); the store fills an output allocated before the run. The GEMM's
 (in, out) slab is `WeightMatrix.slab_int8` cast to float32 once per call:
 the int8 form stays resident, 2.1 MiB on the default net, where a cached
 float32 slab would keep 8.6 MiB, and the cast costs a fraction of
@@ -41,6 +44,7 @@ closed form, and a standalone pass runs the reference operator.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,9 +83,10 @@ class SubgraphResult:
 
 
 def _loader_stage(x: np.ndarray, out_fifo: FifoChannel):
-    """Stream the input map row by row."""
+    """Stream the input map row by row, as the float32 rows the GEMM takes."""
+    rows = x.astype(np.float32)
     for y in range(x.shape[0]):
-        yield ("put", out_fifo, x[y])
+        yield ("put", out_fifo, rows[y])
 
 
 def _conv_stage(slab, height, stats, in_fifo: FifoChannel, out_fifo: FifoChannel):
@@ -128,40 +133,43 @@ def _pool_stage(height, in_fifo: FifoChannel, out_fifo: FifoChannel):
         yield ("put", out_fifo, np.maximum(pair[0::2], pair[1::2]))
 
 
-def _shift_stage(width, height, in_fifo: FifoChannel, out_fifo: FifoChannel):
-    """The fixed shift, `ops.shift`, over a window of three zero-padded rows.
+@functools.lru_cache(maxsize=64)
+def _shift_taps(width: int, channels: int) -> np.ndarray:
+    """Flat positions in the shift ring of each output pixel, as ``taps[y % 3, x, c]``.
+
+    Padded row p sits in ring slot p % 3; output row y reads padded row
+    y + 1 + dy at column 1 + x + dx, for ``(dy, dx) = SHIFT_CYCLE[c % 5]``.
+    """
+    dy, dx = np.array(ops.SHIFT_CYCLE)[np.arange(channels) % 5].T
+    slot = (np.arange(3)[:, None, None] + 1 + dy) % 3
+    col = 1 + np.arange(width)[:, None] + dx
+    taps = (slot * (width + 2) + col) * channels + np.arange(channels)
+    taps.flags.writeable = False
+    return taps
+
+
+def _shift_stage(width, height, channels, in_fifo: FifoChannel, out_fifo: FifoChannel):
+    """The fixed shift, `ops.shift`, over a ring of three zero-padded rows.
 
     Output row y draws channel c from the padded row above, at or below it
     and one column left, at or right, as ``SHIFT_CYCLE[c % 5]`` fixes, so it
-    is complete once row y + 1 arrives; the bottom zero ring completes the
-    last row.
+    is complete once row y + 1 arrives; it leaves as one `take` from the ring
+    through `_shift_taps`, a copy. Zeroing the slot after the last row
+    supplies the bottom zero ring that completes the last row.
     """
-    window = []
-
-    def shifted():
-        out = np.empty_like(window[1][1:-1])
-        for k, (dy, dx) in enumerate(ops.SHIFT_CYCLE):
-            out[:, k::5] = window[1 + dy][1 + dx : 1 + dx + width, k::5]
-        del window[0]
-        return out
-
-    for _y in range(height):
-        row = yield ("get", in_fifo)
-        padded = np.zeros((width + 2, row.shape[1]), dtype=row.dtype)
-        padded[1:-1] = row
-        if not window:
-            window.append(np.zeros_like(padded))
-        window.append(padded)
-        if len(window) == 3:
-            yield ("put", out_fifo, shifted())
-    window.append(np.zeros_like(window[-1]))
-    yield ("put", out_fifo, shifted())
+    ring = np.zeros((3, width + 2, channels), dtype=np.uint8)
+    flat, taps = ring.reshape(-1), _shift_taps(width, channels)
+    for y in range(height):
+        ring[(y + 1) % 3, 1:-1] = yield ("get", in_fifo)
+        if y:
+            yield ("put", out_fifo, flat.take(taps[(y - 1) % 3]))
+    ring[(height + 1) % 3] = 0
+    yield ("put", out_fifo, flat.take(taps[(height - 1) % 3]))
 
 
-def _store_stage(height, in_fifo: FifoChannel, sink: list):
-    for _y in range(height):
-        row = yield ("get", in_fifo)
-        sink.append(row)
+def _store_stage(height, in_fifo: FifoChannel, out: np.ndarray):
+    for y in range(height):
+        out[y] = yield ("get", in_fifo)
 
 
 def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
@@ -211,15 +219,14 @@ def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
     if shift:
         f_shift = FifoChannel("shift_to_store", FIFO_CAPACITY)
         fifos.append(f_shift)
-        stages.append(_shift_stage(out_w, out_h, tail, f_shift))
+        stages.append(_shift_stage(out_w, out_h, weights.out_channels, tail, f_shift))
         stats.shift_occupancy = _shift_occupancy(out_w)
         tail = f_shift
-    sink = []
-    stages.append(_store_stage(out_h, tail, sink))
+    output = np.empty((out_h, out_w, weights.out_channels), dtype=np.uint8)
+    stages.append(_store_stage(out_h, tail, output))
 
     run_network(stages, scheduler)
 
-    output = np.stack(sink)
     if shuffle_with is not None:
         output = ops.concat_shuffle(shuffle_with, output)
         stats.memcpy_bytes = copy_bytes(shuffle_with.shape)

@@ -34,6 +34,7 @@ it runs lives in `bundle`.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,6 +67,9 @@ class NetworkSpec:
     num_classes: int = 1000
 
     def __post_init__(self):
+        # tuples, so that a spec built from lists compares and hashes as the same spec
+        for name in ("stem_channels", "stage_channels", "stage_repeats"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(self.stage_channels) != len(self.stage_repeats):
             raise GraphError("stage_channels and stage_repeats lengths differ")
         if not self.stage_channels:
@@ -181,8 +185,9 @@ class HeadStep:
     spatial: int
 
 
+@functools.lru_cache(maxsize=32)
 def compile_steps(spec: NetworkSpec) -> tuple:
-    """Flatten the network into a straight-line program over named buffers."""
+    """Flatten the network into a straight-line program over named buffers, once per spec."""
     steps = []
     c1, c2 = spec.stem_channels
     steps.append(

@@ -23,12 +23,13 @@ rebuild the table on load.
 At run time a table is not searched. Construction also lays out a uint8
 lookup array over the accumulator window [t_first - 1, t_last], one code per
 integer: code 0 at t_first - 1, code i over the gap [t_i, t_(i+1)), and the
-top code at t_last. `ThresholdTable.apply` saturates an accumulator into that
-window (all below it has code 0, all above it the top code) in float32, casts
-it once to an intp index, subtracts t_first - 1 and indexes the array. Both
-engines hand it the float32 result of their checked, exact float32 GEMM, so
-every value is an integer below 2^24 and nothing rounds on the way to the
-index; integer inputs are taken too, and saturate at any magnitude. The
+top code at t_last, and the window's ends as float32. `ThresholdTable.apply`
+has one form for every dtype and rank: it saturates the flattened input into
+the window (all below it has code 0, all above it the top code), subtracts
+t_first - 1 in place in floats, casts once to an intp index and takes from the
+array. Both engines hand it the float32 result of their checked, exact float32
+GEMM, so every value is an integer below 2^24 and nothing rounds on the way to
+the index; integer inputs are taken too, and saturate at any magnitude. The
 lookup never decreases as acc grows, so it commutes with max pooling.
 Thresholds lie in [-ACC_LIMIT, ACC_LIMIT + 1], which bounds the array at
 2 * ACC_LIMIT + 3 bytes (about 225 KB); the tables of a real layer span a
@@ -165,25 +166,27 @@ class ThresholdTable:
         lut = np.repeat(np.arange(len(t) + 1).astype(np.uint8), gaps)
         lut.flags.writeable = False
         object.__setattr__(self, "_lut", lut)
+        object.__setattr__(self, "_base", np.float32(t[0] - 1))
+        object.__setattr__(self, "_top", np.float32(t[-1]))
 
     def apply(self, acc) -> np.ndarray:
         """Vectorized lookup; returns uint8 codes with the input's shape.
 
         Takes any integer dtype, or float32 holding integers, as a checked
         float32 GEMM (`tensor.check_f32_exact`) and its max pool give them.
-        Both ends are clamped in float32 before the one cast to the index:
-        the window's values are exact, and the cast to float32 is monotone,
-        so integers of any magnitude saturate.
+        The flattened input is clamped to the float32 window ends, shifted in
+        place and cast once to the index. The clamp runs in float32, or in
+        float64 past 16-bit integers: either holds the window exactly and the
+        cast to it is monotone, so integers of any magnitude saturate.
         """
         arr = np.asarray(acc)
         if arr.dtype.kind not in "iu" and arr.dtype != np.float32:
             raise ValidationError(f"accumulators must be integers or float32, got {arr.dtype}")
-        base, top = self.thresholds[0] - 1, self.thresholds[-1]
-        idx = np.empty(arr.shape, dtype=np.intp)
         # the max/min pair is faster than np.clip on the simulator's short rows
-        np.minimum(np.maximum(arr, base, dtype=np.float32), top, out=idx, casting="unsafe")
-        idx -= base
-        return self._lut.take(idx)
+        idx = np.maximum(arr.reshape(-1), self._base)
+        np.minimum(idx, self._top, out=idx)
+        idx -= self._base
+        return self._lut.take(idx.astype(np.intp)).reshape(arr.shape)
 
 
 def build_threshold_table(params: LayerQuantParams, net: NetworkQuantParams) -> ThresholdTable:

@@ -102,6 +102,18 @@ def test_schedulers_agree_on_stats_too():
 
 
 @pytest.mark.parametrize("scheduler", ["single-thread", "concurrent"])
+def test_the_output_is_a_fresh_c_ordered_code_array(scheduler):
+    fm, wm, table = _random_case(47, 4, 4, 8, 8)
+    skip = np.random.default_rng(48).integers(0, 16, size=(4, 4, 8), dtype=np.uint8)
+    for pool, shifted, shuffle_with in ((False, False, None), (True, True, None),
+                                        (False, True, skip)):
+        out = run_subgraph(fm, wm, table, pool=pool, shift=shifted, shuffle_with=shuffle_with,
+                           scheduler=scheduler).output
+        assert out.dtype == np.uint8 and out.flags.c_contiguous
+        assert not np.shares_memory(out, fm) and not np.shares_memory(out, skip)
+
+
+@pytest.mark.parametrize("scheduler", ["single-thread", "concurrent"])
 def test_a_stage_failure_is_re_raised_promptly(scheduler):
     # 600 all-15 inputs against all-15 weights overflow the accumulator
     # bound in the conv stage while the loader still has rows to put.

@@ -18,10 +18,11 @@ from diracdelta.tensor import WeightMatrix
 from oracles import SHIFT_BY_HAND, SHIFT_BY_HAND_INPUT, PixelPoolLane, PixelShiftLane, feed_whole_map
 
 
-def _drive(stage, fm):
+def _drive(stage, fm, watch=None):
     """Step a stage generator by hand, answering each get with the next row of ``fm``.
 
-    Returns the kinds of effect it yields, in order, and the rows it puts.
+    Returns the kinds of effect it yields, in order, and the rows it puts;
+    ``watch``, if given, is called with the stage at each effect.
     """
     rows = iter(fm)
     effects, puts, value = [], [], None
@@ -30,6 +31,8 @@ def _drive(stage, fm):
             kind, _fifo, *item = stage.send(value)
         except StopIteration:
             return effects, puts
+        if watch is not None:
+            watch(stage)
         effects.append(kind)
         puts.extend(item)
         value = next(rows) if kind == "get" else None
@@ -40,7 +43,7 @@ def _pool(fm):
 
 
 def _shift(fm):
-    return _drive(_shift_stage(fm.shape[1], fm.shape[0], "in", "out"), fm)
+    return _drive(_shift_stage(fm.shape[1], fm.shape[0], fm.shape[2], "in", "out"), fm)
 
 
 @pytest.mark.parametrize("h,w,c", [(4, 4, 3), (8, 8, 5), (6, 10, 1)])
@@ -80,6 +83,21 @@ def test_shift_lane_needs_finish_to_flush():
         # the last row waits for the bottom padding, which follows the last get
         effects, rows = _shift(fm)
         assert effects == ["get"] + ["get", "put"] * (height - 1) + ["put"]
+        np.testing.assert_array_equal(np.stack(rows), shift(fm))
+
+
+def test_shift_rows_share_no_memory_with_each_other_or_the_ring():
+    rng = np.random.default_rng(80)
+    for height in (1, 2, 3):  # the third row wraps the ring's phase
+        fm = rng.integers(0, 16, size=(height, 4, 6), dtype=np.uint8)
+        rings = []
+        _, rows = _drive(_shift_stage(4, height, 6, "in", "out"), fm,
+                         watch=lambda stage: rings.append(stage.gi_frame.f_locals["ring"]))
+        ring = rings[0]
+        assert all(r is ring for r in rings)  # one ring per invocation
+        for i, row in enumerate(rows):
+            assert not np.shares_memory(row, ring)
+            assert not any(np.shares_memory(row, other) for other in rows[:i])
         np.testing.assert_array_equal(np.stack(rows), shift(fm))
 
 

@@ -10,9 +10,9 @@ with tiles of 1-64 channels, which both the simulator and the cost model get.
 On a random frame and an all-15 frame, the reference and simulator logits
 must be byte-equal, and every simulator step must move exactly the bytes the
 cost model charges that step. The two sides share the byte formulas of
-`accel/perf.py`, so the activation read and the shuffle copy are also checked
-against closed forms of their own. Odd tiles and odd widths are where a
-channel padding mistake would show.
+`accel/perf.py`, so the activation read and write, the weights and the
+shuffle copy are also checked against closed forms of their own. Odd tiles
+and odd widths are where a channel padding mistake would show.
 """
 import dataclasses
 
@@ -82,12 +82,23 @@ def test_engines_agree_and_traffic_matches_the_cost_model(spec, s, seed, weight_
         assert [name for name, _ in sim.log] == [_log_name(step) for step in steps]
         for step, (_name, stats) in zip(steps, sim.log):
             cost = step_cost(step, params)
-            channels = step.in_channels if isinstance(step, ConvStep) else step.channels
+            conv = isinstance(step, ConvStep)
+            channels = step.in_channels if conv else step.channels
             read = stats.dram_read_bytes - stats.weight_bytes
             assert read == (step.spatial ** 2
                             * blocked_channel_count(channels, params.ic_parallel) // 2)
-            shuffled = isinstance(step, ConvStep) and step.shuffle_with
+            shuffled = conv and step.shuffle_with
             assert stats.memcpy_bytes == (
                 step.out_spatial ** 2 * step.out_channels // 2 if shuffled else 0), step.name
+            # a shuffle stores the skip half beside the residual one
+            stored = (2 if shuffled else 1) * step.out_channels if conv else step.channels
+            pooled = isinstance(step, PoolStep)
+            side = step.out_spatial if conv else step.spatial // 2 if pooled else step.spatial
+            assert stats.dram_write_bytes == (
+                side ** 2 * blocked_channel_count(stored, params.ic_parallel) // 2), step.name
+            assert stats.weight_bytes == (
+                blocked_channel_count(step.in_channels, params.ic_parallel)
+                * blocked_channel_count(step.out_channels, params.oc_parallel) // 2
+                if conv else 0), step.name
             assert (read + stats.dram_write_bytes, stats.weight_bytes, stats.memcpy_bytes) == (
                 cost.act_bytes, cost.weight_bytes, cost.memcpy_bytes), step.name

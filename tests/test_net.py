@@ -94,6 +94,23 @@ def test_spec_bounds_the_input_size():
         make_tiny_spec(input_size=MAX_INPUT_SIZE + 32)
 
 
+def test_a_spec_built_from_lists_is_the_spec_built_from_tuples(quant_params):
+    listed = NetworkSpec(32, 3, [6, 10], [20, 40, 80], [1, 0, 1], 50, 11)
+    tupled = NetworkSpec(32, 3, (6, 10), (20, 40, 80), (1, 0, 1), 50, 11)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert compile_steps(listed) is compile_steps(tupled)
+    fm = random_input(listed, 4)
+    got = forward(random_bundle(listed, quant_params, seed=6), fm)
+    want = forward(random_bundle(tupled, quant_params, seed=6), fm)
+    assert got.int_logits.tobytes() == want.int_logits.tobytes()
+
+
+def test_compile_steps_compiles_each_spec_once_in_a_bounded_cache():
+    assert compile_steps(NetworkSpec()) is compile_steps(build_diracdeltanet())
+    assert compile_steps(make_tiny_spec()) is not compile_steps(make_two_stage_spec())
+    assert compile_steps.cache_info().maxsize is not None
+
+
 def _blocks(spec):
     """(kind, in channels, out channels, input spatial) per block, from the compiled steps.
 

@@ -463,6 +463,23 @@ def test_apply_saturates_integer_extremes_without_wrapping():
         assert got.tolist()[-3:] == [len(table.thresholds)] * 3
 
 
+def test_apply_takes_any_rank_and_layout_and_saturates_the_infinities():
+    exact = 2**24 - 1
+    values = np.concatenate([[-np.inf, -exact], np.arange(-ACC_LIMIT - 2, ACC_LIMIT + 3, 7),
+                             [exact, np.inf]]).astype(np.float32)
+    strided = np.stack([values, values[::-1]])[:, ::3]
+    assert not strided.flags.c_contiguous
+    for table in _lookup_oracle_tables():
+        for acc in (strided, np.float32(-np.inf), np.float32(np.inf), np.float32(exact),
+                    np.float32(table.thresholds[0])):
+            got = table.apply(acc)
+            assert got.dtype == np.uint8 and got.shape == np.shape(acc)
+            np.testing.assert_array_equal(got, searchsorted_apply(table, acc))
+    for dtype in (np.float64, np.float16, np.bool_):
+        with pytest.raises(ValidationError, match="accumulators must be integers or float32"):
+            table.apply(np.zeros((2, 6), dtype=dtype)[:, ::3])
+
+
 def test_max_pooling_commutes_with_the_lookup():
     # lut(maxpool(acc)) == maxpool(lut(acc)) because the lookup never
     # decreases as acc grows: the reference engine pools before it looks up
