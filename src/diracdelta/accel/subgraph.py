@@ -27,12 +27,12 @@ engine hands its own; the pool stage is a line buffer over whole rows; the
 shift stage keeps one ring of three zero-padded rows per call and gathers
 each output row from it in one `take` through flat taps cached per (width,
 channels); the store fills an output allocated before the run. The GEMM's
-(in, out) slab is `WeightMatrix.slab_int8` cast to float32 once per call:
-the int8 form stays resident, 2.1 MiB on the default net, where a cached
-float32 slab would keep 8.6 MiB, and the cast costs a fraction of
-rebuilding the slab from the codes. Unlike the reference engine, the
-simulator converts before it pools, in the hardware's order: the line
-buffer holds 4-bit codes.
+(in, out) slab is `WeightMatrix.slab_int8` cast to float32 once per call,
+the operand `ops.conv1x1` multiplies too: the int8 form, 2.1 MiB on the
+default net, is the one weight form either engine keeps resident, and the
+cast costs a fraction of rebuilding the slab from the codes. Unlike the
+reference engine, the simulator converts before it pools, in the
+hardware's order: the line buffer holds 4-bit codes.
 
 The occupancies reported are those of the pixel-serial line buffers the
 hardware would build, whose oracles live with the tests: width + 1 pixels

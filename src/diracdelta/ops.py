@@ -34,7 +34,9 @@ def conv1x1(x: np.ndarray, weights: WeightMatrix) -> np.ndarray:
 
     Takes a (height, width, in_channels) code array and returns the float32
     GEMM result of shape (height, width, out_channels), whose every value is
-    an exact integer; `check_accumulators` has checked its bound.
+    an exact integer; `check_accumulators` has checked its bound. The
+    operand is the layer's resident `WeightMatrix.slab_int8` cast to
+    float32, the (in, out) slab the simulator multiplies too.
     """
     h, w, c = x.shape
     if c != weights.in_channels:
@@ -43,7 +45,7 @@ def conv1x1(x: np.ndarray, weights: WeightMatrix) -> np.ndarray:
         )
     check_f32_exact(weights.in_channels, f"{weights.in_channels} input channels")
     acts = x.astype(np.float32).reshape(-1, c)
-    acc = acts @ weights.effective_f32.T
+    acc = acts @ weights.slab_int8.astype(np.float32)
     check_accumulators(acc)
     return acc.reshape(h, w, weights.out_channels)
 

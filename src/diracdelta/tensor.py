@@ -38,16 +38,17 @@ _BLOB_HEADER = struct.Struct("<III")
 
 def _as_code_array(codes, what: str = "code") -> np.ndarray:
     arr = np.asarray(codes)
-    if arr.dtype.kind not in "iu":
-        if arr.dtype.kind == "f" and np.all(arr == np.floor(arr)):
-            arr = arr.astype(np.int64)
-        else:
-            raise ValidationError(f"{what}s must be integers, got dtype {arr.dtype}")
+    if arr.dtype.kind not in "iu" and not (
+        arr.dtype.kind == "f" and np.all(arr == np.floor(arr))
+    ):
+        raise ValidationError(f"{what}s must be integers, got dtype {arr.dtype}")
+    # range-check before any cast, so inf or 1e30 is named as given and no
+    # cast overflows
     flat = arr.reshape(-1)
     if flat.size and (flat.min() < 0 or flat.max() > CODE_MAX):
         i = int(np.flatnonzero((flat < 0) | (flat > CODE_MAX))[0])
         raise ValidationError(
-            f"{what} {int(flat[i])} at index {i} outside [0, {CODE_MAX}]"
+            f"{what} {flat[i].item()} at index {i} outside [0, {CODE_MAX}]"
         )
     return flat.astype(np.uint8, copy=False)
 
@@ -122,8 +123,8 @@ class FeatureMap:
 class WeightMatrix:
     """1x1 convolution (or FC) weights as a dense (out, in) grid of 4-bit codes.
 
-    Each engine's form of the signed weights is cached on first use:
-    `effective_f32` for the reference convs, `slab_int8` for the simulator's.
+    The one cached form of the signed weights, `slab_int8`, is built on
+    first use and multiplied by the convs of both engines.
     """
 
     out_channels: int
@@ -146,20 +147,13 @@ class WeightMatrix:
         return (2 * self.codes.astype(ACC_DTYPE)) - CODE_MAX
 
     @cached_property
-    def effective_f32(self) -> np.ndarray:
-        """`effective` as a read-only float32 array, built on first use."""
-        eff = self.effective().astype(np.float32)
-        eff.flags.writeable = False
-        return eff
-
-    @cached_property
     def slab_int8(self) -> np.ndarray:
         """`effective` as a read-only C-ordered (in, out) int8 array, built on first use.
 
-        The simulator's conv slab, which an input row multiplies once cast to
-        float32. int8 holds every effective weight exactly at a quarter of
-        float32's bytes, so the default net keeps 2.1 MiB resident instead of
-        8.6 MiB.
+        The conv slab of both engines, which their activations multiply once
+        cast to float32. int8 holds every effective weight exactly at a
+        quarter of float32's bytes, so the default net keeps 2.1 MiB resident
+        instead of 8.6 MiB.
         """
         slab = np.ascontiguousarray(self.effective().T, dtype=np.int8)
         slab.flags.writeable = False

@@ -373,12 +373,19 @@ def test_simulator_forward_concurrent_scheduler(tiny_bundle):
     np.testing.assert_array_equal(a.int_logits, b.int_logits)
 
 
-def test_simulator_keeps_no_float32_weights_resident(quant_params):
+@pytest.mark.parametrize("make_executor", [ReferenceExecutor, SimulatorExecutor])
+def test_no_engine_keeps_float32_weights_resident(quant_params, make_executor):
     bundle = random_bundle(make_tiny_spec(), quant_params, seed=207)
-    forward(bundle, random_input(bundle.spec, seed=208), executor=SimulatorExecutor())
+    forward(bundle, random_input(bundle.spec, seed=208), executor=make_executor())
     layers = [*bundle.weights.values(), bundle.fc_weights]
     assert all("slab_int8" in w.__dict__ for w in bundle.weights.values())
-    assert not any("effective_f32" in w.__dict__ for w in layers)
+    assert not any(
+        isinstance(v, np.ndarray) and v.dtype == np.float32
+        for w in layers for v in w.__dict__.values()
+    )
+    for w in bundle.weights.values():
+        cached = sum(v.nbytes for v in w.__dict__.values() if isinstance(v, np.ndarray))
+        assert cached == 2 * w.in_channels * w.out_channels
 
 
 def test_simulator_runs_networks_with_asymmetric_stages(quant_params):

@@ -65,6 +65,16 @@ def test_pack_rejects_out_of_range_naming_first_offender():
         pack([0, 1, 16, 17])
     with pytest.raises(ValidationError, match=r"code -1 at index 0"):
         pack([-1])
+    with pytest.raises(ValidationError, match=r"code inf at index 1 outside \[0, 15\]"):
+        pack(np.array([1.0, np.inf]))
+    with pytest.raises(ValidationError, match=r"code -inf at index 0"):
+        pack(np.array([-np.inf, 2.0]))
+    with pytest.raises(ValidationError, match=r"code 1e\+30 at index 2"):
+        pack(np.array([0.0, 15.0, 1e30]))
+    with pytest.raises(ValidationError, match=r"code inf at index 1"):
+        FeatureMap.from_array(np.array([[[3.0, np.inf]]]))
+    with pytest.raises(ValidationError, match=r"weight code -1e\+30 at index 0"):
+        WeightMatrix(1, 2, np.array([[-1e30, 0.0]]))
 
 
 def test_pack_rejects_fractional_floats_but_accepts_integral_ones():
