@@ -58,17 +58,13 @@ class FifoChannel:
         return True, self._items.popleft()
 
 
-def _stage_name(gen) -> str:
-    return getattr(gen, "__name__", None) or "stage"
-
-
 def _attempt(gen, effect):
     """Complete `effect` of stage `gen` if its channel allows: (done, value)."""
     if effect[0] == "put":
         return effect[1].try_put(effect[2]), None
     if effect[0] == "get":
         return effect[1].try_get()
-    raise ConfigurationError(f"stage {_stage_name(gen)!r} yielded unknown effect {effect[0]!r}")
+    raise ConfigurationError(f"stage {gen.__name__!r} yielded unknown effect {effect[0]!r}")
 
 
 def _waiting(name: str, effect) -> str:
@@ -82,7 +78,7 @@ def _start(stages) -> list:
     for gen in stages:
         try:
             effect = next(gen)
-            live.append([_stage_name(gen), gen, effect])
+            live.append([gen.__name__, gen, effect])
         except StopIteration:
             pass
     return live

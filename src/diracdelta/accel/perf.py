@@ -24,6 +24,7 @@ from ..net import (
     PoolStep,
     ShiftStep,
     compile_steps,
+    conv_steps,
 )
 from ..tensor import MAX_F32_TERMS, blocked_channel_count
 
@@ -42,7 +43,7 @@ class CostModelParams:
     calibrated from measured end-to-end deltas of shuffle-bearing layers. The
     tile widths are at most `MAX_F32_TERMS`: a tile's partial sum of up to
     ``ic_parallel`` code products then stays below 2**24, the bound
-    `check_f32_exact` holds every float32 dot product of the engines to.
+    `WeightMatrix` holds every float32 dot product of the engines to.
     """
 
     cycles_per_ic_iter: int = 8
@@ -221,10 +222,6 @@ class FrameCost:
     calls: int              # engine invocations per frame
     frame_s: float          # engine + memcpy + host, no amortized terms
 
-    @property
-    def memcpy_bytes(self) -> int:
-        return sum(c.memcpy_bytes for c in self.steps)
-
 
 def frame_cost(spec: NetworkSpec, params: CostModelParams) -> FrameCost:
     costs = [step_cost(step, params) for step in compile_steps(spec)
@@ -328,9 +325,7 @@ def layer_roofline(spec: NetworkSpec, params: CostModelParams) -> tuple:
     compute_roof / (2 * bandwidth) output channels are memory-bound.
     """
     rows = []
-    for step in compile_steps(spec):
-        if not isinstance(step, ConvStep):
-            continue
+    for step in conv_steps(spec):
         cost = step_cost(step, params)
         roof = roofline(params, step.out_channels)
         rows.append(LayerRoofline(
@@ -440,9 +435,9 @@ def build_report(spec: NetworkSpec, params: CostModelParams,
     The block ablation has one row per stage with basic blocks, at that
     stage's spatial size and width.
 
-    The check covers every float of `to_dict`, params first and then in the
-    text's order, so the error names the first figure the text would print
-    as ``inf`` or ``nan``.
+    The check covers every float of `to_dict` past the params, which
+    `CostModelParams` checks itself, in the text's order, so the error names
+    the first figure the text would print as ``inf`` or ``nan``.
     """
     report = PerfReport(
         params=params,
@@ -454,7 +449,7 @@ def build_report(spec: NetworkSpec, params: CostModelParams,
             for i, (channels, reps) in enumerate(zip(spec.stage_channels, spec.stage_repeats))
             if reps),
     )
-    rows = [("params", params), ("roofline", report.summary)] + [
+    rows = [("roofline", report.summary)] + [
         (f"{section}[{i}]", row) for section in ("layers", "batches", "ablations")
         for i, row in enumerate(getattr(report, section))]
     for where, row in rows:

@@ -53,7 +53,7 @@ from ..errors import ShapeError
 from ..net import ConvStep
 from .. import ops
 from ..quant import ThresholdTable
-from ..tensor import WeightMatrix, check_accumulators, check_f32_exact
+from ..tensor import WeightMatrix, check_accumulators
 from .fifo import FifoChannel, run_network
 from .perf import CostModelParams, copy_bytes, map_bytes, weight_bytes
 
@@ -95,8 +95,8 @@ def _conv_stage(slab, height, stats, in_fifo: FifoChannel, out_fifo: FifoChannel
     The register file holds one row of pixels with every output channel
     each; one GEMM of the input row against the (in, out) float32 slab
     updates all of them.
-    It is exact because `run_subgraph` checks the input width, so the
-    float32 row is the accumulator form the lookup takes.
+    It is exact for any width a `WeightMatrix` allows, so the float32 row
+    is the accumulator form the lookup takes.
     """
     for _y in range(height):
         row = yield ("get", in_fifo)
@@ -183,16 +183,10 @@ def run_subgraph(x: np.ndarray, weights: WeightMatrix, table: ThresholdTable,
     concat-shuffled with at writeback. The output codes equal what the
     reference operator composition produces; the stats describe the run.
     """
+    weights.check_map(x)
     h, w, c = x.shape
-    if h == 0 or w == 0:
-        raise ShapeError(f"the map must have at least one row and one column, got {h}x{w}")
-    if c != weights.in_channels:
-        raise ShapeError(
-            f"input has {c} channels, weights expect {weights.in_channels}"
-        )
     if pool and (h % 2 or w % 2):
         raise ShapeError(f"pooling needs even spatial dims, got {h}x{w}")
-    check_f32_exact(c, f"input width of {c} channels")
     stats = SubgraphStats()
     stats.weight_bytes = weight_bytes(c, weights.out_channels, params)
     stats.dram_read_bytes = map_bytes(x.shape, params) + stats.weight_bytes

@@ -344,8 +344,11 @@ class ReferenceExecutor:
         the float32 GEMM result of `conv1x1`, whose bound is checked before
         the pool, pools it and looks the pooled quarter up with
         `ThresholdTable.apply`: every value is an exact integer below 2**24,
-        so nothing rounds on the way to the index.
+        so nothing rounds on the way to the index. Either path first refuses
+        the map the simulator refuses, by `WeightMatrix.check_map`.
         """
+        weights = bundle.weights[step.name]
+        weights.check_map(x)
         # Row blocks of `BLOCK_ELEMENTS` keep every temporary under the 4 MiB at
         # which numpy asks for huge pages; an even count pools on its own.
         rows = max(2, BLOCK_ELEMENTS // (x.shape[1] * step.out_channels)) & ~1
@@ -355,7 +358,7 @@ class ReferenceExecutor:
             book = code_book(bundle, step)
             codes = [pool(book.take(_pixel_index(xb), axis=0)) for xb in blocks]
         else:
-            table, weights = bundle.tables[step.name], bundle.weights[step.name]
+            table = bundle.tables[step.name]
             codes = [table.apply(pool(conv1x1(xb, weights))) for xb in blocks]
         out = np.concatenate(codes)
         if step.shift:

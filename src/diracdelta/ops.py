@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .tensor import CODE_MAX, WeightMatrix, check_accumulators, check_f32_exact
+from .tensor import CODE_MAX, WeightMatrix, check_accumulators
 
 
 # Channel c moves along SHIFT_CYCLE[c % 5], given as (dy, dx) with
@@ -38,12 +38,8 @@ def conv1x1(x: np.ndarray, weights: WeightMatrix) -> np.ndarray:
     operand is the layer's resident `WeightMatrix.slab_int8` cast to
     float32, the (in, out) slab the simulator multiplies too.
     """
+    weights.check_map(x)
     h, w, c = x.shape
-    if c != weights.in_channels:
-        raise ShapeError(
-            f"feature map has {c} channels, weights expect {weights.in_channels}"
-        )
-    check_f32_exact(weights.in_channels, f"{weights.in_channels} input channels")
     acts = x.astype(np.float32).reshape(-1, c)
     acc = acts @ weights.slab_int8.astype(np.float32)
     check_accumulators(acc)
@@ -128,8 +124,9 @@ def fully_connected(codes, weights: WeightMatrix) -> np.ndarray:
     the integer dot product with effective weights 2*w - 15. The codes are
     cast to float32 and multiplied in blocks of rows of at most
     `BLOCK_ELEMENTS` codes, so no float32 copy of the whole matrix is made
-    and none stays resident. Each d[o] is one exact float32 dot product
-    (`check_f32_exact`), so the blocks do not change a bit of it.
+    and none stays resident. Each d[o] is one float32 dot product, exact
+    for the width `WeightMatrix` allows, so the blocks do not change a bit
+    of it.
     """
     a = np.asarray(codes)
     if a.ndim != 1 or a.shape[0] != weights.in_channels:
@@ -138,9 +135,8 @@ def fully_connected(codes, weights: WeightMatrix) -> np.ndarray:
         )
     if a.size and (a.min() < 0 or a.max() > CODE_MAX):
         raise ValidationError("activation codes outside [0, 15]")
-    check_f32_exact(weights.in_channels, f"{weights.in_channels} inputs")
     a32 = a.astype(np.float32)
-    # check_f32_exact bounds the row length below BLOCK_ELEMENTS: a block has a row.
+    # WeightMatrix bounds the row length below BLOCK_ELEMENTS: a block has a row.
     rows = BLOCK_ELEMENTS // max(1, weights.in_channels)
     d = np.empty(weights.out_channels, dtype=np.float32)
     for o in range(0, weights.out_channels, rows):

@@ -172,8 +172,8 @@ class ThresholdTable:
     def apply(self, acc) -> np.ndarray:
         """Vectorized lookup; returns uint8 codes with the input's shape.
 
-        Takes any integer dtype, or float32 holding integers, as a checked
-        float32 GEMM (`tensor.check_f32_exact`) and its max pool give them.
+        Takes any integer dtype, or float32 holding integers, as a float32
+        GEMM over a `tensor.WeightMatrix` and its max pool give them.
         The flattened input is clamped to the float32 window ends, shifted in
         place and cast once to the index. The clamp runs in float32, or in
         float64 past 16-bit integers: either holds the window exactly and the

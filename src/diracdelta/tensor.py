@@ -9,9 +9,9 @@ when the count is odd (`FeatureMap`, tensor blobs, weight blobs).
 A weight code ``c`` stands for the odd integer ``2*c - 15``, so a dot
 product over the largest channel count in the network is bounded by
 ``15 * 15 * 512 = 115200``. Both engines hold an accumulator as the float32
-result of an exact float32 GEMM (`check_f32_exact`), every value an integer,
-and `check_accumulators` asserts the bound wherever accumulators are
-produced.
+result of a float32 GEMM over a `WeightMatrix`, exact because of the
+width the matrix is held to, every value an integer, and
+`check_accumulators` asserts the bound wherever accumulators are produced.
 """
 from __future__ import annotations
 
@@ -123,6 +123,12 @@ class FeatureMap:
 class WeightMatrix:
     """1x1 convolution (or FC) weights as a dense (out, in) grid of 4-bit codes.
 
+    Every engine GEMM over these weights sums ``in_channels`` code products.
+    Each product, a * (2w - 15) or a * w, is an integer of magnitude at most
+    225, so a matrix of at most `MAX_F32_TERMS` inputs keeps every partial
+    sum an integer below 2**24: a float32, which makes every addition exact
+    in any order. A wider matrix is refused when it is made.
+
     The one cached form of the signed weights, `slab_int8`, is built on
     first use and multiplied by the convs of both engines.
     """
@@ -132,6 +138,10 @@ class WeightMatrix:
     codes: np.ndarray
 
     def __post_init__(self):
+        if self.in_channels > MAX_F32_TERMS:
+            raise ValidationError(
+                f"weights of {self.in_channels} inputs: partial sums could reach 2**24, "
+                "beyond what a float32 GEMM sums exactly")
         arr = np.asarray(self.codes)
         if arr.shape != (self.out_channels, self.in_channels):
             raise ShapeError(
@@ -141,6 +151,19 @@ class WeightMatrix:
         arr = flat.reshape(self.out_channels, self.in_channels).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "codes", arr)
+
+    def check_map(self, x: np.ndarray) -> None:
+        """Refuse a (height, width, channels) map these weights cannot take.
+
+        A conv needs a map with at least one pixel and exactly
+        ``in_channels`` channels; any other is a `ShapeError` in either
+        engine.
+        """
+        h, w, c = x.shape
+        if h == 0 or w == 0:
+            raise ShapeError(f"the map must have at least one row and one column, got {h}x{w}")
+        if c != self.in_channels:
+            raise ShapeError(f"input has {c} channels, weights expect {self.in_channels}")
 
     def effective(self) -> np.ndarray:
         """Signed integer weight values, ``2*code - 15``: the odd integers in [-15, 15]."""
@@ -213,16 +236,3 @@ def check_accumulators(acc) -> int:
     if peak > ACC_LIMIT:
         raise ValidationError(f"accumulator magnitude {peak} exceeds bound {ACC_LIMIT}")
     return peak
-
-
-def check_f32_exact(terms: int, what: str) -> None:
-    """Refuse a float32 GEMM of code dot products longer than `MAX_F32_TERMS` terms.
-
-    Each product, a * (2w - 15) or a * w, is an integer of magnitude at most
-    225, so any partial sum of up to `MAX_F32_TERMS` of them is an integer
-    below 2**24: a float32, which makes every addition exact in any order.
-    """
-    if terms > MAX_F32_TERMS:
-        raise ValidationError(
-            f"{what}: partial sums could reach 2**24, beyond what a float32 GEMM sums exactly"
-        )

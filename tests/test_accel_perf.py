@@ -163,7 +163,7 @@ def test_frame_cost_of_the_default_network():
     spec = build_diracdeltanet()
     fc = frame_cost(spec, CostModelParams())
     assert fc.calls == 44  # 38 convs + 3 skip pools + 3 skip shifts
-    assert fc.memcpy_bytes == 225792
+    assert sum(c.memcpy_bytes for c in fc.steps) == 225792
     want_weights = sum(
         blocked_channel_count(s.in_channels, 32)
         * blocked_channel_count(s.out_channels, 32) // 2

@@ -22,7 +22,7 @@ from diracdelta.accel.subgraph import (
 from diracdelta import tensor
 from diracdelta.bundle import random_bundle
 from diracdelta.errors import ConfigurationError, ShapeError, ValidationError
-from diracdelta.net import ReferenceExecutor, forward
+from diracdelta.net import ReferenceExecutor, conv_steps, forward
 from diracdelta.ops import conv1x1, maxpool2x2, shift
 from diracdelta.tensor import ACC_LIMIT, FeatureMap, WeightMatrix, blocked_channel_count
 
@@ -164,9 +164,10 @@ def test_input_rows_too_wide_for_an_exact_float32_gemm_are_refused():
     fm, wm, table = _random_case(36, 1, 1, 40001, 4)
     assert _same(run_subgraph(fm, wm, table, CostModelParams(ic_parallel=40000)).output,
                  composed_subgraph(fm, wm, table))
-    fm, wm, table = _random_case(36, 1, 1, tensor.MAX_F32_TERMS + 1, 4)
-    with pytest.raises(ValidationError, match="^input width of 74566 channels: "):
-        run_subgraph(fm, wm, table)
+    fm, wm, table = _random_case(36, 1, 1, tensor.MAX_F32_TERMS, 4)
+    assert _same(run_subgraph(fm, wm, table).output, composed_subgraph(fm, wm, table))
+    with pytest.raises(ValidationError, match="^weights of 74566 inputs: "):
+        _random_case(36, 1, 1, tensor.MAX_F32_TERMS + 1, 4)
 
 
 # =========================================================================
@@ -272,6 +273,25 @@ def test_both_executors_refuse_an_odd_map_at_a_pool():
     for executor in (ReferenceExecutor(), SimulatorExecutor()):
         with pytest.raises(ShapeError, match="pooling needs even spatial dims, got 3x4"):
             executor.pool_pass(np.zeros((3, 4, 2), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("make_executor", [ReferenceExecutor, SimulatorExecutor])
+@pytest.mark.parametrize("step_name,shape,message", [
+    # conv1 takes 3 channels, the reference engine's code-book path
+    ("conv1", (16, 16, 2), "input has 2 channels, weights expect 3"),
+    ("conv1", (16, 16, 4), "input has 4 channels, weights expect 3"),
+    ("conv1", (0, 16, 3), "the map must have at least one row and one column, got 0x16"),
+    ("conv1", (16, 0, 3), "the map must have at least one row and one column, got 16x0"),
+    # conv2 takes 4 channels, the reference engine's GEMM path
+    ("conv2", (0, 8, 4), "the map must have at least one row and one column, got 0x8"),
+    ("conv2", (8, 0, 4), "the map must have at least one row and one column, got 8x0"),
+], ids=["book-2-channels", "book-4-channels", "book-no-rows", "book-no-columns",
+        "gemm-no-rows", "gemm-no-columns"])
+def test_both_executors_refuse_a_map_a_conv_cannot_take(tiny_bundle, make_executor,
+                                                         step_name, shape, message):
+    step = next(s for s in conv_steps(tiny_bundle.spec) if s.name == step_name)
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        make_executor().conv_subgraph(np.zeros(shape, dtype=np.uint8), step, tiny_bundle, None)
 
 
 def test_shift_pass_matches_reference_with_traffic():

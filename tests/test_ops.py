@@ -92,14 +92,11 @@ def test_conv_equals_int64_matmul_at_and_beyond_the_bound():
 
 def test_conv_refuses_inputs_a_float32_gemm_cannot_sum_exactly():
     widest = 2**24 // 225  # 225 * widest < 2**24 <= 225 * (widest + 1)
-    for c, ok in ((widest, True), (widest + 1, False)):
-        fm = np.zeros((1, 1, c), dtype=np.uint8)
-        wm = WeightMatrix(1, c, np.zeros((1, c), dtype=np.uint8))
-        if ok:
-            assert conv1x1(fm, wm).tolist() == [[[0]]]
-        else:
-            with pytest.raises(ValidationError, match="could reach 2"):
-                conv1x1(fm, wm)
+    fm = np.zeros((1, 1, widest), dtype=np.uint8)
+    wm = WeightMatrix(1, widest, np.zeros((1, widest), dtype=np.uint8))
+    assert conv1x1(fm, wm).tolist() == [[[0]]]
+    with pytest.raises(ValidationError, match="^weights of 74566 inputs: partial sums could reach 2"):
+        WeightMatrix(1, widest + 1, np.zeros((1, widest + 1), dtype=np.uint8))
 
 
 def test_conv_channel_mismatch():
@@ -343,14 +340,11 @@ def test_fully_connected_never_casts_the_whole_matrix():
 
 def test_fully_connected_refuses_inputs_a_float32_gemv_cannot_sum_exactly():
     widest = 2**24 // 225  # 225 * widest < 2**24 <= 225 * (widest + 1)
-    for c, ok in ((widest, True), (widest + 1, False)):
-        a = np.full(c, 15, dtype=np.uint8)
-        w = WeightMatrix(1, c, np.full((1, c), 15, dtype=np.uint8))
-        if ok:
-            assert fully_connected(a, w).tolist() == [225 * c]
-        else:
-            with pytest.raises(ValidationError, match="could reach 2"):
-                fully_connected(a, w)
+    a = np.full(widest, 15, dtype=np.uint8)
+    w = WeightMatrix(1, widest, np.full((1, widest), 15, dtype=np.uint8))
+    assert fully_connected(a, w).tolist() == [225 * widest]
+    with pytest.raises(ValidationError, match="^weights of 74566 inputs: partial sums could reach 2"):
+        WeightMatrix(1, widest + 1, np.full((1, widest + 1), 15, dtype=np.uint8))
 
 
 def test_fc_bit_serial_guards():
